@@ -37,9 +37,13 @@ def _write_json(doc, path):
 
 
 def _load_mesh(args):
+    """The complex named by --mesh, checked to be valid."""
     if args.mesh in data.available():
-        return data.load(args.mesh)
-    return mesh.load_mesh(args.mesh)
+        c = data.load(args.mesh)
+    else:
+        c = mesh.load_mesh(args.mesh)
+    c.require_valid()
+    return c
 
 
 def _metric_for(args, c):
@@ -54,9 +58,7 @@ def _metric_for(args, c):
         r = rng.uniform(float(a), float(b), n)
     else:
         r = np.ones(n)
-    if r.shape != (n,) or np.any(r <= 0):
-        raise ValueError(f"metric must be {n} positive radii")
-    return r
+    return packing2d.check_metric(c, r)
 
 
 def _add_common(p):
@@ -74,7 +76,6 @@ def _add_common(p):
 
 def cmd_curvature(args):
     c = _load_mesh(args)
-    c.require_valid()
     r = _metric_for(args, c)
     formats = args.format.split(",")
 
@@ -122,7 +123,6 @@ def _family_name(flag):
 
 def cmd_flow(args):
     c = _load_mesh(args)
-    c.require_valid()
     r0 = _metric_for(args, c)
     target = None
     if args.target:
@@ -131,9 +131,7 @@ def cmd_flow(args):
 
     kw = dict(alpha=args.alpha, target=target, t_max=args.t_max, eps=args.eps)
     if c.dim == 3:
-        spec = packing3d.default_yamabe_spec(
-            **{k: v for k, v in kw.items() if k != "target" and k != "alpha"})
-        trace = packing3d.yamabe_flow(c, r0, spec)
+        trace = packing3d.yamabe_flow(c, r0, packing3d.default_yamabe_spec(**kw))
     else:
         spec = flows2d.FlowSpec(family=_family_name(args.family), **kw)
         trace = flows2d.run(spec, c, r0)
@@ -151,7 +149,6 @@ def cmd_flow(args):
 
 def cmd_check(args):
     c = _load_mesh(args)
-    c.require_valid()
     subsets = None
     if args.subsets:
         with open(args.subsets) as fp:
@@ -179,7 +176,6 @@ def cmd_check(args):
 
 def cmd_spectrum(args):
     c = _load_mesh(args)
-    c.require_valid()
     r = _metric_for(args, c)
     if c.dim == 2:
         eigenvalues, kernel_residual = operators2d.laplacian_spectrum(c, r)
@@ -196,7 +192,6 @@ def cmd_spectrum(args):
 
 def cmd_solve(args):
     c = _load_mesh(args)
-    c.require_valid()
     if args.start and not args.radii:
         args.radii = args.start
     r0 = _metric_for(args, c)

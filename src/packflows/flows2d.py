@@ -1,57 +1,76 @@
 """Curvature flows on circle packing metrics.
 
-All ten flow families are integrated in log-radius coordinates, which keeps
-radii positive structurally. Fields are expressed as d(log r)/dt:
+Every flow is integrated in log-radius coordinates, which keeps radii
+positive structurally, as d(log r)/dt = scale * (base field). A family is
+one row of FAMILIES:
 
-    ricci                    -R/2                  (alpha fixed to 2)
-    ricci_normalized         (R_av - R)/2
-    ricci_prescribed         (Rbar - R)/2
-    calabi                   (Laplacian R)/2
-    calabi_modified          -(A phi)/2            A, phi in log r^2 coords
-    alpha_ricci              -R_a
-    alpha_ricci_normalized   R_a,av - R_a
-    alpha_prescribed         Rbar - R_a
-    alpha_calabi             Laplacian_a R_a
-    alpha_calabi_modified    -A phi                A, phi in log r coords
+    family                   base field             scale  conserved
+    alpha_ricci              -R_a                   1      -
+    alpha_ricci_normalized   R_a,av - R_a           1      sum r^a (*)
+    alpha_prescribed         Rbar - R_a             1      -
+    alpha_calabi             Laplacian_a R_a        1      sum r^a (*)
+    alpha_calabi_modified    -A phi                 1      prod r
+    ricci                    -R_2                   1/2    -
+    ricci_normalized         R_2,av - R_2           1/2    sum r^2
+    ricci_prescribed         Rbar - R_2             1/2    -
+    calabi                   Laplacian_2 R_2        1/4    sum r^2
+    calabi_modified          -A phi at alpha = 2    1/4    prod r
+    yamabe (3-d)             R_av - R               1/2    sum r^3
 
-The alpha = 2 members of the alpha families trace the same curves as their
-classical counterparts, at twice (Ricci) or four times (Calabi) the speed;
-this is the log r versus log r^2 time convention.
+A and phi are the potential Hessian and gradient in log r coordinates;
+(*) the product of the radii when alpha = 0. The classic families trace the
+alpha = 2 curves at half (Ricci) or a quarter (Calabi) of the speed; this
+is the log r^2 versus log r time convention. Every flow runs through one
+driver, ``_integrate``.
 """
 
 import math
-from dataclasses import dataclass
+import numbers
+from collections import namedtuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._rk import DomainError, advance
-from .errors import (DegenerateTriangleError, NoConvergenceError,
-                     NotApplicableError, StepFailureError)
+from .errors import (DegenerateTetrahedronError, DegenerateTriangleError,
+                     NoConvergenceError, NotApplicableError, StepFailureError)
 from .mesh import euler_characteristic
 from .operators2d import (alpha_laplacian, calabi_energy,
-                          calabi_energy_gradient, laplacian,
-                          potential_gradient, potential_hessian,
-                          ricci_potential)
+                          calabi_energy_gradient, potential_gradient,
+                          potential_hessian, ricci_potential)
 from .packing2d import (angle_defect, average_curvature, check_metric,
                         curvature, total_measure)
 
-PRESCRIBED_FAMILIES = ("ricci_prescribed", "alpha_prescribed")
-ALPHA_FAMILIES = ("alpha_ricci", "alpha_ricci_normalized", "alpha_prescribed",
-                  "alpha_calabi", "alpha_calabi_modified")
-CLASSIC_FAMILIES = ("ricci", "ricci_normalized", "ricci_prescribed",
-                    "calabi", "calabi_modified")
-FAMILIES = CLASSIC_FAMILIES + ALPHA_FAMILIES + ("yamabe",)
+# -- the family table ---------------------------------------------------------
 
-# conserved quantity per family: "measure" = ||r||_alpha^alpha (product of
-# radii when alpha = 0), "product" = prod r_i, None = nothing conserved
-CONSERVED = {
-    "ricci_normalized": "measure",
-    "calabi": "measure",
-    "alpha_ricci_normalized": "measure",
-    "alpha_calabi": "measure",
-    "calabi_modified": "product",
-    "alpha_calabi_modified": "product",
-    "yamabe": "volume",
+# base fields of the alpha families, (c, r, alpha, target) -> d(log r)/dt
+_BASE = {
+    "ricci": lambda c, r, a, target: -curvature(c, r, a),
+    "ricci_normalized": lambda c, r, a, target: (average_curvature(c, r, a)
+                                                 - curvature(c, r, a)),
+    "prescribed": lambda c, r, a, target: target - curvature(c, r, a),
+    "calabi": lambda c, r, a, target: alpha_laplacian(c, r, a, curvature(c, r, a)),
+    "calabi_modified": lambda c, r, a, target: -0.5 * calabi_energy_gradient(
+        c, r, a, coord="log_r"),
+}
+
+# field: key of _BASE, None for the 3-d flow (packing3d); alpha: the fixed
+# exponent, None when free; conserved: p of the conserved sum r^p ("alpha":
+# the flow's own, 0: product of the radii, None: nothing conserved)
+Family = namedtuple("Family", "field scale alpha conserved prescribed max_step")
+
+FAMILIES = {
+    "ricci": Family("ricci", 0.5, 2.0, None, False, 5.0),
+    "ricci_normalized": Family("ricci_normalized", 0.5, 2.0, "alpha", False, 5.0),
+    "ricci_prescribed": Family("prescribed", 0.5, 2.0, None, True, 5.0),
+    "calabi": Family("calabi", 0.25, 2.0, "alpha", False, 0.5),
+    "calabi_modified": Family("calabi_modified", 0.25, 2.0, 0.0, False, 0.5),
+    "alpha_ricci": Family("ricci", 1.0, None, None, False, 5.0),
+    "alpha_ricci_normalized": Family("ricci_normalized", 1.0, None, "alpha", False, 5.0),
+    "alpha_prescribed": Family("prescribed", 1.0, None, None, True, 5.0),
+    "alpha_calabi": Family("calabi", 1.0, None, "alpha", False, 0.5),
+    "alpha_calabi_modified": Family("calabi_modified", 1.0, None, 0.0, False, 0.5),
+    "yamabe": Family(None, 0.5, 2.0, 3.0, False, 5.0),
 }
 
 
@@ -80,28 +99,32 @@ class FlowSpec:
     sing_q: float = 1e-8
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        row = FAMILIES.get(self.family)
+        if row is None:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family in CLASSIC_FAMILIES and self.alpha != 2.0:
-            raise ValueError(f"family {self.family!r} is the alpha = 2 theory; "
-                             f"use an alpha_* family for alpha = {self.alpha}")
-        if self.family == "yamabe" and self.alpha != 2.0:
-            raise ValueError("the 3-d flow uses alpha = 2")
-        prescribed = self.family in PRESCRIBED_FAMILIES
-        if prescribed and self.target is None:
+        if row.alpha is not None and self.alpha != row.alpha:
+            raise ValueError(f"family {self.family!r} fixes alpha = {row.alpha:g}, "
+                             f"got {self.alpha}")
+        if row.prescribed and self.target is None:
             raise ValueError(f"family {self.family!r} requires a target")
-        if not prescribed and self.target is not None:
+        if not row.prescribed and self.target is not None:
             raise ValueError(f"family {self.family!r} takes no target")
         if self.target is not None:
             self.target = np.asarray(self.target, dtype=float)
-        for name in ("initial_step", "min_step", "rtol", "atol", "t_max", "eps"):
-            if getattr(self, name) <= 0:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, (numbers.Real, np.ndarray))
+                    and not np.all(np.isfinite(value))):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        for name in ("initial_step", "min_step", "max_step", "rtol", "atol",
+                     "t_max", "eps"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
     def resolved_max_step(self):
         if self.max_step is not None:
             return self.max_step
-        return 0.5 if "calabi" in self.family else 5.0
+        return FAMILIES[self.family].max_step
 
 
 @dataclass
@@ -207,35 +230,17 @@ class FlowTrace:
 # -- vector fields ------------------------------------------------------------
 
 
-def _field(spec, c, r):
-    a = spec.alpha
-    fam = spec.family
-    if fam == "ricci":
-        return -0.5 * curvature(c, r, 2.0)
-    if fam == "ricci_normalized":
-        return 0.5 * (average_curvature(c, r, 2.0) - curvature(c, r, 2.0))
-    if fam == "ricci_prescribed":
-        return 0.5 * (spec.target - curvature(c, r, 2.0))
-    if fam == "calabi":
-        return 0.5 * laplacian(c, r, curvature(c, r, 2.0))
-    if fam == "calabi_modified":
-        return -0.25 * calabi_energy_gradient(c, r, 2.0, coord="log_r2")
-    if fam == "alpha_ricci":
-        return -curvature(c, r, a)
-    if fam == "alpha_ricci_normalized":
-        return average_curvature(c, r, a) - curvature(c, r, a)
-    if fam == "alpha_prescribed":
-        return spec.target - curvature(c, r, a)
-    if fam == "alpha_calabi":
-        return alpha_laplacian(c, r, a, curvature(c, r, a))
-    if fam == "alpha_calabi_modified":
-        return -0.5 * calabi_energy_gradient(c, r, a, coord="log_r")
-    raise ValueError(f"family {fam!r} is not a 2-d flow")
+def _base_field(spec, c):
+    """The family's base field as a function of the radii."""
+    key = FAMILIES[spec.family].field
+    if key is None:
+        raise ValueError(f"family {spec.family!r} is not a 2-d flow")
+    return lambda r: _BASE[key](c, r, spec.alpha, spec.target)
 
 
 def vector_field(spec, c, r):
     """Right-hand side of the selected family as d(log r)/dt per vertex."""
-    return _field(spec, c, check_metric(c, r))
+    return FAMILIES[spec.family].scale * _base_field(spec, c)(check_metric(c, r))
 
 
 # -- residuals and conserved quantities ---------------------------------------
@@ -255,51 +260,32 @@ def prescribed_residual(c, r, alpha, target):
                                - np.asarray(target) * r ** alpha)))
 
 
-def _residual(spec, c, r):
-    if spec.family in PRESCRIBED_FAMILIES:
-        return prescribed_residual(c, r, spec.alpha, spec.target)
-    return constant_curvature_residual(c, r, spec.alpha)
+def _exponent(spec):
+    """p of the family's conserved sum r^p (0: the product of the radii), or
+    None when nothing is conserved."""
+    p = FAMILIES[spec.family].conserved
+    return spec.alpha if p == "alpha" else p
 
 
-def _conserved_value(spec, r):
-    kind = CONSERVED.get(spec.family)
-    if kind == "measure" and spec.alpha != 0.0:
-        return total_measure(r, spec.alpha)
-    if kind in ("measure", "product"):
-        return float(np.exp(np.sum(np.log(r))))
-    return math.nan
-
-
-def _project(spec, u, ref):
-    """Shift u along the constant vector to restore the conserved quantity."""
-    kind = CONSERVED.get(spec.family)
-    if kind is None or not spec.renormalize:
-        return u
-    if kind == "measure" and spec.alpha != 0.0:
-        cur = np.sum(np.exp(spec.alpha * u))
-        return u + np.log(ref / cur) / spec.alpha
-    cur = np.sum(u)
-    return u + (ref - cur) / len(u)
-
-
-def _conserved_ref(spec, u):
-    kind = CONSERVED.get(spec.family)
-    if kind == "measure" and spec.alpha != 0.0:
-        return np.sum(np.exp(spec.alpha * u))
-    return np.sum(u)
+def _log_measure(p, u):
+    """The conserved quantity in the form the projection restores."""
+    return np.sum(np.exp(p * u)) if p else np.sum(u)
 
 
 # -- stepping -----------------------------------------------------------------
 
 
-def _wrap_field(spec, c):
+def _stage(spec, base):
+    """The stepper's field u -> scale * base(e^u). A stage that leaves the
+    admissible region raises DomainError, so the stepper retries smaller."""
+    scale = FAMILIES[spec.family].scale
+
     def fn(t, u):
         if np.max(np.abs(u)) > 700.0:  # exp overflow guard
             raise DomainError("log radius out of range")
-        r = np.exp(u)
         try:
-            return _field(spec, c, r)
-        except DegenerateTriangleError as exc:
+            return scale * base(np.exp(u))
+        except (DegenerateTriangleError, DegenerateTetrahedronError) as exc:
             raise DomainError(str(exc)) from exc
     return fn
 
@@ -307,7 +293,7 @@ def _wrap_field(spec, c):
 def step(spec, c, state):
     """One integrator step from a FlowState; adaptive methods retry until the
     local error estimate passes. Raises StepFailureError below min_step."""
-    fn = _wrap_field(spec, c)
+    fn = _stage(spec, _base_field(spec, c))
     u = np.log(check_metric(c, state.r))
     t2, u2, _, h_next, _ = advance(fn, state.t, u, state.h, spec.method,
                                    spec.rtol, spec.atol, spec.min_step,
@@ -315,51 +301,35 @@ def step(spec, c, state):
     return FlowState(t2, np.exp(u2), h_next)
 
 
-def run(spec, c, r0):
-    """Integrate the flow until convergence or a stop condition.
+# field(r): base field; sample(t, u): trace row (t, r, R, conserved, F, C,
+# residual); guard: radius bounds apply; classify(r, t, relax): singularity
+_Flow = namedtuple("_Flow", "field sample guard classify")
 
-    Convergence means the scale-normalized curvature residual falls below
-    spec.eps. Normalized families are projected back onto their conserved
-    constraint after every accepted step.
+
+def _integrate(spec, c, r0, flow):
+    """The stepping loop of every flow, from validated radii r0.
+
+    Normalized families are projected back onto their conserved quantity
+    after every accepted step. Stops on the first of: converged (residual
+    below spec.eps), a classified singularity, max_time, max_steps,
+    stepped_out_of_domain (no step above min_step), diverged.
     """
-    c.require_valid()
-    r0 = check_metric(c, r0)
-    fn = _wrap_field(spec, c)
+    fn = _stage(spec, flow.field)
+    p = _exponent(spec)
     u = np.log(r0)
-    ref = _conserved_ref(spec, u)
+    ref = _log_measure(p, u)
     t, h = 0.0, min(spec.initial_step, spec.resolved_max_step())
-
-    times, radii, curv, cons, pot, cal, res = [], [], [], [], [], [], []
-    f_acc = 0.0
-    u_prev = None
-
-    def record(t_, u_):
-        nonlocal f_acc, u_prev
-        r_ = np.exp(u_)
-        times.append(t_)
-        radii.append(r_)
-        curv.append(curvature(c, r_, spec.alpha))
-        cons.append(_conserved_value(spec, r_))
-        res.append(_residual(spec, c, r_))
-        if spec.record_energies:
-            if u_prev is not None:
-                f_acc += ricci_potential(c, u_prev, u_, spec.alpha,
-                                         spec.target, tol=1e-12)
-            pot.append(f_acc)
-            cal.append(calabi_energy(c, r_, spec.alpha, spec.target))
-        else:
-            pot.append(math.nan)
-            cal.append(math.nan)
-        u_prev = u_
-
-    record(t, u)
-    termination = None
-    n_steps = 0
-    n_rejected = 0
+    rows = [flow.sample(t, u)]
+    termination = singularity = None
+    n_steps = n_rejected = 0
     while True:
-        if res[-1] < spec.eps:
+        if rows[-1][-1] < spec.eps:
             termination = "converged"
             break
+        if flow.classify is not None:
+            singularity = flow.classify(np.exp(u), t)
+            if singularity is not None:
+                break
         if t >= spec.t_max - spec.min_step:
             termination = "max_time"
             break
@@ -371,21 +341,67 @@ def run(spec, c, r0):
                                       spec.method, spec.rtol, spec.atol,
                                       spec.min_step, spec.resolved_max_step())
         except StepFailureError:
+            if flow.classify is not None:
+                singularity = flow.classify(np.exp(u), t, relax=1e3)
             termination = "stepped_out_of_domain"
             break
         n_steps += 1
         n_rejected += rej
-        u = _project(spec, u, ref)
-        r_now = np.exp(u)
-        record(t, u)
-        if np.min(r_now) < spec.r_min_guard or np.max(r_now) > spec.r_max_guard:
+        if p is not None and spec.renormalize:
+            # shift along the constant vector to restore the conserved quantity
+            cur = _log_measure(p, u)
+            u = u + (np.log(ref / cur) / p if p else (ref - cur) / len(u))
+        rows.append(flow.sample(t, u))
+        r_now = rows[-1][1]
+        if flow.guard and (np.min(r_now) < spec.r_min_guard
+                           or np.max(r_now) > spec.r_max_guard):
             termination = "diverged"
             break
+    if singularity is not None:
+        termination = "singularity_" + singularity["type"]
+    return FlowTrace(spec.family, spec.alpha, *map(np.array, zip(*rows)),
+                     termination, n_steps, n_rejected=n_rejected,
+                     target=spec.target, singularity=singularity)
 
-    return FlowTrace(spec.family, spec.alpha, np.array(times), np.array(radii),
-                     np.array(curv), np.array(cons), np.array(pot),
-                     np.array(cal), np.array(res), termination, n_steps,
-                     n_rejected=n_rejected, target=spec.target)
+
+def run(spec, c, r0):
+    """Integrate the flow until convergence or a stop condition.
+
+    Convergence means the scale-normalized curvature residual falls below
+    spec.eps. Normalized families are projected back onto their conserved
+    constraint after every accepted step.
+    """
+    c.require_valid()
+    r0 = check_metric(c, r0)
+    target = spec.target
+    if target is not None and target.shape != r0.shape:
+        raise ValueError(f"target has shape {target.shape}, expected {r0.shape}")
+    p = _exponent(spec)
+    f_acc, u_prev = 0.0, None
+
+    def sample(t, u):
+        nonlocal f_acc, u_prev
+        r = np.exp(u)
+        R = curvature(c, r, spec.alpha)
+        if p is None:
+            conserved = math.nan
+        elif p:
+            conserved = total_measure(r, p)
+        else:
+            conserved = float(np.exp(np.sum(np.log(r))))
+        res = (constant_curvature_residual(c, r, spec.alpha) if target is None
+               else prescribed_residual(c, r, spec.alpha, target))
+        F = C = math.nan
+        if spec.record_energies:
+            if u_prev is not None:
+                f_acc += ricci_potential(c, u_prev, u, spec.alpha, target,
+                                         tol=1e-12)
+            F, C = f_acc, calabi_energy(c, r, spec.alpha, target)
+        u_prev = u
+        return t, r, R, conserved, F, C, res
+
+    return _integrate(spec, c, r0,
+                      _Flow(_base_field(spec, c), sample, True, None))
 
 
 # -- maximum-principle envelopes ----------------------------------------------

@@ -20,7 +20,29 @@ def _canon_simplices(simplices):
     return [tuple(sorted(int(v) for v in s)) for s in simplices]
 
 
-class Surface2Complex:
+class _Complex:
+    """Structural validation shared by both complexes; the subclass supplies
+    _validate (the violation report) and _build_index (derived arrays)."""
+
+    def _finish(self):
+        self.violations = self._validate()
+        if not self.violations:
+            self._build_index()
+
+    def validate(self):
+        """Return the list of violated structural invariants (empty iff valid)."""
+        return list(self.violations)
+
+    @property
+    def is_valid(self):
+        return not self.violations
+
+    def require_valid(self):
+        if self.violations:
+            raise InvalidComplexError(self.violations)
+
+
+class Surface2Complex(_Complex):
     """Closed triangulated surface with a weight in [0, pi/2] per edge.
 
     Parameters
@@ -55,10 +77,7 @@ class Surface2Complex:
                 ws.append(float(phi))
             self.edges = es
             self.weights = np.asarray(ws, dtype=float)
-
-        self.violations = self._validate()
-        if not self.violations:
-            self._build_index()
+        self._finish()
 
     # -- validation -------------------------------------------------------
 
@@ -109,18 +128,6 @@ class Surface2Complex:
             report.append(f"edge {e} weight outside [0, pi/2]")
         return report
 
-    def validate(self):
-        """Return the list of violated structural invariants (empty iff valid)."""
-        return list(self.violations)
-
-    @property
-    def is_valid(self):
-        return not self.violations
-
-    def require_valid(self):
-        if self.violations:
-            raise InvalidComplexError(self.violations)
-
     # -- derived indices ---------------------------------------------------
 
     def _build_index(self):
@@ -164,7 +171,7 @@ class Surface2Complex:
                 f"F={len(self.faces)})")
 
 
-class Manifold3Complex:
+class Manifold3Complex(_Complex):
     """Closed triangulated 3-manifold (vertices, edges, triangles, tetrahedra)."""
 
     dim = 3
@@ -180,10 +187,7 @@ class Manifold3Complex:
             edges = sorted({e for tet in self.tetrahedra if len(tet) == 4
                             for e in itertools.combinations(tet, 2)})
         self.edges = _canon_simplices(edges)
-
-        self.violations = self._validate()
-        if not self.violations:
-            self._build_index()
+        self._finish()
 
     def _validate(self):
         report = []
@@ -232,17 +236,6 @@ class Manifold3Complex:
                 report.append(f"vertex {v} not in any tetrahedron")
         return report
 
-    def validate(self):
-        return list(self.violations)
-
-    @property
-    def is_valid(self):
-        return not self.violations
-
-    def require_valid(self):
-        if self.violations:
-            raise InvalidComplexError(self.violations)
-
     def _build_index(self):
         self.tet_array = np.array(self.tetrahedra, dtype=int).reshape(-1, 4)
         self.edge_array = np.array(self.edges, dtype=int).reshape(-1, 2)
@@ -265,11 +258,6 @@ class Manifold3Complex:
     def __repr__(self):
         return (f"Manifold3Complex(V={self.vertex_count}, E={len(self.edges)}, "
                 f"F={len(self.triangles)}, T={len(self.tetrahedra)})")
-
-
-def validate(c):
-    """Module-level alias for ``c.validate()``."""
-    return c.validate()
 
 
 # -- Euler characteristics and subsets -------------------------------------

@@ -16,25 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rk import DomainError, advance
-from .errors import (DegenerateTetrahedronError, NearDegenerateError,
-                     StepFailureError)
-from .flows2d import FlowSpec, FlowTrace
+from .errors import DegenerateTetrahedronError, NearDegenerateError
+from .flows2d import FlowSpec, _Flow, _integrate
 from .operators2d import JacobianMatrix
+from .packing2d import check_metric
 
 Q_SAFETY_MARGIN = 1e-6
 
 # positions of the three vertices opposite each tet column
 _OTHERS = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
-
-
-def check_metric3(c, r):
-    r = np.asarray(r, dtype=float)
-    if r.shape != (c.vertex_count,):
-        raise ValueError(f"metric has shape {r.shape}, expected ({c.vertex_count},)")
-    if not np.all(np.isfinite(r)) or np.any(r <= 0):
-        raise ValueError("radii must be positive and finite")
-    return r
 
 
 def q_factor(r_i, r_j=None, r_k=None, r_l=None):
@@ -53,18 +43,23 @@ def q_factor(r_i, r_j=None, r_k=None, r_l=None):
 
 def tet_q_factors(c, r):
     """Q factor of every tetrahedron for the given metric."""
-    r = check_metric3(c, r)
+    r = check_metric(c, r)
     return q_factor(r[c.tet_array])
 
 
-def _solid_angles_from_radii(rt, tet_index_hint=None):
-    """Solid angles, shape (T, 4), for per-tet radii rt of shape (T, 4)."""
+def _require_realizable(rt, tet_index_hint=None):
+    """Raise DegenerateTetrahedronError unless every row of rt has Q > 0."""
     q = q_factor(rt)
     if np.any(q <= 0.0):
         bad = int(np.argmin(q))
         idx = bad if tet_index_hint is None else tet_index_hint[bad]
         raise DegenerateTetrahedronError(
             f"tetrahedron {idx} has Q = {q[bad]:.6g} <= 0", tet_index=idx)
+
+
+def _solid_angles_from_radii(rt, tet_index_hint=None):
+    """Solid angles, shape (T, 4), for per-tet radii rt of shape (T, 4)."""
+    _require_realizable(rt, tet_index_hint)
 
     # face angle at column p between the edges to columns a and b
     def face_angle(p, a, b):
@@ -96,7 +91,7 @@ def _solid_angles_from_radii(rt, tet_index_hint=None):
 def solid_angles(c, r):
     """Solid angle at each vertex of each tetrahedron, aligned with
     c.tet_array columns."""
-    r = check_metric3(c, r)
+    r = check_metric(c, r)
     return _solid_angles_from_radii(r[c.tet_array],
                                     tet_index_hint=np.arange(len(c.tetrahedra)))
 
@@ -111,7 +106,7 @@ def solid_angle_defect(c, r):
 
 def curvature3(c, r):
     """Rescaled scalar curvature: solid angle defect over r^2."""
-    r = check_metric3(c, r)
+    r = check_metric(c, r)
     return solid_angle_defect(c, r) / r ** 2
 
 
@@ -219,7 +214,7 @@ class YamabeState:
 
 def yamabe_state(c, r):
     c.require_valid()
-    r = check_metric3(c, r)
+    r = check_metric(c, r)
     K = solid_angle_defect(c, r)
     R = K / r ** 2
     total = float(K @ r)
@@ -246,7 +241,7 @@ def defect_jacobian(c, r, rel_step=1e-5):
     admissibility boundary.
     """
     c.require_valid()
-    r = check_metric3(c, r)
+    r = check_metric(c, r)
     if np.min(tet_q_factors(c, r)) <= Q_SAFETY_MARGIN:
         raise NearDegenerateError(
             f"min Q factor within safety margin {Q_SAFETY_MARGIN}")
@@ -275,7 +270,7 @@ def laplacian3(c, r, f):
     Written in difference form so constants are annihilated exactly even
     though the Jacobian is a finite-difference approximation.
     """
-    r = check_metric3(c, r)
+    r = check_metric(c, r)
     f = np.asarray(f, dtype=float)
     lam = defect_jacobian(c, r).matrix
     W = -lam * r[np.newaxis, :]
@@ -286,10 +281,13 @@ def laplacian3(c, r, f):
 # -- the normalized Yamabe flow -------------------------------------------------
 
 
+def _residual(st):
+    return float(np.max(np.abs(st.defect - st.average * st.radii ** 2)))
+
+
 def yamabe_residual(c, r):
     """max |K_i - R_av r_i^2| (scale invariant, radians)."""
-    st = yamabe_state(c, r)
-    return float(np.max(np.abs(st.defect - st.average * st.radii ** 2)))
+    return _residual(yamabe_state(c, r))
 
 
 def _dissipation(st):
@@ -317,23 +315,19 @@ def yamabe_flow(c, r0, spec=None):
     if spec.family != "yamabe":
         raise ValueError("spec.family must be 'yamabe'")
     c.require_valid()
-    r0 = check_metric3(c, r0)
+    r0 = check_metric(c, r0)
 
-    def fn(t, u):
-        if np.max(np.abs(u)) > 700.0:
-            raise DomainError("log radius out of range")
-        r = np.exp(u)
-        rt = r[c.tet_array]
-        if np.any(q_factor(rt) <= 0.0):
-            raise DomainError("inadmissible stage")
+    def field(r):
+        # a stage outside the realizable region fails before any state is built
+        _require_realizable(r[c.tet_array])
         st = yamabe_state(c, r)
-        return 0.5 * (st.average - st.curvature)
+        return st.average - st.curvature
 
-    u = np.log(r0)
-    vol_ref = float(np.sum(np.exp(3.0 * u)))
-    t, h = 0.0, min(spec.initial_step, spec.resolved_max_step())
-
-    times, radii, curv, cons, pot, cal, res = [], [], [], [], [], [], []
+    def sample(t, u):
+        r = np.exp(u)
+        st = yamabe_state(c, r)
+        return (t, r, st.curvature, st.volume, st.total, _dissipation(st),
+                _residual(st))
 
     def classify(r, t_now, relax=1.0):
         scale = float(np.sum(r ** 3)) ** (1.0 / 3.0)
@@ -347,57 +341,7 @@ def yamabe_flow(c, r0, spec=None):
                     "q": float(np.min(q)), "time": float(t_now)}
         return None
 
-    def record(t_, u_):
-        r_ = np.exp(u_)
-        st = yamabe_state(c, r_)
-        times.append(t_)
-        radii.append(r_)
-        curv.append(st.curvature)
-        cons.append(st.volume)
-        pot.append(st.total)
-        cal.append(_dissipation(st))
-        res.append(float(np.max(np.abs(st.defect - st.average * r_ ** 2))))
-
-    record(t, u)
-    termination = None
-    singularity = None
-    n_steps = 0
-    n_rejected = 0
-    while True:
-        if res[-1] < spec.eps:
-            termination = "converged"
-            break
-        singularity = classify(np.exp(u), t)
-        if singularity is not None:
-            termination = "singularity_" + singularity["type"]
-            break
-        if t >= spec.t_max - spec.min_step:
-            termination = "max_time"
-            break
-        if n_steps >= spec.max_steps:
-            termination = "max_steps"
-            break
-        try:
-            t, u, _, h, rej = advance(fn, t, u, min(h, spec.t_max - t),
-                                      spec.method, spec.rtol, spec.atol,
-                                      spec.min_step, spec.resolved_max_step())
-        except StepFailureError:
-            singularity = classify(np.exp(u), t, relax=1e3)
-            if singularity is not None:
-                termination = "singularity_" + singularity["type"]
-            else:
-                termination = "stepped_out_of_domain"
-            break
-        n_steps += 1
-        n_rejected += rej
-        if spec.renormalize:
-            u = u + np.log(vol_ref / np.sum(np.exp(3.0 * u))) / 3.0
-        record(t, u)
-
-    return FlowTrace("yamabe", 2.0, np.array(times), np.array(radii),
-                     np.array(curv), np.array(cons), np.array(pot),
-                     np.array(cal), np.array(res), termination, n_steps,
-                     n_rejected=n_rejected, singularity=singularity)
+    return _integrate(spec, c, r0, _Flow(field, sample, False, classify))
 
 
 # -- Yamabe invariant upper bound -----------------------------------------------

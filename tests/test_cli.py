@@ -191,3 +191,34 @@ def test_outputs_deterministic(tmp_path):
     assert main(c1 + ["--out", str(d1)]) == 0
     assert main(c1 + ["--out", str(d2)]) == 0
     assert (d1 / "curvature.csv").read_bytes() == (d2 / "curvature.csv").read_bytes()
+
+
+def test_flow_non_finite_eps_exit2(tmp_path):
+    code = main(["flow", "--mesh", "genus2_11", "--eps", "nan",
+                 "--out", str(tmp_path)])
+    assert code == 2
+
+
+def test_flow_target_of_wrong_shape_exit2(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"target": [3.14159]}))
+    code = main(["flow", "--mesh", "tetrahedron", "--family", "alpha-prescribed",
+                 "--alpha", "0", "--target", str(target), "--out", str(tmp_path)])
+    assert code == 2
+
+
+def test_flow_3d_rejects_alpha_and_target_exit2(tmp_path):
+    code = main(["flow", "--mesh", "cell5", "--alpha", "0.5",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"target": [1.0] * 5}))
+    code = main(["flow", "--mesh", "cell5", "--target", str(target),
+                 "--out", str(tmp_path)])
+    assert code == 2
+
+
+def test_metric_with_non_finite_radius_exit2(tmp_path):
+    code = main(["curvature", "--mesh", "tetrahedron", "--radii", "1,nan,1,1",
+                 "--out", str(tmp_path)])
+    assert code == 2

@@ -501,3 +501,68 @@ def test_trace_invariants_and_csv(tmp_path, genus2):
     s = tr.summary()
     assert s["termination"] in ("converged", "max_time")
     assert "conserved_drift" in s
+
+
+FLOAT_SETTINGS = ["alpha", "initial_step", "min_step", "max_step", "rtol",
+                  "atol", "t_max", "eps", "r_min_guard", "r_max_guard",
+                  "sing_radius", "sing_q"]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", FLOAT_SETTINGS)
+def test_spec_rejects_non_finite_settings(name, value):
+    with pytest.raises(ValueError, match=name):
+        FlowSpec(family="alpha_ricci_normalized", **{name: value})
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_spec_rejects_non_positive_max_step(value):
+    # a zero or negative bound would end every run as stepped_out_of_domain
+    with pytest.raises(ValueError, match="max_step"):
+        FlowSpec(family="ricci_normalized", max_step=value)
+
+
+def test_spec_rejects_non_finite_target():
+    with pytest.raises(ValueError, match="target"):
+        FlowSpec(family="alpha_prescribed", target=[1.0, np.nan, 0.0, 0.0])
+
+
+def test_run_rejects_target_of_wrong_shape(tetra):
+    # a one-entry target would broadcast against the four radii
+    spec = FlowSpec(family="alpha_prescribed", alpha=0.0, target=[np.pi])
+    with pytest.raises(ValueError, match="shape"):
+        run(spec, tetra, np.ones(4))
+
+
+def test_run_rejects_the_3d_family(tetra):
+    with pytest.raises(ValueError, match="2-d"):
+        run(FlowSpec(family="yamabe"), tetra, np.ones(4))
+
+
+def test_run_max_steps(genus2):
+    rng = np.random.default_rng(25)
+    spec = FlowSpec(family="ricci_normalized", max_steps=3)
+    tr = run(spec, genus2, random_metric(rng, 11))
+    assert tr.termination == "max_steps"
+    assert tr.n_steps == 3
+    assert len(tr.times) == 4
+
+
+def test_run_stepped_out_of_domain(genus2):
+    # no step at or above min_step is possible from the initial step size
+    rng = np.random.default_rng(26)
+    spec = FlowSpec(family="ricci_normalized", min_step=0.5)
+    tr = run(spec, genus2, random_metric(rng, 11))
+    assert tr.termination == "stepped_out_of_domain"
+    assert tr.n_steps == 0
+
+
+def test_run_diverged(tetra):
+    # alpha = 1 on the sphere: a radius leaves [r_min_guard, r_max_guard]
+    spec = FlowSpec(family="alpha_ricci_normalized", alpha=1.0,
+                    record_energies=False)
+    tr = run(spec, tetra, np.array([1.0, 1.2, 0.9, 1.05]))
+    assert tr.termination == "diverged"
+    r = tr.radii[-1]
+    assert r.min() < spec.r_min_guard or r.max() > spec.r_max_guard
+    assert np.all(tr.radii[:-1].min(axis=1) >= spec.r_min_guard)

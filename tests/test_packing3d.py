@@ -296,3 +296,28 @@ def test_yamabe_invariant_estimate(torus3, cell5):
     est5 = yamabe_invariant_estimate(cell5, n_starts=6, seed=1)
     assert est5.value <= yamabe_state(cell5, np.ones(5)).quotient + 1e-12
     assert abs(est5.value) <= curvature_norm_bound(cell5, est5.metric) + 1e-9
+
+
+def test_flow_max_steps(cell5):
+    rng = np.random.default_rng(14)
+    r0 = 1.0 + 0.05 * rng.standard_normal(5)
+    tr = yamabe_flow(cell5, r0, default_yamabe_spec(max_steps=3))
+    assert tr.termination == "max_steps"
+    assert tr.n_steps == 3
+    assert tr.singularity is None
+
+
+def test_flow_stepped_out_of_domain(cell5):
+    # no step at or above min_step is possible, and no singularity is near
+    rng = np.random.default_rng(15)
+    r0 = 1.0 + 0.05 * rng.standard_normal(5)
+    tr = yamabe_flow(cell5, r0, default_yamabe_spec(min_step=0.5))
+    assert tr.termination == "stepped_out_of_domain"
+    assert tr.singularity is None
+
+
+def test_flow_rejects_alpha_and_target(cell5):
+    with pytest.raises(ValueError, match="alpha"):
+        yamabe_flow(cell5, np.ones(5), default_yamabe_spec(alpha=0.5))
+    with pytest.raises(ValueError, match="target"):
+        yamabe_flow(cell5, np.ones(5), default_yamabe_spec(target=np.ones(5)))
