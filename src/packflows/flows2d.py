@@ -35,23 +35,24 @@ from ._rk import DomainError, advance
 from .errors import (DegenerateTetrahedronError, DegenerateTriangleError,
                      NoConvergenceError, NotApplicableError, StepFailureError)
 from .mesh import euler_characteristic
-from .operators2d import (alpha_laplacian, calabi_energy,
-                          calabi_energy_gradient, potential_gradient,
-                          potential_hessian, ricci_potential)
+from .operators2d import (_potential_gradient, alpha_laplacian,
+                          potential_gradient, potential_hessian)
 from .packing2d import (angle_defect, average_curvature, check_metric,
-                        curvature, total_measure)
+                        total_measure)
 
 # -- the family table ---------------------------------------------------------
 
-# base fields of the alpha families, (c, r, alpha, target) -> d(log r)/dt
+# base fields of the alpha families from the angle defects K,
+# (c, r, alpha, target, K) -> d(log r)/dt
 _BASE = {
-    "ricci": lambda c, r, a, target: -curvature(c, r, a),
-    "ricci_normalized": lambda c, r, a, target: (average_curvature(c, r, a)
-                                                 - curvature(c, r, a)),
-    "prescribed": lambda c, r, a, target: target - curvature(c, r, a),
-    "calabi": lambda c, r, a, target: alpha_laplacian(c, r, a, curvature(c, r, a)),
-    "calabi_modified": lambda c, r, a, target: -0.5 * calabi_energy_gradient(
-        c, r, a, coord="log_r"),
+    "ricci": lambda c, r, a, target, K: -(K / r ** a),
+    "ricci_normalized": lambda c, r, a, target, K: (average_curvature(c, r, a)
+                                                    - K / r ** a),
+    "prescribed": lambda c, r, a, target, K: target - K / r ** a,
+    "calabi": lambda c, r, a, target, K: alpha_laplacian(c, r, a, K / r ** a),
+    "calabi_modified": lambda c, r, a, target, K: -(
+        potential_hessian(c, r, a, coord="log_r").matrix
+        @ _potential_gradient(c, r, K, a, target)),
 }
 
 # field: key of _BASE, None for the 3-d flow (packing3d); alpha: the fixed
@@ -144,7 +145,8 @@ class FlowTrace:
     radii: np.ndarray        # (samples, N)
     curvatures: np.ndarray   # (samples, N) alpha-curvature along the run
     conserved: np.ndarray    # (samples,) family's conserved quantity
-    potential: np.ndarray    # (samples,) Ricci potential (3-d: total curvature)
+    potential: np.ndarray    # (samples,) Ricci potential from 0, integrated
+                             # by the stepper (3-d: total curvature)
     calabi: np.ndarray       # (samples,) Calabi energy (3-d: dissipation form)
     residuals: np.ndarray    # (samples,) scale-normalized curvature residual
     termination: str
@@ -231,33 +233,55 @@ class FlowTrace:
 
 
 def _base_field(spec, c):
-    """The family's base field as a function of the radii."""
+    """The family's base field r -> (v, q): v the field and q = g . v the
+    rate of the Ricci potential along it, g = K - Rbar r^alpha the potential
+    gradient (q = 0 when energies are not recorded). One angle evaluation
+    gives both."""
     key = FAMILIES[spec.family].field
     if key is None:
         raise ValueError(f"family {spec.family!r} is not a 2-d flow")
-    return lambda r: _BASE[key](c, r, spec.alpha, spec.target)
+    base, alpha, target = _BASE[key], spec.alpha, spec.target
+
+    def fn(r):
+        K = angle_defect(c, r)
+        v = base(c, r, alpha, target, K)
+        if not spec.record_energies:
+            return v, 0.0
+        return v, float(_potential_gradient(c, r, K, alpha, target) @ v)
+    return fn
 
 
 def vector_field(spec, c, r):
     """Right-hand side of the selected family as d(log r)/dt per vertex."""
-    return FAMILIES[spec.family].scale * _base_field(spec, c)(check_metric(c, r))
+    return (FAMILIES[spec.family].scale
+            * _base_field(spec, c)(check_metric(c, r))[0])
 
 
 # -- residuals and conserved quantities ---------------------------------------
 
 
-def constant_curvature_residual(c, r, alpha=2.0):
-    """Scale-free deviation from constant alpha-curvature:
-    max |R_a - R_av| * ||r||_a^a / (2 pi |chi| + 1)."""
-    dev = np.max(np.abs(curvature(c, r, alpha) - average_curvature(c, r, alpha)))
+def _residual(c, r, alpha, target, K):
+    """The convergence residual of a run from the angle defects K: with no
+    target max |R_a - R_av| * ||r||_a^a / (2 pi |chi| + 1), else
+    max |K - Rbar r^alpha|."""
+    if target is not None:
+        return float(np.max(np.abs(_potential_gradient(c, r, K, alpha, target))))
+    dev = np.max(np.abs(K / r ** alpha - average_curvature(c, r, alpha)))
     chi = euler_characteristic(c)
     return float(dev * total_measure(r, alpha) / (2.0 * np.pi * abs(chi) + 1.0))
 
 
+def constant_curvature_residual(c, r, alpha=2.0):
+    """Scale-free deviation from constant alpha-curvature:
+    max |R_a - R_av| * ||r||_a^a / (2 pi |chi| + 1)."""
+    r = check_metric(c, r)
+    return _residual(c, r, alpha, None, angle_defect(c, r))
+
+
 def prescribed_residual(c, r, alpha, target):
     """max |K - Rbar r^alpha| in radians (scale invariant)."""
-    return float(np.max(np.abs(angle_defect(c, r)
-                               - np.asarray(target) * r ** alpha)))
+    r = check_metric(c, r)
+    return _residual(c, r, alpha, target, angle_defect(c, r))
 
 
 def _exponent(spec):
@@ -276,17 +300,20 @@ def _log_measure(p, u):
 
 
 def _stage(spec, base):
-    """The stepper's field u -> scale * base(e^u). A stage that leaves the
-    admissible region raises DomainError, so the stepper retries smaller."""
+    """The stepper's field u -> scale * base(e^u), for a base r -> (v, q)
+    returning the field and the potential's rate along it. A stage that
+    leaves the admissible region raises DomainError, so the stepper retries
+    smaller."""
     scale = FAMILIES[spec.family].scale
 
     def fn(t, u):
         if np.max(np.abs(u)) > 700.0:  # exp overflow guard
             raise DomainError("log radius out of range")
         try:
-            return scale * base(np.exp(u))
+            v, q = base(np.exp(u))
         except (DegenerateTriangleError, DegenerateTetrahedronError) as exc:
             raise DomainError(str(exc)) from exc
+        return scale * v, scale * q
     return fn
 
 
@@ -301,8 +328,9 @@ def step(spec, c, state):
     return FlowState(t2, np.exp(u2), h_next)
 
 
-# field(r): base field; sample(t, u): trace row (t, r, R, conserved, F, C,
-# residual); guard: radius bounds apply; classify(r, t, relax): singularity
+# field(r): base field and potential rate (v, q); sample(t, u, F): trace row
+# (t, r, R, conserved, F, C, residual) given the integral F of q; guard:
+# radius bounds apply; classify(r, t, relax): singularity
 _Flow = namedtuple("_Flow", "field sample guard classify")
 
 
@@ -310,16 +338,18 @@ def _integrate(spec, c, r0, flow):
     """The stepping loop of every flow, from validated radii r0.
 
     Normalized families are projected back onto their conserved quantity
-    after every accepted step. Stops on the first of: converged (residual
-    below spec.eps), a classified singularity, max_time, max_steps,
-    stepped_out_of_domain (no step above min_step), diverged.
+    after every accepted step; the shift leaves the potential unchanged,
+    since its gradient sums to zero (Gauss-Bonnet). Stops on the first of:
+    converged (residual below spec.eps), a classified singularity, max_time,
+    max_steps, stepped_out_of_domain (no step above min_step), diverged.
     """
     fn = _stage(spec, flow.field)
     p = _exponent(spec)
     u = np.log(r0)
     ref = _log_measure(p, u)
     t, h = 0.0, min(spec.initial_step, spec.resolved_max_step())
-    rows = [flow.sample(t, u)]
+    f = 0.0
+    rows = [flow.sample(t, u, f)]
     termination = singularity = None
     n_steps = n_rejected = 0
     while True:
@@ -337,7 +367,7 @@ def _integrate(spec, c, r0, flow):
             termination = "max_steps"
             break
         try:
-            t, u, _, h, rej = advance(fn, t, u, min(h, spec.t_max - t),
+            t, u, df, h, rej = advance(fn, t, u, min(h, spec.t_max - t),
                                       spec.method, spec.rtol, spec.atol,
                                       spec.min_step, spec.resolved_max_step())
         except StepFailureError:
@@ -347,11 +377,12 @@ def _integrate(spec, c, r0, flow):
             break
         n_steps += 1
         n_rejected += rej
+        f += df
         if p is not None and spec.renormalize:
             # shift along the constant vector to restore the conserved quantity
             cur = _log_measure(p, u)
             u = u + (np.log(ref / cur) / p if p else (ref - cur) / len(u))
-        rows.append(flow.sample(t, u))
+        rows.append(flow.sample(t, u, f))
         r_now = rows[-1][1]
         if flow.guard and (np.min(r_now) < spec.r_min_guard
                            or np.max(r_now) > spec.r_max_guard):
@@ -369,7 +400,9 @@ def run(spec, c, r0):
 
     Convergence means the scale-normalized curvature residual falls below
     spec.eps. Normalized families are projected back onto their conserved
-    constraint after every accepted step.
+    constraint after every accepted step. With spec.record_energies the
+    trace's potential is integrated by the stepper from its own stages, and
+    each sample's angle defects give R, the residual and the Calabi energy.
     """
     c.require_valid()
     r0 = check_metric(c, r0)
@@ -377,28 +410,23 @@ def run(spec, c, r0):
     if target is not None and target.shape != r0.shape:
         raise ValueError(f"target has shape {target.shape}, expected {r0.shape}")
     p = _exponent(spec)
-    f_acc, u_prev = 0.0, None
 
-    def sample(t, u):
-        nonlocal f_acc, u_prev
+    def sample(t, u, F):
         r = np.exp(u)
-        R = curvature(c, r, spec.alpha)
+        K = angle_defect(c, r)
         if p is None:
             conserved = math.nan
         elif p:
             conserved = total_measure(r, p)
         else:
             conserved = float(np.exp(np.sum(np.log(r))))
-        res = (constant_curvature_residual(c, r, spec.alpha) if target is None
-               else prescribed_residual(c, r, spec.alpha, target))
-        F = C = math.nan
         if spec.record_energies:
-            if u_prev is not None:
-                f_acc += ricci_potential(c, u_prev, u, spec.alpha, target,
-                                         tol=1e-12)
-            F, C = f_acc, calabi_energy(c, r, spec.alpha, target)
-        u_prev = u
-        return t, r, R, conserved, F, C, res
+            g = _potential_gradient(c, r, K, spec.alpha, target)
+            C = float(g @ g)
+        else:
+            F = C = math.nan
+        return (t, r, K / r ** spec.alpha, conserved, F, C,
+                _residual(c, r, spec.alpha, target, K))
 
     return _integrate(spec, c, r0,
                       _Flow(_base_field(spec, c), sample, True, None))
@@ -473,48 +501,40 @@ def max_principle_bounds(c, trace, alpha=None, tol=1e-6):
     rmax = R.max(axis=1)
     cases = []
 
-    def check_lower(name, env, valid=None):
-        gap = env - rmin
+    def check(kind, name, env, valid=None):
+        gap = env - rmin if kind == "lower" else rmax - env
         if valid is not None:
             gap = np.where(valid, gap, -np.inf)
-        bad = gap > tol
-        cases.append(EnvelopeCase(name, "lower", float(np.max(gap)),
-                                  int(bad.sum()), env))
-
-    def check_upper(name, env, valid=None):
-        gap = rmax - env
-        if valid is not None:
-            gap = np.where(valid, gap, -np.inf)
-        bad = gap > tol
-        cases.append(EnvelopeCase(name, "upper", float(np.max(gap)),
-                                  int(bad.sum()), env))
+        cases.append(EnvelopeCase(name, kind, float(np.max(gap)),
+                                  int((gap > tol).sum()), env))
 
     if trace.family == "ricci_normalized":
         if chi < 0 or chi == 0 or (chi > 0 and smin < 0):
             env, valid = _reaction_solution(smin, cav, kappa, t)
-            check_lower(f"lower_chi_{'neg' if chi < 0 else ('zero' if chi == 0 else 'pos')}",
-                        env, valid)
+            sign = "neg" if chi < 0 else ("zero" if chi == 0 else "pos")
+            check("lower", f"lower_chi_{sign}", env, valid)
         if smax < 0:
             dev = cav * (1.0 - cav / smax) * np.exp(kappa * cav * t)
-            check_upper("upper_all_negative", cav + dev)
+            check("upper", "upper_all_negative", cav + dev)
     else:
         if a > 0 and smax < 0:
-            check_lower("alpha_pos_lower", cav + (smin - cav) * np.exp(kappa * cav * t))
-            check_upper("alpha_pos_upper",
-                        cav + cav * (1.0 - cav / smax) * np.exp(kappa * cav * t))
+            grow = np.exp(kappa * cav * t)
+            check("lower", "alpha_pos_lower", cav + (smin - cav) * grow)
+            check("upper", "alpha_pos_upper",
+                  cav + cav * (1.0 - cav / smax) * grow)
         elif a < 0 and smin > 0:
-            check_lower("alpha_neg_lower",
-                        cav + (cav / smin) * (smin - cav) * np.exp(kappa * cav * t))
-            check_upper("alpha_neg_upper",
-                        cav + (smax - cav) * np.exp(kappa * cav * t))
+            grow = np.exp(kappa * cav * t)
+            check("lower", "alpha_neg_lower",
+                  cav + (cav / smin) * (smin - cav) * grow)
+            check("upper", "alpha_neg_upper", cav + (smax - cav) * grow)
         elif a == 0.0:
-            check_lower("heat_lower", np.full_like(t, smin))
-            check_upper("heat_upper", np.full_like(t, smax))
+            check("lower", "heat_lower", np.full_like(t, smin))
+            check("upper", "heat_upper", np.full_like(t, smax))
 
     if smin >= 0:
-        check_lower("nonnegative_preserved", np.zeros_like(t))
+        check("lower", "nonnegative_preserved", np.zeros_like(t))
     if smax <= 0:
-        check_upper("nonpositive_preserved", np.zeros_like(t))
+        check("upper", "nonpositive_preserved", np.zeros_like(t))
 
     if not cases:
         raise NotApplicableError("no maximum-principle case applies to this run")

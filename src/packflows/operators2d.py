@@ -146,7 +146,11 @@ def potential_gradient(c, r, alpha=2.0, target=None):
     gradient the residual of the constant-curvature problem.
     """
     r = check_metric(c, r)
-    K = angle_defect(c, r)
+    return _potential_gradient(c, r, angle_defect(c, r), alpha, target)
+
+
+def _potential_gradient(c, r, K, alpha, target):
+    """K - Rbar r^alpha from the angle defects K of the radii r."""
     rb = average_curvature(c, r, alpha) if target is None else np.asarray(target)
     return K - rb * r ** alpha
 
@@ -179,7 +183,8 @@ def ricci_potential(c, u0, u1, alpha=2.0, target=None, tol=1e-10):
 
     The integrand's Jacobian is symmetric, so the value does not depend on
     the path; the straight segment is integrated by adaptive 16-point
-    Gauss-Legendre panels.
+    Gauss-Legendre panels. Flow runs integrate the potential with their
+    stepper instead; this quadrature is the independent check.
     """
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)

@@ -321,9 +321,10 @@ def yamabe_flow(c, r0, spec=None):
         # a stage outside the realizable region fails before any state is built
         _require_realizable(r[c.tet_array])
         st = yamabe_state(c, r)
-        return st.average - st.curvature
+        return st.average - st.curvature, 0.0
 
-    def sample(t, u):
+    def sample(t, u, _):
+        # the potential column is the closed-form total curvature
         r = np.exp(u)
         st = yamabe_state(c, r)
         return (t, r, st.curvature, st.volume, st.total, _dissipation(st),

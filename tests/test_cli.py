@@ -3,8 +3,10 @@ import json
 import numpy as np
 
 from conftest import grid_torus
+from packflows import data
 from packflows.cli import main
 from packflows.mesh import save_mesh
+from packflows.packing2d import curvature
 
 
 def read_json(path):
@@ -222,3 +224,24 @@ def test_metric_with_non_finite_radius_exit2(tmp_path):
     code = main(["curvature", "--mesh", "tetrahedron", "--radii", "1,nan,1,1",
                  "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_flow_prescribed_runaway_radii_writes_outputs(tmp_path):
+    # the prescribed target pulls the radii to ~1e4 by t = 3; the Ricci
+    # potential must follow them without a quadrature failure
+    tetra = data.load("tetrahedron")
+    r_target = np.random.default_rng(101).uniform(0.9, 1.1, 4)
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(
+        {"target": [float(x) for x in curvature(tetra, r_target, 2.0)]}))
+    out = tmp_path / "out"
+    code = main(["flow", "--mesh", "tetrahedron", "--family", "alpha-prescribed",
+                 "--alpha", "2", "--random", "0.8,1.3,1", "--t-max", "3",
+                 "--target", str(target), "--out", str(out)])
+    assert code == 4
+    summary = read_json(out / "flow_summary.json")
+    assert summary["termination"] == "max_time"
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert len(lines) == summary["samples"] + 1
+    # F, C and the residual are finite (the prescribed family conserves nothing)
+    assert all(np.isfinite([float(x) for x in lines[-1].split(",")[-3:]]))
