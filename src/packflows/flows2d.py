@@ -95,9 +95,6 @@ class FlowSpec:
     record_energies: bool = True
     r_min_guard: float = 1e-8
     r_max_guard: float = 1e8
-    # 3-d singularity thresholds (yamabe family only)
-    sing_radius: float = 1e-6
-    sing_q: float = 1e-8
 
     def __post_init__(self):
         row = FAMILIES.get(self.family)

@@ -145,10 +145,6 @@ class Surface2Complex(_Complex):
         for fi, f in enumerate(self.faces):
             for v in f:
                 self.vertex_faces[v].append(fi)
-        self.vertex_edges = [[] for _ in range(self.vertex_count)]
-        for ei, e in enumerate(self.edges):
-            for v in e:
-                self.vertex_edges[v].append(ei)
         for arr in (self.weights, self.edge_array, self.face_array,
                     self.face_edge):
             arr.setflags(write=False)
@@ -240,10 +236,6 @@ class Manifold3Complex(_Complex):
         self.tet_array = np.array(self.tetrahedra, dtype=int).reshape(-1, 4)
         self.edge_array = np.array(self.edges, dtype=int).reshape(-1, 2)
         self._edge_index = {e: k for k, e in enumerate(self.edges)}
-        self.vertex_tets = [[] for _ in range(self.vertex_count)]
-        for ti, tet in enumerate(self.tetrahedra):
-            for v in tet:
-                self.vertex_tets[v].append(ti)
         for arr in (self.tet_array, self.edge_array):
             arr.setflags(write=False)
 

@@ -95,10 +95,9 @@ def curvature_jacobian(c, r, coord="log_r"):
 
 def laplacian(c, r, f):
     """Discrete Laplacian with measure r^2: (1/r_i^2) sum_j w_ij (f_j - f_i),
-    weights w_ij = -dK_i/d(log r_j^2). Matrix form -Sigma^{-1} L."""
-    r = check_metric(c, r)
-    L = curvature_jacobian(c, r, coord="log_r2").matrix
-    return -(L @ np.asarray(f, dtype=float)) / r ** 2
+    weights w_ij = -dK_i/d(log r_j^2). Matrix form -Sigma^{-1} L; half the
+    alpha = 2 Laplacian in log r coordinates."""
+    return 0.5 * alpha_laplacian(c, r, 2.0, f)
 
 
 def alpha_laplacian(c, r, alpha, f):

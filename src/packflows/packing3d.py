@@ -5,10 +5,11 @@ r_i + r_j to each edge. A tetrahedron is realizable in Euclidean space iff
 its Q factor (sum 1/r)^2 - 2 sum 1/r^2 is positive; geometry functions refuse
 degenerate input rather than return garbage.
 
-Solid angles are computed from the three face angles at the vertex through
-the spherical law of cosines (angle = sum of the three dihedral angles minus
-pi). An independent triple-product formula on embedded coordinates is
-available through tet_geometry for cross-checking.
+Solid angles take one pass over a constant face-angle table: the 12 face
+angles of every tetrahedron by the law of cosines, from them the dihedral
+angles by the spherical law of cosines, and at each vertex the sum of its
+three dihedral angles minus pi. An independent triple-product formula on
+embedded coordinates is available through tet_geometry for cross-checking.
 """
 
 import math
@@ -22,9 +23,18 @@ from .operators2d import JacobianMatrix
 from .packing2d import check_metric
 
 Q_SAFETY_MARGIN = 1e-6
+# Yamabe flow singularities: a volume-normalized radius below SING_RADIUS is
+# essential, a Q factor below SING_Q removable
+SING_RADIUS = 1e-6
+SING_Q = 1e-8
 
-# positions of the three vertices opposite each tet column
-_OTHERS = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
+# face angle [p, m] lies at tet column p between the edges to columns
+# _FACE_A[p, m] and _FACE_B[p, m], the pairs (1, 2), (0, 2), (0, 1) of _OTHERS[p]
+_OTHERS = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
+_FACE_A = _OTHERS[:, [1, 0, 0]]
+_FACE_B = _OTHERS[:, [2, 2, 1]]
+# the other two face angles at the same column, in cyclic order
+_NEXT, _LAST = [1, 2, 0], [2, 0, 1]
 
 
 def q_factor(r_i, r_j=None, r_k=None, r_l=None):
@@ -47,53 +57,31 @@ def tet_q_factors(c, r):
     return q_factor(r[c.tet_array])
 
 
-def _require_realizable(rt, tet_index_hint=None):
-    """Raise DegenerateTetrahedronError unless every row of rt has Q > 0."""
+def _solid_angles_from_radii(rt):
+    """Solid angles, shape (T, 4), for per-tet radii rt of shape (T, 4);
+    raises DegenerateTetrahedronError at the row of least Q unless all Q > 0."""
     q = q_factor(rt)
     if np.any(q <= 0.0):
         bad = int(np.argmin(q))
-        idx = bad if tet_index_hint is None else tet_index_hint[bad]
         raise DegenerateTetrahedronError(
-            f"tetrahedron {idx} has Q = {q[bad]:.6g} <= 0", tet_index=idx)
-
-
-def _solid_angles_from_radii(rt, tet_index_hint=None):
-    """Solid angles, shape (T, 4), for per-tet radii rt of shape (T, 4)."""
-    _require_realizable(rt, tet_index_hint)
-
-    # face angle at column p between the edges to columns a and b
-    def face_angle(p, a, b):
-        lpa = rt[:, p] + rt[:, a]
-        lpb = rt[:, p] + rt[:, b]
-        lab = rt[:, a] + rt[:, b]
-        arg = (lpa ** 2 + lpb ** 2 - lab ** 2) / (2.0 * lpa * lpb)
-        return np.arccos(np.clip(arg, -1.0, 1.0))
-
-    out = np.empty_like(rt)
-    for p in range(4):
-        o = _OTHERS[p]
-        gam = {}
-        for a in range(3):
-            for b in range(a + 1, 3):
-                gam[(a, b)] = face_angle(p, o[a], o[b])
-        sides = [gam[(1, 2)], gam[(0, 2)], gam[(0, 1)]]
-        total = -np.pi
-        for m in range(3):
-            sa = sides[m]
-            sb = sides[(m + 1) % 3]
-            sc = sides[(m + 2) % 3]
-            arg = (np.cos(sa) - np.cos(sb) * np.cos(sc)) / (np.sin(sb) * np.sin(sc))
-            total = total + np.arccos(np.clip(arg, -1.0, 1.0))
-        out[:, p] = total
-    return out
+            f"tetrahedron {bad} has Q = {q[bad]:.6g} <= 0", tet_index=bad)
+    cols = rt.T
+    rp, ra, rb = cols[:, np.newaxis], cols[_FACE_A], cols[_FACE_B]
+    lpa, lpb, lab = rp + ra, rp + rb, ra + rb
+    arg = (lpa ** 2 + lpb ** 2 - lab ** 2) / (2.0 * lpa * lpb)
+    gam = np.arccos(np.clip(arg, -1.0, 1.0))
+    cos, sin = np.cos(gam), np.sin(gam)
+    # dihedral angle along the edge opposite each face angle
+    arg = (cos - cos[:, _NEXT] * cos[:, _LAST]) / (sin[:, _NEXT] * sin[:, _LAST])
+    dih = np.arccos(np.clip(arg, -1.0, 1.0))
+    return (-np.pi + dih[:, 0] + dih[:, 1] + dih[:, 2]).T
 
 
 def solid_angles(c, r):
     """Solid angle at each vertex of each tetrahedron, aligned with
     c.tet_array columns."""
     r = check_metric(c, r)
-    return _solid_angles_from_radii(r[c.tet_array],
-                                    tet_index_hint=np.arange(len(c.tetrahedra)))
+    return _solid_angles_from_radii(r[c.tet_array])
 
 
 def solid_angle_defect(c, r):
@@ -318,8 +306,7 @@ def yamabe_flow(c, r0, spec=None):
     r0 = check_metric(c, r0)
 
     def field(r):
-        # a stage outside the realizable region fails before any state is built
-        _require_realizable(r[c.tet_array])
+        # a stage outside the realizable region raises DegenerateTetrahedronError
         st = yamabe_state(c, r)
         return st.average - st.curvature, 0.0
 
@@ -333,11 +320,11 @@ def yamabe_flow(c, r0, spec=None):
     def classify(r, t_now, relax=1.0):
         scale = float(np.sum(r ** 3)) ** (1.0 / 3.0)
         rhat = r / scale
-        if np.min(rhat) < spec.sing_radius * relax:
+        if np.min(rhat) < SING_RADIUS * relax:
             return {"type": "essential", "witness": int(np.argmin(rhat)),
                     "time": float(t_now)}
         q = tet_q_factors(c, r)
-        if np.min(q) < spec.sing_q * relax:
+        if np.min(q) < SING_Q * relax:
             return {"type": "removable", "witness": int(np.argmin(q)),
                     "q": float(np.min(q)), "time": float(t_now)}
         return None

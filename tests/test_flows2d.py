@@ -504,8 +504,7 @@ def test_trace_invariants_and_csv(tmp_path, genus2):
 
 
 FLOAT_SETTINGS = ["alpha", "initial_step", "min_step", "max_step", "rtol",
-                  "atol", "t_max", "eps", "r_min_guard", "r_max_guard",
-                  "sing_radius", "sing_q"]
+                  "atol", "t_max", "eps", "r_min_guard", "r_max_guard"]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

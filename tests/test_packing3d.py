@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from packflows import data, packing3d
 from packflows.errors import (DegenerateTetrahedronError, NearDegenerateError)
-from packflows.packing3d import (curvature3, curvature_norm_bound,
-                                 default_yamabe_spec, defect_jacobian,
-                                 laplacian3, q_factor, solid_angle_defect,
+from packflows.packing3d import (_embed_lengths, curvature3,
+                                 curvature_norm_bound, default_yamabe_spec,
+                                 defect_jacobian, laplacian3, q_factor,
+                                 solid_angle_at_origin, solid_angle_defect,
                                  solid_angles, tet_geometry, tet_q_factors,
                                  yamabe_flow, yamabe_invariant_estimate,
                                  yamabe_residual, yamabe_state)
@@ -59,13 +63,60 @@ def test_solid_angle_scale_invariance():
         assert np.abs(tet_geometry(lam * radii).angles - base).max() < 1e-11
 
 
+def loop_solid_angles(rt):
+    """Per-vertex loop over the face angles: the reference for the
+    face-angle table, with the same arithmetic in the same order."""
+    others = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
+    out = np.empty_like(rt)
+    for p, o in enumerate(others):
+        sides = []
+        for a, b in ((o[1], o[2]), (o[0], o[2]), (o[0], o[1])):
+            lpa, lpb = rt[:, p] + rt[:, a], rt[:, p] + rt[:, b]
+            lab = rt[:, a] + rt[:, b]
+            arg = (lpa ** 2 + lpb ** 2 - lab ** 2) / (2.0 * lpa * lpb)
+            sides.append(np.arccos(np.clip(arg, -1.0, 1.0)))
+        total = -np.pi
+        for m in range(3):
+            sa, sb, sc = sides[m], sides[(m + 1) % 3], sides[(m + 2) % 3]
+            arg = (np.cos(sa) - np.cos(sb) * np.cos(sc)) / (np.sin(sb) * np.sin(sc))
+            total = total + np.arccos(np.clip(arg, -1.0, 1.0))
+        out[:, p] = total
+    return out
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(mesh_name=st.sampled_from(["cell5", "cell16", "torus3_27"]),
+       draw=st.data())
+def test_solid_angles_match_oracle_on_complexes(mesh_name, draw):
+    # every row of the face-angle kernel against the triple-product formula
+    # on embedded coordinates and, bit for bit, against the per-vertex loop;
+    # the defect against the per-vertex sums
+    c = data.load(mesh_name)
+    n = c.vertex_count
+    r = np.array(draw.draw(st.lists(st.floats(0.3, 3.0), min_size=n,
+                                    max_size=n)))
+    assume(np.min(tet_q_factors(c, r)) > 1e-3)
+    ang = solid_angles(c, r)
+    assert np.array_equal(ang, loop_solid_angles(r[c.tet_array]))
+    sums = np.zeros(n)
+    for t, tet in enumerate(c.tet_array):
+        rt = r[tet]
+        coords = _embed_lengths({(i, j): rt[i] + rt[j]
+                                 for i in range(4) for j in range(i + 1, 4)})
+        for v in range(4):
+            others = [coords[w] - coords[v] for w in range(4) if w != v]
+            assert abs(ang[t, v] - solid_angle_at_origin(*others)) <= 1e-9
+            sums[tet[v]] += ang[t, v]
+    assert np.abs(solid_angle_defect(c, r) - (4 * np.pi - sums)).max() <= 1e-12
+
+
 def test_degenerate_tetrahedron_raises(cell5):
     with pytest.raises(DegenerateTetrahedronError):
         tet_geometry([1.0, 1.0, 1.0, 0.1])
     r = np.array([1.0, 1.0, 1.0, 1.0, 0.1])
     with pytest.raises(DegenerateTetrahedronError) as info:
         solid_angles(cell5, r)
-    assert info.value.tet_index is not None
+    assert info.value.tet_index == np.argmin(tet_q_factors(cell5, r))
 
 
 def test_cell5_defect(cell5):
@@ -257,12 +308,12 @@ def test_flow_removable_singularity(cell5):
     assert tr.radii[-1].min() / scale > 1e-3
 
 
-def test_flow_essential_classification_threshold(cell5):
+def test_flow_essential_classification_threshold(cell5, monkeypatch):
     # with an inflated radius threshold the same shrinking run is classified
     # as essential first, exercising the other branch
     r0 = np.array([1.383, 0.759, 0.37, 0.328, 1.683])
-    spec = default_yamabe_spec(sing_radius=0.12)
-    tr = yamabe_flow(cell5, r0, spec)
+    monkeypatch.setattr(packing3d, "SING_RADIUS", 0.12)
+    tr = yamabe_flow(cell5, r0)
     assert tr.termination == "singularity_essential"
     assert tr.singularity["witness"] in (2, 3)
 
