@@ -5,8 +5,11 @@ side, the link-boundary sum
 
     rhs(I) = -sum_{(e,v) in Lk(I)} (pi - phi(e)) + 2 pi chi(F_I),
 
-over all nonempty proper vertex subsets I. Enumeration is exponential and is
-capped; larger complexes must supply candidate subsets explicitly.
+over all nonempty proper vertex subsets I. Every condition reads rhs from one
+subset table (``rhs_table``), built in one pass over the faces and one over
+the edges, and forms its left side as one vector over the table's rows.
+Enumeration is exponential and is capped; larger complexes must supply
+candidate subsets explicitly.
 """
 
 from dataclasses import dataclass
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import (SUBSET_ENUMERATION_CAP, check_subset, euler_characteristic,
-                   induced_euler, link_pairs, proper_subsets)
+                   proper_subsets)
 from .packing2d import check_metric, total_measure
 
 BOUNDARY_MARGIN = 1e-9
@@ -92,29 +95,56 @@ class AdmissibilityReport:
         return doc
 
 
+def rhs_table(c, subsets=None, cap=SUBSET_ENUMERATION_CAP):
+    """The subset table behind every condition: (subsets, rhs, indicator).
+
+    Subsets are sorted tuples in (size, lex) order (explicit repeats are
+    kept) and indicator is the boolean (n_subsets, N) matrix; x lies in the
+    admissible-curvature space iff indicator @ x > rhs holds componentwise
+    (plus the Gauss-Bonnet plane). Link terms are added in face order.
+    """
+    c.require_valid()
+    if subsets is None:
+        rows = list(proper_subsets(c.vertex_count, cap))
+    else:
+        rows = sorted((check_subset(c, s) for s in subsets),
+                      key=lambda I: (len(I), I))
+        if not rows:
+            raise ValueError("no subsets were given")
+    ind = np.zeros((len(rows), c.vertex_count), dtype=bool)
+    for k, I in enumerate(rows):
+        ind[k, list(I)] = True
+    link = np.zeros(len(rows))
+    chi = ind.sum(axis=1)
+    for f, opposite in zip(c.face_array, c.face_edge):
+        inside = ind[:, f]
+        count = inside.sum(axis=1)
+        chi += count == 3
+        for m in range(3):
+            link[(count == 1) & inside[:, m]] += np.pi - c.weights[opposite[m]]
+    for i, j in c.edge_array:
+        chi -= ind[:, i] & ind[:, j]
+    return rows, -link + 2.0 * np.pi * chi, ind
+
+
 def subset_rhs(c, subset):
     """The link-boundary sum for one subset."""
-    I = check_subset(c, subset)
-    phi = {e: w for e, w in zip(c.edges, c.weights)}
-    s = sum(np.pi - phi[e] for e, _ in link_pairs(c, I))
-    return float(-s + 2.0 * np.pi * induced_euler(c, I))
+    return float(rhs_table(c, [subset])[1][0])
 
 
-def _subsets(c, subsets, cap):
-    if subsets is not None:
-        return [check_subset(c, s) for s in subsets], False
-    return list(proper_subsets(c.vertex_count, cap)), True
+def _masked_sum(ind, w):
+    """sum_{v in I} w[v] per row, added in ascending vertex order."""
+    total = np.zeros(len(ind))
+    for v, wv in enumerate(w):
+        total[ind[:, v]] += wv
+    return total
 
 
 def _report(c, condition, lhs_fn, subsets, cap):
-    c.require_valid()
-    sets, exhaustive = _subsets(c, subsets, cap)
-    records = []
-    for I in sets:
-        key = tuple(sorted(I))
-        records.append(SubsetRecord(key, lhs_fn(I), subset_rhs(c, I)))
-    records.sort(key=lambda rec: (len(rec.subset), rec.subset))
-    return AdmissibilityReport(condition, records, exhaustive)
+    rows, rhs, ind = rhs_table(c, subsets, cap)
+    records = [SubsetRecord(I, lhs, r) for I, lhs, r
+               in zip(rows, lhs_fn(ind).tolist(), rhs.tolist())]
+    return AdmissibilityReport(condition, records, subsets is None)
 
 
 def thurston_condition(c, subsets=None, cap=SUBSET_ENUMERATION_CAP):
@@ -122,7 +152,8 @@ def thurston_condition(c, subsets=None, cap=SUBSET_ENUMERATION_CAP):
     2 pi chi(M) |I| / |V| > rhs(I) for every nonempty proper I."""
     gb = 2.0 * np.pi * euler_characteristic(c)
     n = c.vertex_count
-    return _report(c, "thurston", lambda I: gb * len(I) / n, subsets, cap)
+    return _report(c, "thurston", lambda ind: gb * ind.sum(axis=1) / n,
+                   subsets, cap)
 
 
 def y_membership(c, x, subsets=None, cap=SUBSET_ENUMERATION_CAP,
@@ -130,9 +161,12 @@ def y_membership(c, x, subsets=None, cap=SUBSET_ENUMERATION_CAP,
     """Membership of a vertex function in the admissible-curvature space:
     the Gauss-Bonnet plane plus every subset half-space."""
     x = np.asarray(x, dtype=float)
+    if x.shape != (c.vertex_count,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be a finite vector of shape "
+                         f"({c.vertex_count},), got shape {x.shape}")
     gb = 2.0 * np.pi * euler_characteristic(c)
-    report = _report(c, "y_membership",
-                     lambda I: float(sum(x[v] for v in I)), subsets, cap)
+    report = _report(c, "y_membership", lambda ind: _masked_sum(ind, x),
+                     subsets, cap)
     if abs(x.sum() - gb) > gb_tol:
         report.extra_failures = [
             f"Gauss-Bonnet plane: sum(x) = {x.sum():.12g} != {gb:.12g}"]
@@ -146,34 +180,12 @@ def metric_condition(c, r, alpha=2.0, subsets=None,
     r = check_metric(c, r)
     gb = 2.0 * np.pi * euler_characteristic(c)
     nrm = total_measure(r, alpha)
-    ra = r ** alpha
-
-    def lhs(I):
-        return float(gb * sum(ra[v] for v in I) / nrm)
-
-    return _report(c, f"metric_alpha_{alpha:g}", lhs, subsets, cap)
+    return _report(c, f"metric_alpha_{alpha:g}",
+                   lambda ind: gb * _masked_sum(ind, r ** alpha) / nrm,
+                   subsets, cap)
 
 
 def sphere_condition(c, subsets=None, cap=SUBSET_ENUMERATION_CAP):
     """rhs(I) < 0 for every nonempty proper I (hypothesis of the
     nonnegative-curvature existence theorems)."""
-    return _report(c, "sphere", lambda I: 0.0, subsets, cap)
-
-
-def rhs_table(c, subsets=None, cap=SUBSET_ENUMERATION_CAP):
-    """Precomputed right-hand sides for bulk membership checks.
-
-    Returns (subsets, rhs, indicator) where indicator is a boolean
-    (n_subsets, N) matrix; x lies in the admissible-curvature space iff
-    indicator @ x > rhs holds componentwise (plus the Gauss-Bonnet plane).
-    The rhs values do not depend on any metric, so this amortizes the
-    expensive part across many curvature vectors.
-    """
-    c.require_valid()
-    sets, _ = _subsets(c, subsets, cap)
-    sets = [tuple(sorted(I)) for I in sets]
-    rhs = np.array([subset_rhs(c, I) for I in sets])
-    ind = np.zeros((len(sets), c.vertex_count), dtype=bool)
-    for k, I in enumerate(sets):
-        ind[k, list(I)] = True
-    return sets, rhs, ind
+    return _report(c, "sphere", lambda ind: np.zeros(len(ind)), subsets, cap)

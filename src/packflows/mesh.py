@@ -261,8 +261,11 @@ def euler_characteristic(c):
 
 
 def check_subset(c, subset):
-    """Canonicalize a vertex subset and enforce that it is nonempty and proper."""
-    I = frozenset(int(v) for v in subset)
+    """The subset as a sorted tuple, checked nonempty, proper and integral."""
+    verts = list(subset)
+    if not all(float(v).is_integer() for v in verts):
+        raise ValueError(f"subset {verts} has a non-integer vertex")
+    I = tuple(sorted({int(v) for v in verts}))
     if not I or len(I) >= c.vertex_count:
         raise ValueError(f"subset must be nonempty and proper, got size {len(I)} "
                          f"of {c.vertex_count}")
@@ -272,39 +275,8 @@ def check_subset(c, subset):
     return I
 
 
-def induced_euler(c, subset):
-    """Euler characteristic of the full subcomplex induced on the subset.
-
-    Counts every simplex all of whose vertices lie in the subset.
-    """
-    I = check_subset(c, subset)
-    nv = len(I)
-    ne = sum(1 for e in c.edges if set(e) <= I)
-    nf = sum(1 for f in c.faces if set(f) <= I)
-    return nv - ne + nf
-
-
-def link_pairs(c, subset):
-    """Pairs (edge, vertex) with both edge endpoints outside the subset, the
-    vertex inside it, and edge plus vertex spanning a face of the complex.
-
-    Returned sorted by (vertex, edge) for determinism.
-    """
-    I = check_subset(c, subset)
-    pairs = []
-    for f in c.faces:
-        inside = [v for v in f if v in I]
-        if len(inside) != 1:
-            continue
-        v = inside[0]
-        e = tuple(sorted(w for w in f if w != v))
-        pairs.append((e, v))
-    pairs.sort(key=lambda p: (p[1], p[0]))
-    return pairs
-
-
 def proper_subsets(n, cap=SUBSET_ENUMERATION_CAP):
-    """Iterate over all nonempty proper subsets of range(n) as frozensets.
+    """Yield the nonempty proper subsets of range(n) in (size, lex) order.
 
     Guarded by a hard cap since there are 2^n - 2 of them; callers with larger
     complexes must supply explicit subsets instead.
@@ -312,9 +284,8 @@ def proper_subsets(n, cap=SUBSET_ENUMERATION_CAP):
     if n > cap:
         raise EnumerationTooLargeError(
             f"enumeration of 2^{n}-2 subsets exceeds cap n <= {cap}")
-    verts = list(range(n))
-    for mask in range(1, 2 ** n - 1):
-        yield frozenset(v for v in verts if mask >> v & 1)
+    for size in range(1, n):
+        yield from itertools.combinations(range(n), size)
 
 
 # -- JSON I/O ---------------------------------------------------------------

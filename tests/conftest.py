@@ -70,21 +70,10 @@ def grid_torus(n, m):
     return Surface2Complex(n * m, faces)
 
 
-def brute_force_link(c, subset):
-    """Independent enumeration over all (edge, vertex) pairs."""
-    I = set(subset)
-    face_set = {f for f in c.faces}
-    out = []
-    for e in c.edges:
-        if I.intersection(e):
-            continue
-        for v in range(c.vertex_count):
-            if v not in I:
-                continue
-            if tuple(sorted((e[0], e[1], v))) in face_set:
-                out.append((e, v))
-    out.sort(key=lambda p: (p[1], p[0]))
-    return out
+def reweighted(c, weights):
+    """The same surface with the given weight on each edge (in edge order)."""
+    edges = [(i, j, w) for (i, j), w in zip(c.edges, weights)]
+    return Surface2Complex(c.vertex_count, c.faces, edges=edges)
 
 
 def subset_rhs_oracle(c, subset):

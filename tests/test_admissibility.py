@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import all_subsets, random_metric, subset_rhs_oracle
+from conftest import all_subsets, random_metric, reweighted, subset_rhs_oracle
+from packflows import data
 from packflows.admissibility import (metric_condition, rhs_table,
                                      sphere_condition, subset_rhs,
                                      thurston_condition, y_membership)
@@ -37,6 +40,52 @@ def test_subset_rhs_two_routes_agree(surfaces):
                        for _ in range(120)]
         for I in subsets:
             assert subset_rhs(c, I) == subset_rhs_oracle(c, I)
+
+
+def test_table_matches_oracle_bit_for_bit_with_random_weights(octa, icosa):
+    # the table adds the link terms in face order, as the oracle does, so
+    # every row is exact even where the terms differ
+    rng = np.random.default_rng(46)
+    for c in (octa, icosa):
+        c = reweighted(c, rng.uniform(0, np.pi / 2, len(c.edges)))
+        subsets, rhs, _ = rhs_table(c)
+        assert len(subsets) == 2 ** c.vertex_count - 2
+        for I, value in zip(subsets, rhs.tolist()):
+            assert value == subset_rhs_oracle(c, I)
+
+
+def test_table_rows_are_the_report_rows(octa):
+    rng = np.random.default_rng(47)
+    r = random_metric(rng, 6)
+    subsets, rhs, ind = rhs_table(octa)
+    assert subsets == sorted(subsets, key=lambda I: (len(I), I))
+    assert ind.tolist() == [[v in I for v in range(6)] for I in subsets]
+    reports = (thurston_condition(octa), sphere_condition(octa),
+               metric_condition(octa, r),
+               y_membership(octa, angle_defect(octa, r)))
+    for rep in reports:
+        assert [rec.subset for rec in rep.records] == subsets
+        assert [rec.rhs for rec in rep.records] == rhs.tolist()
+    # explicit subsets are canonicalized and sorted; repeats keep both rows
+    explicit = [[3, 1, 2], {4}, (2, 1, 3), [0, 5]]
+    subsets, rhs, _ = rhs_table(octa, subsets=explicit)
+    assert subsets == [(4,), (0, 5), (1, 2, 3), (1, 2, 3)]
+    rep = sphere_condition(octa, subsets=explicit)
+    assert [rec.subset for rec in rep.records] == subsets
+    assert rhs[2] == rhs[3] == subset_rhs(octa, {1, 2, 3})
+
+
+def test_empty_or_non_integer_subsets_rejected(octa):
+    with pytest.raises(ValueError, match="no subsets"):
+        thurston_condition(octa, subsets=[])
+    with pytest.raises(ValueError, match="no subsets"):
+        rhs_table(octa, subsets=[])
+    with pytest.raises(ValueError, match="non-integer"):
+        thurston_condition(octa, subsets=[[0.7, 1]])
+    with pytest.raises(ValueError, match="non-integer"):
+        subset_rhs(octa, [1.5])
+    # integral floats name the same vertex
+    assert subset_rhs(octa, [0.0, 1]) == subset_rhs(octa, {0, 1})
 
 
 def test_thurston_tetrahedron(tetra):
@@ -113,6 +162,30 @@ def test_y_membership_of_realized_curvatures(surfaces):
         for _ in range(25):
             K = angle_defect(c, random_metric(rng, c.vertex_count, 0.3, 3.0))
             assert y_membership(c, K).satisfied
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(mesh_name=st.sampled_from(["tetrahedron", "octahedron", "icosahedron",
+                                  "torus_7", "genus2_11"]),
+       draw=st.data())
+def test_y_membership_of_realized_curvatures_random_weights(mesh_name, draw):
+    # necessity (Chow-Luo): the curvature of any circle packing metric with
+    # weights in [0, pi/2] lies in the admissible-curvature space
+    c = data.load(mesh_name)
+    w = draw.draw(st.lists(st.floats(0.0, np.pi / 2), min_size=len(c.edges),
+                           max_size=len(c.edges)))
+    r = draw.draw(st.lists(st.floats(0.3, 3.0), min_size=c.vertex_count,
+                           max_size=c.vertex_count))
+    c = reweighted(c, w)
+    assert y_membership(c, angle_defect(c, np.array(r))).satisfied
+
+
+@pytest.mark.parametrize("x", [np.zeros(5), np.zeros(3),
+                               np.array([np.nan, 0, 0, 0]), np.zeros((4, 1)),
+                               np.array([np.inf, 0, 0, 0])])
+def test_y_membership_rejects_malformed_x(tetra, x):
+    with pytest.raises(ValueError, match="finite vector of shape"):
+        y_membership(tetra, x)
 
 
 def test_y_membership_batch_table(icosa):

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from conftest import grid_torus
 from packflows import data
@@ -123,6 +124,19 @@ def test_check_enumeration_too_large_exit7(tmp_path):
     code = main(["check", "--mesh", str(p), "--condition", "thurston",
                  "--subsets", str(subs), "--out", str(tmp_path)])
     assert code in (0, 6)
+
+
+@pytest.mark.parametrize("subsets, message", [([], "no subsets"),
+                                              ([[0.7, 1]], "non-integer")])
+def test_check_empty_or_non_integer_subsets_exit2(tmp_path, capsys, subsets,
+                                                  message):
+    subs = tmp_path / "subs.json"
+    subs.write_text(json.dumps(subsets))
+    code = main(["check", "--mesh", "octahedron", "--condition", "thurston",
+                 "--subsets", str(subs), "--out", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "check.json").exists()
 
 
 def test_check_y_and_metric(tmp_path):

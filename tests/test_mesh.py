@@ -4,12 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from conftest import all_subsets, brute_force_link, grid_torus
+from conftest import grid_torus
+from packflows.admissibility import subset_rhs
 from packflows.errors import EnumerationTooLargeError, InvalidComplexError
 from packflows.mesh import (Manifold3Complex, Surface2Complex,
-                            euler_characteristic, induced_euler, link_pairs,
-                            load_mesh, mesh_from_dict, mesh_to_dict,
-                            proper_subsets, save_mesh)
+                            euler_characteristic, load_mesh, mesh_from_dict,
+                            mesh_to_dict, proper_subsets, save_mesh)
 
 
 def test_euler_characteristic(tetra, octa, icosa, torus7, genus2):
@@ -33,14 +33,6 @@ def test_genus2_min_degree(genus2):
     assert sorted(deg) == [7] * 10 + [8]
 
 
-def test_induced_euler_tetrahedron(tetra):
-    assert induced_euler(tetra, {0}) == 1
-    # 2 vertices, 1 edge, 0 faces
-    assert induced_euler(tetra, {0, 1}) == 1
-    # 3 vertices, 3 edges, 1 face
-    assert induced_euler(tetra, {0, 1, 2}) == 1
-
-
 def test_induced_euler_full_complex_recovers_chi(surfaces):
     # the induced count on all vertices equals chi(M); exercised via the
     # formula on a near-full subset plus the direct count
@@ -52,53 +44,11 @@ def test_induced_euler_full_complex_recovers_chi(surfaces):
 
 def test_subset_validation(tetra):
     with pytest.raises(ValueError):
-        induced_euler(tetra, set())
+        subset_rhs(tetra, set())
     with pytest.raises(ValueError):
-        induced_euler(tetra, {0, 1, 2, 3})
+        subset_rhs(tetra, {0, 1, 2, 3})
     with pytest.raises(ValueError):
-        induced_euler(tetra, {0, 9})
-
-
-def test_link_pairs_tetrahedron(tetra):
-    pairs = link_pairs(tetra, {0})
-    assert len(pairs) == 3
-    # each pair is an edge of the face opposite vertex 0 paired with 0
-    for e, v in pairs:
-        assert v == 0
-        assert 0 not in e
-    assert link_pairs(tetra, {0, 1}) == [((2, 3), 0), ((2, 3), 1)]
-
-
-def test_link_pairs_match_brute_force_small(tetra, octa, torus7):
-    for c in (tetra, octa, torus7):
-        for I in all_subsets(c.vertex_count):
-            assert link_pairs(c, I) == brute_force_link(c, I)
-
-
-def test_link_pairs_match_brute_force_sampled(icosa, genus2):
-    rng = np.random.default_rng(7)
-    for c in (icosa, genus2):
-        n = c.vertex_count
-        for _ in range(100):
-            size = rng.integers(1, n)
-            I = frozenset(rng.choice(n, size=size, replace=False).tolist())
-            assert link_pairs(c, I) == brute_force_link(c, I)
-
-
-def test_link_pairs_complement_of_vertex(surfaces):
-    # I = V minus one vertex: every pair's edge lies in the star of the
-    # excluded vertex (its endpoints must avoid I, i.e. equal the excluded
-    # vertex -- impossible for two endpoints -- so the link must be empty
-    # unless the edge joins the excluded vertex to itself; brute force
-    # confirms the pairs involve only edges through the excluded vertex)
-    for c in surfaces.values():
-        for v in range(c.vertex_count):
-            I = frozenset(range(c.vertex_count)) - {v}
-            pairs = link_pairs(c, I)
-            assert pairs == brute_force_link(c, I)
-            for e, w in pairs:
-                assert v in e or v not in e  # structural sanity
-                assert set(e).isdisjoint(I)
+        subset_rhs(tetra, {0, 9})
 
 
 def test_validate_good_complexes(surfaces, cell5, cell16, torus3):
@@ -151,6 +101,7 @@ def test_proper_subsets_cap():
     subs = list(proper_subsets(4))
     assert len(subs) == 2 ** 4 - 2
     assert len(set(subs)) == len(subs)
+    assert subs == sorted(subs, key=lambda I: (len(I), I))
     with pytest.raises(EnumerationTooLargeError):
         list(proper_subsets(25))
     # overridable

@@ -14,7 +14,9 @@ The corpus holds the ten 2-d flow families on the tetrahedron, torus_7 and
 genus2_11 (alpha families at alpha = 0, 1 and 2, except alpha = 1
 alpha-calabi on the tetrahedron, which is too stiff for the explicit
 stepper); flow, solve, spectrum and curvature on the three bundled
-3-manifolds; and the cell5 flow into a removable singularity.
+3-manifolds; the cell5 flow into a removable singularity; and the four
+admissibility conditions on octahedron, icosahedron, torus_7 and genus2_11,
+plus one run with the full per-subset table and one with a subsets file.
 """
 
 import json
@@ -37,6 +39,11 @@ SOLIDS = ("cell5", "cell16", "torus3_27")
 RANDOM = "0.8,1.3,1"
 RANDOM_3D = "0.95,1.05,1"
 REMOVABLE_RADII = "1.383,0.759,0.37,0.328,1.683"
+CHECKED = ("octahedron", "icosahedron", "torus_7", "genus2_11")
+CONDITIONS = ("thurston", "y", "metric", "sphere")
+RANDOM_CHECK = "0.5,2,1"
+# unsorted, repeated and overlapping subsets of the icosahedron
+SUBSETS = [[9, 2], [0], [2, 9], [11, 3, 7], [0, 1, 2, 3, 4, 5]]
 TIMEOUT_S = 600
 
 
@@ -75,6 +82,21 @@ def corpus(outdir):
                          [cmd, "--mesh", mesh, "--random", RANDOM_3D]))
     runs.append(("flow-cell5-removable", ["flow", "--mesh", "cell5",
                                           "--radii", REMOVABLE_RADII]))
+    for mesh in CHECKED:
+        for cond in CONDITIONS:
+            runs.append((f"check-{mesh}-{cond}",
+                         ["check", "--mesh", mesh, "--condition", cond,
+                          "--random", RANDOM_CHECK]))
+    runs.append(("check-icosahedron-y-full",
+                 ["check", "--mesh", "icosahedron", "--condition", "y",
+                  "--random", RANDOM_CHECK, "--full"]))
+    subsets = os.path.join(outdir, "subsets", "icosahedron.json")
+    os.makedirs(os.path.dirname(subsets), exist_ok=True)
+    with open(subsets, "w") as fp:
+        json.dump(SUBSETS, fp)
+    runs.append(("check-icosahedron-metric-subsets",
+                 ["check", "--mesh", "icosahedron", "--condition", "metric",
+                  "--random", RANDOM_CHECK, "--subsets", subsets, "--full"]))
     return runs
 
 
