@@ -147,12 +147,23 @@ def cmd_flow(args):
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 
 
+def _read_subsets(path):
+    """The --subsets file: a JSON list of lists of integer vertices (JSON
+    integers only, so no floats, bools or strings)."""
+    with open(path) as fp:
+        subsets = json.load(fp)
+    if not (isinstance(subsets, list)
+            and all(isinstance(s, list) for s in subsets)):
+        raise ValueError("--subsets must be a JSON list of lists of vertices")
+    for s in subsets:
+        if not all(type(v) is int for v in s):
+            raise ValueError(f"subset {s} has a non-integer vertex")
+    return subsets
+
+
 def cmd_check(args):
     c = _load_mesh(args)
-    subsets = None
-    if args.subsets:
-        with open(args.subsets) as fp:
-            subsets = json.load(fp)
+    subsets = _read_subsets(args.subsets) if args.subsets else None
 
     if args.condition == "thurston":
         report = admissibility.thurston_condition(c, subsets=subsets)

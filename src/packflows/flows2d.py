@@ -35,24 +35,27 @@ from ._rk import DomainError, advance
 from .errors import (DegenerateTetrahedronError, DegenerateTriangleError,
                      NoConvergenceError, NotApplicableError, StepFailureError)
 from .mesh import euler_characteristic
-from .operators2d import (_potential_gradient, alpha_laplacian,
-                          potential_gradient, potential_hessian)
-from .packing2d import (angle_defect, average_curvature, check_metric,
-                        total_measure)
+from .operators2d import (_edge_apply, _edge_weights, _hessian_apply,
+                          _potential_gradient, potential_gradient,
+                          potential_hessian)
+from .packing2d import (_defect_from_angles, angle_defect, average_curvature,
+                        check_metric, inner_angles, total_measure)
 
 # -- the family table ---------------------------------------------------------
 
-# base fields of the alpha families from the angle defects K,
-# (c, r, alpha, target, K) -> d(log r)/dt
+# base fields of the alpha families from the inner angles theta of r and
+# their angle defects K, (c, r, alpha, target, K, theta) -> d(log r)/dt; the
+# Calabi rows apply the edge-weight Jacobian of theta, an O(E) matvec
 _BASE = {
-    "ricci": lambda c, r, a, target, K: -(K / r ** a),
-    "ricci_normalized": lambda c, r, a, target, K: (average_curvature(c, r, a)
-                                                    - K / r ** a),
-    "prescribed": lambda c, r, a, target, K: target - K / r ** a,
-    "calabi": lambda c, r, a, target, K: alpha_laplacian(c, r, a, K / r ** a),
-    "calabi_modified": lambda c, r, a, target, K: -(
-        potential_hessian(c, r, a, coord="log_r").matrix
-        @ _potential_gradient(c, r, K, a, target)),
+    "ricci": lambda c, r, a, target, K, theta: -(K / r ** a),
+    "ricci_normalized": lambda c, r, a, target, K, theta: (
+        average_curvature(c, r, a) - K / r ** a),
+    "prescribed": lambda c, r, a, target, K, theta: target - K / r ** a,
+    "calabi": lambda c, r, a, target, K, theta: -_edge_apply(
+        c, _edge_weights(c, r, theta), K / r ** a) / r ** a,
+    "calabi_modified": lambda c, r, a, target, K, theta: -_hessian_apply(
+        c, r, _edge_weights(c, r, theta), a, target,
+        _potential_gradient(c, r, K, a, target)),
 }
 
 # field: key of _BASE, None for the 3-d flow (packing3d); alpha: the fixed
@@ -240,8 +243,9 @@ def _base_field(spec, c):
     base, alpha, target = _BASE[key], spec.alpha, spec.target
 
     def fn(r):
-        K = angle_defect(c, r)
-        v = base(c, r, alpha, target, K)
+        theta = inner_angles(c, r)
+        K = _defect_from_angles(c, theta)
+        v = base(c, r, alpha, target, K, theta)
         if not spec.record_energies:
             return v, 0.0
         return v, float(_potential_gradient(c, r, K, alpha, target) @ v)

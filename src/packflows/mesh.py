@@ -8,6 +8,8 @@ it. Complexes are immutable after construction and safe to share.
 import itertools
 import json
 import math
+import numbers
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
@@ -261,9 +263,14 @@ def euler_characteristic(c):
 
 
 def check_subset(c, subset):
-    """The subset as a sorted tuple, checked nonempty, proper and integral."""
+    """The subset as a sorted tuple, checked to be a collection of integral
+    numbers (not strings, bools or nested collections), nonempty and proper."""
+    if (isinstance(subset, (str, bytes, Mapping))
+            or not isinstance(subset, Iterable)):
+        raise ValueError(f"subset {subset!r} is not a collection of vertices")
     verts = list(subset)
-    if not all(float(v).is_integer() for v in verts):
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               and float(v).is_integer() for v in verts):
         raise ValueError(f"subset {verts} has a non-integer vertex")
     I = tuple(sorted({int(v) for v in verts}))
     if not I or len(I) >= c.vertex_count:

@@ -5,6 +5,13 @@ u = log r ("log_r"). The alpha = 2 operators of the scalar-curvature theory
 are usually written in u = log r^2 ("log_r2"); the two differ by a factor 2,
 d/d(log r) = 2 d/d(log r^2). Every matrix-valued function takes an explicit
 ``coord`` argument and records it on the result.
+
+The curvature Jacobian dK_i/d(log r_j) is symmetric, its rows sum to zero
+and it vanishes off the edges, so the edge weights w_ij = dK_i/d(log r_j)
+are the Jacobian: J f = sum_j w_ij (f_j - f_i). The Laplacians, the Calabi
+energy gradient and the Calabi flow fields apply it as that O(E) matvec;
+the dense matrices of curvature_jacobian and potential_hessian are only
+assembled from the weights (for the spectrum, Newton's solve and tests).
 """
 
 from dataclasses import dataclass
@@ -12,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureFailureError, SpectralFailureError
-from .packing2d import (angle_defect, average_curvature, check_metric,
-                        edge_lengths, inner_angles, total_measure)
+from .packing2d import (_defect_from_angles, angle_defect, average_curvature,
+                        check_metric, inner_angles, total_measure)
 
 KERNEL_TOL = 1e-9
 
@@ -36,45 +43,56 @@ class JacobianMatrix:
                 fp.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def _defect_jacobian_r(c, r):
-    """dK_i/dr_j assembled per face from analytic angle derivatives.
+# columns of the two other vertices p, q of face column k (the ends of the
+# side k opposite vertex k)
+_P = [1, 2, 0]
+_Q = [2, 0, 1]
 
-    For a triangle with sides s_m opposite its vertices and area A,
-    d(theta_m)/d(s_m) = s_m / 2A and d(theta_m)/d(s_k) = -s_m cos(theta_l) / 2A
-    for {k, l} the other two sides; chaining through the edge-length formula
-    gives the radius derivatives.
+
+def _edge_weights(c, r, theta):
+    """The curvature Jacobian as one weight per edge: w_e = dK_i/d(log r_j)
+    = dK_j/d(log r_i) for the edge e = {i, j}, from the inner angles theta of
+    the radii r.
+
+    In a face with sides s_m opposite its vertices and area A, the side k
+    joins the vertices p and q, and r_q moves the sides s_p and s_k:
+        dtheta_p/dr_q = dtheta_p/ds_p ds_p/dr_q + dtheta_p/ds_k ds_k/dr_q
+    with dtheta_p/ds_p = s_p / 2A, dtheta_p/ds_k = -s_p cos(theta_q) / 2A,
+    ds_p/dr_q = (r_q + r_k cos phi_p) / s_p, ds_k/dr_q = (r_q + r_p cos phi_k) / s_k.
+    With r_q (r_q + r_k cos phi_p) = (s_p^2 + r_q^2 - r_k^2) / 2 and the law
+    of cosines this is, in the squared sides L_m = s_m^2,
+        4A r_q dtheta_p/dr_q = (L_p + r_q^2 - r_k^2)
+                               - (L_p + L_k - L_q) (L_k + r_q^2 - r_p^2) / 2 L_k.
+    Each face adds -r_q dtheta_p/dr_q to the weight of each of its sides.
     """
-    lengths = edge_lengths(c, r)
-    s = lengths[c.face_edge]
-    theta = inner_angles(c, r)
-    area = 0.5 * s[:, 1] * s[:, 2] * np.sin(theta[:, 0])
+    i, j = c.edge_array[:, 0], c.edge_array[:, 1]
+    rho = r * r
+    L = (rho[i] + rho[j] + 2.0 * r[i] * r[j] * np.cos(c.weights))[c.face_edge]
+    rho_f = rho[c.face_array]
+    Lp, rho_q = L[:, _P], rho_f[:, _Q]
+    four_area = 2.0 * np.sqrt(L[:, 1] * L[:, 2]) * np.sin(theta[:, 0])
+    dth = ((Lp + rho_q - rho_f)
+           - (Lp + L - L[:, _Q]) * (L + rho_q - rho_f[:, _P]) / (2.0 * L))
+    dth /= four_area[:, np.newaxis]
+    return -np.bincount(c.face_edge.ravel(), dth.ravel(), len(c.edges))
 
-    nf = len(c.faces)
-    dth_ds = np.empty((nf, 3, 3))
-    for m in range(3):
-        for k in range(3):
-            if k == m:
-                dth_ds[:, m, k] = s[:, m] / (2.0 * area)
-            else:
-                other = 3 - m - k
-                dth_ds[:, m, k] = -s[:, m] * np.cos(theta[:, other]) / (2.0 * area)
 
-    ds_dr = np.zeros((nf, 3, 3))
-    pairs = ((1, 2), (0, 2), (0, 1))
-    for k, (p, q) in enumerate(pairs):
-        vp = c.face_array[:, p]
-        vq = c.face_array[:, q]
-        cph = np.cos(c.weights[c.face_edge[:, k]])
-        ds_dr[:, k, p] = (r[vp] + r[vq] * cph) / s[:, k]
-        ds_dr[:, k, q] = (r[vq] + r[vp] * cph) / s[:, k]
+def _edge_apply(c, w, f):
+    """The Jacobian with edge weights w applied to f:
+    (J f)_i = sum_j w_ij (f_j - f_i); exactly zero on constants."""
+    i, j = c.edge_array[:, 0], c.edge_array[:, 1]
+    flux = w * (f[j] - f[i])
+    return (np.bincount(i, flux, c.vertex_count)
+            - np.bincount(j, flux, c.vertex_count))
 
-    dth_dr = np.einsum("fmk,fkw->fmw", dth_ds, ds_dr)
-    J = np.zeros((c.vertex_count, c.vertex_count))
-    for m in range(3):
-        for w in range(3):
-            np.add.at(J, (c.face_array[:, m], c.face_array[:, w]),
-                      -dth_dr[:, m, w])
-    return J
+
+def _coord_factor(coord):
+    """d/d(log r) = 2 d/d(log r^2): the factor from log r to coord."""
+    if coord == "log_r":
+        return 1.0
+    if coord == "log_r2":
+        return 0.5
+    raise ValueError(f"unknown coord {coord!r}")
 
 
 def curvature_jacobian(c, r, coord="log_r"):
@@ -82,14 +100,20 @@ def curvature_jacobian(c, r, coord="log_r"):
 
     coord="log_r" gives dK_i/d(log r_j); coord="log_r2" gives half of it.
     Symmetric, positive semi-definite, zero row sums, kernel the constant
-    vector.
+    vector. Assembled from the edge weights: w off the diagonal, minus the
+    row sums on it.
     """
     r = check_metric(c, r)
-    mat = _defect_jacobian_r(c, r) * r[np.newaxis, :]
-    if coord == "log_r2":
-        mat = 0.5 * mat
-    elif coord != "log_r":
-        raise ValueError(f"unknown coord {coord!r}")
+    factor = _coord_factor(coord)
+    w = _edge_weights(c, r, inner_angles(c, r))
+    n = c.vertex_count
+    i, j = c.edge_array[:, 0], c.edge_array[:, 1]
+    diag = np.arange(n)
+    row_sums = np.bincount(i, w, n) + np.bincount(j, w, n)
+    mat = np.zeros((n, n))
+    np.add.at(mat, (np.concatenate([i, j, diag]), np.concatenate([j, i, diag])),
+              np.concatenate([w, w, -row_sums]))
+    mat *= factor
     return JacobianMatrix(mat, coord)
 
 
@@ -103,8 +127,8 @@ def laplacian(c, r, f):
 def alpha_laplacian(c, r, alpha, f):
     """Laplacian with measure r^alpha and log r coordinates."""
     r = check_metric(c, r)
-    Lt = curvature_jacobian(c, r, coord="log_r").matrix
-    return -(Lt @ np.asarray(f, dtype=float)) / r ** alpha
+    w = _edge_weights(c, r, inner_angles(c, r))
+    return -_edge_apply(c, w, np.asarray(f, dtype=float)) / r ** alpha
 
 
 def laplacian_spectrum(c, r):
@@ -211,6 +235,7 @@ def potential_hessian(c, r, alpha=2.0, target=None, coord="log_r"):
     positive semi-definite with kernel spanned by the constant vector.
     """
     r = check_metric(c, r)
+    factor = _coord_factor(coord)
     Lt = curvature_jacobian(c, r, coord="log_r").matrix
     if target is None:
         rav = average_curvature(c, r, alpha)
@@ -221,11 +246,19 @@ def potential_hessian(c, r, alpha=2.0, target=None, coord="log_r"):
         hess = Lt - alpha * rav * proj
     else:
         hess = Lt - np.diag(alpha * np.asarray(target) * r ** alpha)
-    if coord == "log_r2":
-        hess = 0.5 * hess
-    elif coord != "log_r":
-        raise ValueError(f"unknown coord {coord!r}")
+    hess *= factor
     return JacobianMatrix(hess, coord)
+
+
+def _hessian_apply(c, r, w, alpha, target, v):
+    """The potential Hessian in log r applied to v, from the edge weights w;
+    the rank-one term of the normalized form is applied as a vector."""
+    ra = r ** alpha
+    if target is not None:
+        return _edge_apply(c, w, v) - alpha * np.asarray(target) * ra * v
+    rav = average_curvature(c, r, alpha)
+    return _edge_apply(c, w, v) - alpha * rav * (
+        ra * v - ra * (ra @ v) / total_measure(r, alpha))
 
 
 # -- Calabi energy ------------------------------------------------------------
@@ -241,6 +274,9 @@ def calabi_energy(c, r, alpha=2.0, target=None):
 def calabi_energy_gradient(c, r, alpha=2.0, target=None, coord="log_r"):
     """Gradient of the Calabi energy in log coordinates: 2 A phi with
     A the potential Hessian in the same coordinate."""
-    phi = potential_gradient(c, r, alpha, target)
-    A = potential_hessian(c, r, alpha, target, coord).matrix
-    return 2.0 * (A @ phi)
+    r = check_metric(c, r)
+    factor = _coord_factor(coord)
+    theta = inner_angles(c, r)
+    phi = _potential_gradient(c, r, _defect_from_angles(c, theta), alpha, target)
+    w = _edge_weights(c, r, theta)
+    return 2.0 * factor * _hessian_apply(c, r, w, alpha, target, phi)

@@ -62,7 +62,11 @@ def inner_angles(c, r):
 
 def angle_defect(c, r):
     """Classical discrete curvature: 2 pi minus the sum of angles at each vertex."""
-    theta = inner_angles(c, r)
+    return _defect_from_angles(c, inner_angles(c, r))
+
+
+def _defect_from_angles(c, theta):
+    """The angle defects from the inner angles of inner_angles(c, r)."""
     K = np.full(c.vertex_count, 2.0 * np.pi)
     np.subtract.at(K, c.face_array.ravel(), theta.ravel())
     return K

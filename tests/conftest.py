@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from packflows import data
+from packflows.flows2d import FAMILIES
 from packflows.mesh import Surface2Complex
+from packflows.packing2d import edge_lengths, inner_angles
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +72,14 @@ def grid_torus(n, m):
     return Surface2Complex(n * m, faces)
 
 
+def calabi_families():
+    """(family, alpha) for every Calabi family, free alphas at 0, 1 and 2."""
+    return [(family, alpha) for family, row in sorted(FAMILIES.items())
+            if row.field in ("calabi", "calabi_modified")
+            for alpha in ([row.alpha] if row.alpha is not None
+                          else [0.0, 1.0, 2.0])]
+
+
 def reweighted(c, weights):
     """The same surface with the given weight on each edge (in edge order)."""
     edges = [(i, j, w) for (i, j), w in zip(c.edges, weights)]
@@ -95,3 +105,45 @@ def all_subsets(n):
     verts = range(n)
     for size in range(1, n):
         yield from (frozenset(s) for s in itertools.combinations(verts, size))
+
+
+def defect_jacobian_r_oracle(c, r):
+    """dK_i/dr_j assembled densely per face from the angle derivatives: the
+    per-face (F, 3, 3) route the edge weights replaced, kept as an oracle.
+
+    For a triangle with sides s_m opposite its vertices and area A,
+    d(theta_m)/d(s_m) = s_m / 2A and d(theta_m)/d(s_k) = -s_m cos(theta_l) / 2A
+    for {k, l} the other two sides; chaining through the edge-length formula
+    gives the radius derivatives.
+    """
+    lengths = edge_lengths(c, r)
+    s = lengths[c.face_edge]
+    theta = inner_angles(c, r)
+    area = 0.5 * s[:, 1] * s[:, 2] * np.sin(theta[:, 0])
+
+    nf = len(c.faces)
+    dth_ds = np.empty((nf, 3, 3))
+    for m in range(3):
+        for k in range(3):
+            if k == m:
+                dth_ds[:, m, k] = s[:, m] / (2.0 * area)
+            else:
+                other = 3 - m - k
+                dth_ds[:, m, k] = -s[:, m] * np.cos(theta[:, other]) / (2.0 * area)
+
+    ds_dr = np.zeros((nf, 3, 3))
+    pairs = ((1, 2), (0, 2), (0, 1))
+    for k, (p, q) in enumerate(pairs):
+        vp = c.face_array[:, p]
+        vq = c.face_array[:, q]
+        cph = np.cos(c.weights[c.face_edge[:, k]])
+        ds_dr[:, k, p] = (r[vp] + r[vq] * cph) / s[:, k]
+        ds_dr[:, k, q] = (r[vq] + r[vp] * cph) / s[:, k]
+
+    dth_dr = np.einsum("fmk,fkw->fmw", dth_ds, ds_dr)
+    J = np.zeros((c.vertex_count, c.vertex_count))
+    for m in range(3):
+        for w in range(3):
+            np.add.at(J, (c.face_array[:, m], c.face_array[:, w]),
+                      -dth_dr[:, m, w])
+    return J

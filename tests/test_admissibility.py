@@ -88,6 +88,18 @@ def test_empty_or_non_integer_subsets_rejected(octa):
     assert subset_rhs(octa, [0.0, 1]) == subset_rhs(octa, {0, 1})
 
 
+# a flat list, a nested list, a string and a bool where vertices belong
+MALFORMED_SUBSETS = [[0, 1], [[0, [1]]], ["01"], [[True, 2]]]
+
+
+@pytest.mark.parametrize("subsets", MALFORMED_SUBSETS)
+def test_malformed_subsets_rejected(octa, subsets):
+    with pytest.raises(ValueError, match="collection of vertices|non-integer"):
+        thurston_condition(octa, subsets=subsets)
+    with pytest.raises(ValueError):
+        subset_rhs(octa, subsets[0])
+
+
 def test_thurston_tetrahedron(tetra):
     report = thurston_condition(tetra)
     assert report.exhaustive

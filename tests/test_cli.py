@@ -139,6 +139,18 @@ def test_check_empty_or_non_integer_subsets_exit2(tmp_path, capsys, subsets,
     assert not (tmp_path / "check.json").exists()
 
 
+@pytest.mark.parametrize("text", ["[0, 1]", "[[0, [1]]]", '["01"]',
+                                  "[[true, 2]]", "[[1.0, 2]]", "{}"])
+def test_check_malformed_subsets_file_exit2(tmp_path, capsys, text):
+    subs = tmp_path / "subs.json"
+    subs.write_text(text)
+    code = main(["check", "--mesh", "octahedron", "--condition", "thurston",
+                 "--subsets", str(subs), "--out", str(tmp_path)])
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "check.json").exists()
+
+
 def test_check_y_and_metric(tmp_path):
     code = main(["check", "--mesh", "octahedron", "--condition", "y",
                  "--random", "0.5,2,9", "--out", str(tmp_path)])

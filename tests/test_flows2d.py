@@ -3,7 +3,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from conftest import random_metric
+from conftest import calabi_families, grid_torus, random_metric
+from packflows import flows2d, operators2d
 from packflows.errors import NoConvergenceError, NotApplicableError
 from packflows.flows2d import (FlowSpec, FlowState, constant_curvature_residual,
                                find_constant_curvature, max_principle_bounds,
@@ -565,3 +566,19 @@ def test_run_diverged(tetra):
     r = tr.radii[-1]
     assert r.min() < spec.r_min_guard or r.max() > spec.r_max_guard
     assert np.all(tr.radii[:-1].min(axis=1) >= spec.r_min_guard)
+
+
+def test_calabi_runs_form_no_dense_matrix(monkeypatch, torus7):
+    """Every Calabi stage is an edge-weight matvec: the flows run with the
+    dense Jacobian and Hessian unavailable."""
+    def dense(*args, **kwargs):
+        raise AssertionError("a flow stage formed a dense V x V matrix")
+    for module in (operators2d, flows2d):
+        for name in ("curvature_jacobian", "potential_hessian"):
+            monkeypatch.setattr(module, name, dense, raising=False)
+    rng = np.random.default_rng(21)
+    for c in (torus7, grid_torus(20, 20)):
+        r0 = random_metric(rng, c.vertex_count, 0.8, 1.25)
+        for family, alpha in calabi_families():
+            trace = run(FlowSpec(family, alpha=alpha, max_steps=3), c, r0)
+            assert trace.n_steps == 3, (family, alpha, trace.termination)

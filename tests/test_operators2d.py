@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_metric
+from conftest import (calabi_families, defect_jacobian_r_oracle, grid_torus,
+                      random_metric, reweighted)
+from packflows import data
 from packflows.errors import QuadratureFailureError
+from packflows.flows2d import FAMILIES, FlowSpec, vector_field
 from packflows.mesh import euler_characteristic
 from packflows.operators2d import (alpha_laplacian, calabi_energy,
                                    calabi_energy_gradient, curvature_jacobian,
                                    first_positive_eigenvalue, laplacian,
                                    laplacian_spectrum, potential_gradient,
                                    potential_hessian, ricci_potential)
-from packflows.packing2d import angle_defect
+from packflows.packing2d import angle_defect, average_curvature, total_measure
 
 
 def fd_jacobian_logr(c, r, rel=1e-6):
@@ -295,3 +300,52 @@ def test_prescribed_potential_hessian(torus7):
     assert np.abs(H - fd).max() <= 1e-6 * max(1.0, np.abs(H).max())
     # nonpositive target, not identically zero: positive definite
     assert np.linalg.eigvalsh(H)[0] > 0
+
+
+PROPERTY_MESHES = {name: data.load(name) for name in
+                   ("tetrahedron", "octahedron", "icosahedron", "torus_7",
+                    "genus2_11")}
+PROPERTY_MESHES["grid_12x12"] = grid_torus(12, 12)
+
+
+def dense_calabi_field(c, r, family, alpha, J):
+    """The Calabi family's field through the dense Jacobian J (log r), with
+    the size of its summands (|J| |f| elementwise) as the rounding scale."""
+    K = angle_defect(c, r)
+    if FAMILIES[family].field == "calabi":
+        f = K / r ** alpha
+        v = -(J @ f) / r ** alpha
+        size = (np.abs(J) @ np.abs(f)) / r ** alpha
+    else:
+        rav = average_curvature(c, r, alpha)
+        ra = r ** alpha
+        H = J - alpha * rav * (np.diag(ra) - np.outer(ra, ra)
+                               / total_measure(r, alpha))
+        g = K - rav * ra
+        v = -(H @ g)
+        size = np.abs(H) @ np.abs(g)
+    scale = FAMILIES[family].scale
+    return scale * v, scale * size
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(mesh_name=st.sampled_from(sorted(PROPERTY_MESHES)), draw=st.data())
+def test_edge_weight_jacobian_matches_dense_oracle(mesh_name, draw):
+    base = PROPERTY_MESHES[mesh_name]
+    c = reweighted(base, draw.draw(st.lists(
+        st.floats(0.0, np.pi / 2), min_size=len(base.edges),
+        max_size=len(base.edges))))
+    r = np.array(draw.draw(st.lists(st.floats(0.3, 3.0),
+                                    min_size=c.vertex_count,
+                                    max_size=c.vertex_count)))
+    oracle = defect_jacobian_r_oracle(c, r) * r[np.newaxis, :]
+    J = curvature_jacobian(c, r).matrix
+    size = np.abs(oracle).max()
+    assert np.abs(J - oracle).max() <= 1e-12 * size
+    assert np.array_equal(J, J.T)
+    assert np.abs(J.sum(axis=1)).max() <= 1e-12 * np.abs(J).max()
+    assert np.abs(J - fd_jacobian_logr(c, r)).max() <= 1e-6 * size
+    for family, alpha in calabi_families():
+        v = vector_field(FlowSpec(family, alpha=alpha), c, r)
+        expect, scale = dense_calabi_field(c, r, family, alpha, oracle)
+        assert np.all(np.abs(v - expect) <= 1e-12 * scale.max()), (family, alpha)

@@ -1,14 +1,26 @@
 #!/usr/bin/env python3
-"""Run a fixed corpus of CLI invocations, one output directory each.
+"""Run a fixed corpus of CLI invocations, one output directory each, and
+compare two corpus runs.
 
     python tools/cli_corpus.py OUTDIR
+    python tools/cli_corpus.py --compare A B [--rtol R]
 
 Each invocation runs `python -m packflows.cli` from this checkout's `src/`
 and writes its outputs to OUTDIR/<name>/, together with a file `exit` that
 holds the exit code. Two checkouts of the program compare byte for byte
-with
+with `diff -r A B`; `--compare` tells a rounding shift from a regression.
+For each run it prints one of
 
-    diff -r OUTDIR_A OUTDIR_B
+    identical       every file is byte for byte the same
+    within R        same files, exit code, termination and step count, and
+                    every numeric CSV and JSON field within R (the largest
+                    relative difference is printed)
+    different       anything else (the first cause is printed)
+
+and it exits 1 when any run is different. A difference is taken relative
+to the largest magnitude in its CSV column (over both runs), or of the two
+JSON numbers, but never relative to less than 1: a quantity that is itself
+rounding noise, such as a conserved drift of 4e-16, compares absolutely.
 
 The corpus holds the ten 2-d flow families on the tetrahedron, torus_7 and
 genus2_11 (alpha families at alpha = 0, 1 and 2, except alpha = 1
@@ -19,7 +31,9 @@ admissibility conditions on octahedron, icosahedron, torus_7 and genus2_11,
 plus one run with the full per-subset table and one with a subsets file.
 """
 
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -100,12 +114,111 @@ def corpus(outdir):
     return runs
 
 
-def main():
-    args = sys.argv[1:]
-    if len(args) != 1:
-        print(__doc__, file=sys.stderr)
-        return 2
-    outdir = os.path.abspath(args[0])
+def _number(cell):
+    """The cell as a finite float, or None (text, nan and inf compare as
+    text)."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _csv_diff(a, b):
+    """Largest relative difference of two CSV files of the same shape."""
+    rows_a = [line.split(",") for line in a.splitlines()]
+    rows_b = [line.split(",") for line in b.splitlines()]
+    if [len(row) for row in rows_a] != [len(row) for row in rows_b]:
+        raise ValueError("CSV shapes differ")
+    scale, diff = {}, {}
+    for row_a, row_b in zip(rows_a, rows_b):
+        for col, (x, y) in enumerate(zip(row_a, row_b)):
+            u, v = _number(x), _number(y)
+            if u is None or v is None:
+                if x != y:
+                    raise ValueError(f"CSV cell {x!r} != {y!r}")
+                continue
+            scale[col] = max(scale.get(col, 1.0), abs(u), abs(v))
+            diff[col] = max(diff.get(col, 0.0), abs(u - v))
+    return max((diff[col] / scale[col] for col in diff), default=0.0)
+
+
+def _json_diff(a, b, where="$"):
+    """Largest relative difference of two JSON documents of the same shape."""
+    if type(a) in (int, float) and type(b) in (int, float):
+        if math.isfinite(a) and math.isfinite(b):
+            return abs(a - b) / max(abs(a), abs(b), 1.0)
+        if repr(a) != repr(b):  # nan and inf compare as text
+            raise ValueError(f"{where}: {a!r} != {b!r}")
+        return 0.0
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return max((_json_diff(x, y, f"{where}[{k}]")
+                    for k, (x, y) in enumerate(zip(a, b))), default=0.0)
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return max((_json_diff(a[k], b[k], f"{where}.{k}") for k in a),
+                   default=0.0)
+    if a != b:
+        raise ValueError(f"{where}: {a!r} != {b!r}")
+    return 0.0
+
+
+def compare_run(dir_a, dir_b, rtol):
+    """(verdict, detail) for one run's output directories."""
+    files_a, files_b = sorted(os.listdir(dir_a)), sorted(os.listdir(dir_b))
+    if files_a != files_b:
+        return "different", f"files {files_a} != {files_b}"
+    blobs = {}
+    for name in files_a:
+        with open(os.path.join(dir_a, name)) as fa, \
+                open(os.path.join(dir_b, name)) as fb:
+            blobs[name] = (fa.read(), fb.read())
+    if all(x == y for x, y in blobs.values()):
+        return "identical", ""
+    if blobs["exit"][0] != blobs["exit"][1]:
+        return "different", "exit code " + " != ".join(
+            x.strip() for x in blobs["exit"])
+    if "flow_summary.json" in blobs:
+        doc_a, doc_b = (json.loads(x) for x in blobs["flow_summary.json"])
+        for key in ("termination", "steps"):
+            if doc_a[key] != doc_b[key]:
+                return "different", f"{key} {doc_a[key]} != {doc_b[key]}"
+    worst = 0.0
+    for name, (x, y) in blobs.items():
+        try:
+            if name.endswith(".csv"):
+                worst = max(worst, _csv_diff(x, y))
+            elif name.endswith(".json"):
+                worst = max(worst, _json_diff(json.loads(x), json.loads(y)))
+            elif x != y:
+                return "different", f"{name} differs"
+        except ValueError as exc:
+            return "different", f"{name}: {exc}"
+    if worst > rtol:
+        return "different", f"largest relative difference {worst:.3g} > {rtol:g}"
+    return "within", f"{worst:.3g}"
+
+
+def compare(dir_a, dir_b, rtol):
+    """Print a verdict per run; the number of runs that are different."""
+    names_a = {n for n in os.listdir(dir_a) if os.path.isfile(
+        os.path.join(dir_a, n, "exit"))}
+    names_b = {n for n in os.listdir(dir_b) if os.path.isfile(
+        os.path.join(dir_b, n, "exit"))}
+    counts = {"identical": 0, "within": 0, "different": 0}
+    for name in sorted(names_a | names_b):
+        if name not in names_a or name not in names_b:
+            verdict, detail = "different", "run missing on one side"
+        else:
+            verdict, detail = compare_run(os.path.join(dir_a, name),
+                                          os.path.join(dir_b, name), rtol)
+        counts[verdict] += 1
+        label = f"within {rtol:g}" if verdict == "within" else verdict
+        print(f"{name}: {label}" + (f" ({detail})" if detail else ""))
+    print(", ".join(f"{k} {v}" for k, v in counts.items()))
+    return counts["different"]
+
+
+def run_corpus(outdir):
     os.makedirs(outdir, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=SRC)
     for name, cmd in corpus(outdir):
@@ -121,6 +234,22 @@ def main():
         with open(os.path.join(rundir, "exit"), "w") as fp:
             fp.write(f"{code}\n")
         print(f"{name}: {code}", flush=True)
+
+
+def main():
+    ap = argparse.ArgumentParser(
+        description="Run the CLI corpus into OUTDIR, or compare two runs.")
+    ap.add_argument("outdir", nargs="?", help="directory to run the corpus into")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                    help="compare two corpus directories instead")
+    ap.add_argument("--rtol", type=float, default=1e-8,
+                    help="largest relative difference of a 'within' run")
+    args = ap.parse_args()
+    if (args.outdir is None) == (args.compare is None):
+        ap.error("give either OUTDIR or --compare A B")
+    if args.compare:
+        return 1 if compare(*args.compare, args.rtol) else 0
+    run_corpus(os.path.abspath(args.outdir))
     return 0
 
 
