@@ -36,8 +36,7 @@ from .errors import (DegenerateTetrahedronError, DegenerateTriangleError,
                      NoConvergenceError, NotApplicableError, StepFailureError)
 from .mesh import euler_characteristic
 from .operators2d import (_edge_apply, _edge_weights, _hessian_apply,
-                          _potential_gradient, potential_gradient,
-                          potential_hessian)
+                          _jacobian_diagonal, _potential_gradient)
 from .packing2d import (_defect_from_angles, angle_defect, average_curvature,
                         check_metric, inner_angles, total_measure)
 
@@ -545,10 +544,67 @@ def max_principle_bounds(c, trace, alpha=None, tol=1e-6):
 # -- constant-curvature search -------------------------------------------------
 
 
-def _orthonormal_complement_of_ones(n):
-    basis = np.eye(n)[:, 1:] - 1.0 / n
-    q, _ = np.linalg.qr(basis)
-    return q
+CG_RTOL = 1e-12
+
+
+def _projected_cg(apply, b, m_inv, max_iter):
+    """Solve P A P x = P b for x on the slice sum x = 0, P v = v - mean(v),
+    by conjugate gradients preconditioned with the positive diagonal m_inv;
+    A is the symmetric matvec apply. Stops at ||P b - P A x|| <= CG_RTOL
+    ||P b||; the iteration cap and a breakdown (p^T A p zero or not finite)
+    raise NoConvergenceError. A may be indefinite on the slice, as the
+    sphere's Hessian is near its constant-curvature metrics: the recurrence
+    needs only p^T A p != 0, not its sign."""
+    b = b - b.mean()
+    b_norm = np.linalg.norm(b)
+    x = np.zeros_like(b)
+    if b_norm == 0.0:
+        return x
+    res = b
+    z = m_inv * res
+    z -= z.mean()
+    p, rz = z, res @ z
+    for k in range(1, max_iter + 1):
+        Ap = apply(p)
+        Ap -= Ap.mean()
+        pAp = p @ Ap
+        if not (pAp != 0.0 and math.isfinite(pAp)):
+            raise NoConvergenceError(
+                "conjugate-gradient breakdown: the projected Hessian is "
+                "singular along a search direction",
+                diagnostics={"cg_iterations": k, "pAp": float(pAp)})
+        a = rz / pAp
+        x = x + a * p
+        res = res - a * Ap
+        rel = np.linalg.norm(res) / b_norm
+        if rel <= CG_RTOL:
+            return x
+        z = m_inv * res
+        z -= z.mean()
+        rz_old, rz = rz, res @ z
+        p = z + (rz / rz_old) * p
+    raise NoConvergenceError(
+        f"conjugate gradients did not converge in {max_iter} iterations",
+        diagnostics={"cg_iterations": max_iter, "relative_residual": float(rel)})
+
+
+def _newton_point(c, u, alpha):
+    """(r, theta, K, g) at u = log r: the radii, their inner angles, angle
+    defects and potential gradient, from one angle evaluation."""
+    r = check_metric(c, np.exp(u))
+    theta = inner_angles(c, r)
+    K = _defect_from_angles(c, theta)
+    return r, theta, K, _potential_gradient(c, r, K, alpha, None)
+
+
+def _newton_direction(c, r, theta, alpha, g):
+    """The Newton step on the slice: -P g solved against the projected
+    potential Hessian, applied through the edge weights of the inner angles
+    theta of r and preconditioned with the Jacobian's diagonal."""
+    w = _edge_weights(c, r, theta)
+    return _projected_cg(lambda v: _hessian_apply(c, r, w, alpha, None, v),
+                         -g, 1.0 / _jacobian_diagonal(c, w),
+                         10 * c.vertex_count)
 
 
 def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
@@ -556,9 +612,18 @@ def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
     """Search for a constant alpha-curvature metric.
 
     method="newton" runs a damped Newton iteration on the potential gradient
-    restricted to the scale-invariant slice; method="flow" delegates to the
-    normalized alpha-Ricci flow.
+    restricted to the scale-invariant slice sum log r = const; each step
+    solves the projected Hessian system by preconditioned conjugate
+    gradients on the edge-weight matvec, so no V x V matrix is formed.
+    method="flow" delegates to the normalized alpha-Ricci flow.
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if (isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral)
+            or max_iter < 1):
+        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
     c.require_valid()
     r0 = check_metric(c, r0)
     if method == "flow":
@@ -573,37 +638,34 @@ def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
     if method != "newton":
         raise ValueError(f"unknown method {method!r}")
 
-    n = c.vertex_count
-    B = _orthonormal_complement_of_ones(n)
     u = np.log(r0)
-    g = potential_gradient(c, np.exp(u), alpha)
+    r, theta, K, g = _newton_point(c, u, alpha)
     for _ in range(max_iter):
-        r = np.exp(u)
-        if constant_curvature_residual(c, r, alpha) < eps:
+        residual = _residual(c, r, alpha, None, K)
+        if residual < eps:
             return r
-        H = potential_hessian(c, r, alpha, coord="log_r").matrix
-        try:
-            y = np.linalg.solve(B.T @ H @ B, -(B.T @ g))
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"singular projected Hessian: {exc}") from exc
+        d = _newton_direction(c, r, theta, alpha, g)
         # backtracking on the gradient norm, with a floor so Newton can still
         # crawl through mildly indefinite regions
         lam = 1.0
         g_norm = np.linalg.norm(g)
         for _ in range(30):
-            u_try = u + lam * (B @ y)
+            u_try = u + lam * d
             try:
-                g_try = potential_gradient(c, np.exp(u_try), alpha)
+                point = _newton_point(c, u_try, alpha)
             except (DegenerateTriangleError, FloatingPointError):
                 lam *= 0.5
                 continue
-            if np.linalg.norm(g_try) <= (1.0 - 0.25 * lam) * g_norm or lam < 1e-4:
-                u, g = u_try, g_try
+            if np.linalg.norm(point[3]) <= (1.0 - 0.25 * lam) * g_norm or lam < 1e-4:
+                u = u_try
+                r, theta, K, g = point
                 break
             lam *= 0.5
         else:
-            raise NoConvergenceError("line search stalled",
-                                     diagnostics={"residual": g_norm})
+            raise NoConvergenceError(
+                "line search stalled",
+                diagnostics={"gradient_norm": float(g_norm),
+                             "constant_curvature_residual": residual})
     raise NoConvergenceError(
         f"no convergence after {max_iter} Newton iterations",
-        diagnostics={"residual": constant_curvature_residual(c, np.exp(u), alpha)})
+        diagnostics={"residual": _residual(c, r, alpha, None, K)})

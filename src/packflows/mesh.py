@@ -147,8 +147,9 @@ class Surface2Complex(_Complex):
         for fi, f in enumerate(self.faces):
             for v in f:
                 self.vertex_faces[v].append(fi)
-        for arr in (self.weights, self.edge_array, self.face_array,
-                    self.face_edge):
+        self.cos_weights = np.cos(self.weights)
+        for arr in (self.weights, self.cos_weights, self.edge_array,
+                    self.face_array, self.face_edge):
             arr.setflags(write=False)
 
     def edge_index(self, i, j):

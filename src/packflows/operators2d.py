@@ -9,9 +9,10 @@ d/d(log r) = 2 d/d(log r^2). Every matrix-valued function takes an explicit
 The curvature Jacobian dK_i/d(log r_j) is symmetric, its rows sum to zero
 and it vanishes off the edges, so the edge weights w_ij = dK_i/d(log r_j)
 are the Jacobian: J f = sum_j w_ij (f_j - f_i). The Laplacians, the Calabi
-energy gradient and the Calabi flow fields apply it as that O(E) matvec;
-the dense matrices of curvature_jacobian and potential_hessian are only
-assembled from the weights (for the spectrum, Newton's solve and tests).
+energy gradient, the Calabi flow fields and Newton's conjugate-gradient
+solve apply it as that O(E) matvec; the dense matrices of
+curvature_jacobian and potential_hessian are only assembled from the
+weights (for the spectrum and tests).
 """
 
 from dataclasses import dataclass
@@ -67,7 +68,7 @@ def _edge_weights(c, r, theta):
     """
     i, j = c.edge_array[:, 0], c.edge_array[:, 1]
     rho = r * r
-    L = (rho[i] + rho[j] + 2.0 * r[i] * r[j] * np.cos(c.weights))[c.face_edge]
+    L = (rho[i] + rho[j] + 2.0 * r[i] * r[j] * c.cos_weights)[c.face_edge]
     rho_f = rho[c.face_array]
     Lp, rho_q = L[:, _P], rho_f[:, _Q]
     four_area = 2.0 * np.sqrt(L[:, 1] * L[:, 2]) * np.sin(theta[:, 0])
@@ -86,6 +87,14 @@ def _edge_apply(c, w, f):
             - np.bincount(j, flux, c.vertex_count))
 
 
+def _jacobian_diagonal(c, w):
+    """The diagonal of the Jacobian with edge weights w: minus its row
+    sums."""
+    i, j = c.edge_array[:, 0], c.edge_array[:, 1]
+    n = c.vertex_count
+    return -(np.bincount(i, w, n) + np.bincount(j, w, n))
+
+
 def _coord_factor(coord):
     """d/d(log r) = 2 d/d(log r^2): the factor from log r to coord."""
     if coord == "log_r":
@@ -101,7 +110,8 @@ def curvature_jacobian(c, r, coord="log_r"):
     coord="log_r" gives dK_i/d(log r_j); coord="log_r2" gives half of it.
     Symmetric, positive semi-definite, zero row sums, kernel the constant
     vector. Assembled from the edge weights: w off the diagonal, minus the
-    row sums on it.
+    row sums on it (the edges are unique and have no loops, so each entry is
+    set once).
     """
     r = check_metric(c, r)
     factor = _coord_factor(coord)
@@ -109,10 +119,10 @@ def curvature_jacobian(c, r, coord="log_r"):
     n = c.vertex_count
     i, j = c.edge_array[:, 0], c.edge_array[:, 1]
     diag = np.arange(n)
-    row_sums = np.bincount(i, w, n) + np.bincount(j, w, n)
     mat = np.zeros((n, n))
-    np.add.at(mat, (np.concatenate([i, j, diag]), np.concatenate([j, i, diag])),
-              np.concatenate([w, w, -row_sums]))
+    mat[i, j] = w
+    mat[j, i] = w
+    mat[diag, diag] = _jacobian_diagonal(c, w)
     mat *= factor
     return JacobianMatrix(mat, coord)
 
@@ -141,9 +151,10 @@ def laplacian_spectrum(c, r):
     r = check_metric(c, r)
     L = curvature_jacobian(c, r, coord="log_r2").matrix
     scale = 1.0 / r
-    lam = scale[:, None] * L * scale[None, :]
+    L *= scale[:, None]
+    L *= scale[None, :]
     try:
-        w = np.linalg.eigvalsh(lam)
+        w = np.linalg.eigvalsh(L)
     except np.linalg.LinAlgError as exc:
         raise SpectralFailureError(f"eigensolver failed: {exc}") from exc
     radius = max(abs(w[0]), abs(w[-1]), 1e-300)

@@ -31,7 +31,7 @@ def edge_lengths(c, r):
     """l_ij = sqrt(r_i^2 + r_j^2 + 2 r_i r_j cos(phi_ij)) per edge."""
     r = check_metric(c, r)
     i, j = c.edge_array[:, 0], c.edge_array[:, 1]
-    return np.sqrt(r[i] ** 2 + r[j] ** 2 + 2.0 * r[i] * r[j] * np.cos(c.weights))
+    return np.sqrt(r[i] ** 2 + r[j] ** 2 + 2.0 * r[i] * r[j] * c.cos_weights)
 
 
 def _face_side_lengths(c, r):

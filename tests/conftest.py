@@ -6,6 +6,7 @@ import pytest
 from packflows import data
 from packflows.flows2d import FAMILIES
 from packflows.mesh import Surface2Complex
+from packflows.operators2d import potential_gradient, potential_hessian
 from packflows.packing2d import edge_lengths, inner_angles
 
 
@@ -147,3 +148,15 @@ def defect_jacobian_r_oracle(c, r):
             np.add.at(J, (c.face_array[:, m], c.face_array[:, w]),
                       -dth_dr[:, m, w])
     return J
+
+
+def newton_direction_oracle(c, r, alpha):
+    """The Newton step on the slice sum log r = const through a dense
+    orthonormal basis B of the slice: B y with (B^T H B) y = -B^T g for the
+    dense potential Hessian H and gradient g, the solve the conjugate
+    gradients replaced, kept as an oracle."""
+    n = c.vertex_count
+    B, _ = np.linalg.qr(np.eye(n)[:, 1:] - 1.0 / n)
+    H = potential_hessian(c, r, alpha).matrix
+    g = potential_gradient(c, r, alpha)
+    return B @ np.linalg.solve(B.T @ H @ B, -(B.T @ g))

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from conftest import calabi_families, grid_torus, random_metric
-from packflows import flows2d, operators2d
-from packflows.errors import NoConvergenceError, NotApplicableError
+from conftest import (calabi_families, grid_torus, newton_direction_oracle,
+                      random_metric)
+from packflows import data, flows2d, operators2d
+from packflows.cli import main
+from packflows.errors import (DegenerateTriangleError, NoConvergenceError,
+                              NotApplicableError)
 from packflows.flows2d import (FlowSpec, FlowState, constant_curvature_residual,
                                find_constant_curvature, max_principle_bounds,
                                prescribed_residual, run, step, vector_field)
 from packflows.mesh import euler_characteristic
-from packflows.operators2d import curvature_jacobian, laplacian
+from packflows.operators2d import curvature_jacobian, laplacian, potential_gradient
 from packflows.packing2d import angle_defect, average_curvature, curvature
 
 
@@ -434,6 +439,116 @@ def test_find_constant_curvature_no_convergence(genus2):
         spec_probe = find_constant_curvature(genus2, 2.0, r0, method="flow",
                                              eps=1e-18)
     assert exc_info.value.diagnostics
+
+
+NEWTON_MESHES = {name: data.load(name) for name in
+                 ("tetrahedron", "octahedron", "icosahedron", "torus_7",
+                  "genus2_11")}
+NEWTON_MESHES["grid_12x12"] = grid_torus(12, 12)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(mesh_name=st.sampled_from(sorted(NEWTON_MESHES)),
+       alpha=st.sampled_from([-1.0, 0.0, 1.0, 2.0]), draw=st.data())
+def test_cg_newton_direction_matches_dense_oracle(mesh_name, alpha, draw):
+    """The conjugate-gradient step equals the dense projected solve, also
+    where the projected Hessian is indefinite (the spheres)."""
+    c = NEWTON_MESHES[mesh_name]
+    r = np.array(draw.draw(st.lists(st.floats(0.5, 2.0),
+                                    min_size=c.vertex_count,
+                                    max_size=c.vertex_count)))
+    if mesh_name == "grid_12x12":
+        # a jittered flat torus: radii within 5% of a common value
+        r = np.exp(0.05 * (2.0 * (r - 0.5) / 1.5 - 1.0))
+    oracle = newton_direction_oracle(c, r, alpha)
+    d = flows2d._newton_direction(c, r, flows2d.inner_angles(c, r), alpha,
+                                  potential_gradient(c, r, alpha))
+    assert abs(d.sum()) <= 1e-12 * np.abs(d).sum()
+    # the floor covers equal radii, where g is constant up to rounding and
+    # both steps are zero up to rounding
+    assert np.linalg.norm(d - oracle) <= 1e-10 * np.linalg.norm(oracle) + 1e-20
+
+
+def test_newton_forms_no_dense_matrix(monkeypatch, torus7):
+    """Newton's step is a conjugate-gradient solve on the edge-weight
+    matvec: it runs with the dense Jacobian, Hessian and solvers
+    unavailable."""
+    def dense(*args, **kwargs):
+        raise AssertionError("Newton formed a dense V x V matrix")
+    for module in (operators2d, flows2d):
+        for name in ("curvature_jacobian", "potential_hessian"):
+            monkeypatch.setattr(module, name, dense, raising=False)
+    monkeypatch.setattr(np.linalg, "solve", dense)
+    monkeypatch.setattr(np.linalg, "qr", dense)
+    rng = np.random.default_rng(22)
+    for c in (torus7, grid_torus(20, 20)):
+        r = find_constant_curvature(c, 2.0, random_metric(rng, c.vertex_count))
+        assert constant_curvature_residual(c, r, 2.0) < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_newton_on_grid_torus_400(seed):
+    c = grid_torus(20, 20)
+    r0 = random_metric(np.random.default_rng([seed, 400]), 400)
+    r = find_constant_curvature(c, 2.0, r0)
+    assert constant_curvature_residual(c, r, 2.0) < 1e-9
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"alpha": np.nan}, {"alpha": np.inf}, {"alpha": -np.inf},
+    {"eps": np.nan}, {"eps": -1.0}, {"eps": 0.0}, {"eps": np.inf},
+    {"max_iter": 0}, {"max_iter": -3}, {"max_iter": 2.5}, {"max_iter": True},
+])
+@pytest.mark.parametrize("method", ["newton", "flow"])
+def test_find_constant_curvature_rejects_bad_settings(genus2, kwargs, method):
+    kw = {"alpha": 2.0, **kwargs}
+    alpha = kw.pop("alpha")
+    with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be"):
+        find_constant_curvature(genus2, alpha, np.ones(11), method=method, **kw)
+
+
+def test_solve_nan_alpha_exit2(tmp_path):
+    code = main(["solve", "--mesh", "genus2_11", "--alpha", "nan",
+                 "--out", str(tmp_path)])
+    assert code == 2
+
+
+def test_line_search_stall_reports_gradient_norm(monkeypatch, genus2):
+    """Every trial point is degenerate, so the line search stalls; the
+    diagnostics name the gradient norm and the true residual."""
+    point = flows2d._newton_point
+    calls = []
+
+    def degenerate_trials(c, u, alpha):
+        calls.append(u)
+        if len(calls) > 1:
+            raise DegenerateTriangleError("degenerate trial")
+        return point(c, u, alpha)
+    monkeypatch.setattr(flows2d, "_newton_point", degenerate_trials)
+    r0 = random_metric(np.random.default_rng(23), 11)
+    with pytest.raises(NoConvergenceError, match="line search stalled") as info:
+        find_constant_curvature(genus2, 2.0, r0)
+    r = np.exp(np.log(r0))
+    assert info.value.diagnostics == {
+        "gradient_norm": np.linalg.norm(potential_gradient(genus2, r, 2.0)),
+        "constant_curvature_residual": constant_curvature_residual(genus2, r, 2.0)}
+    assert len(calls) == 31
+
+
+def test_projected_cg_failures_are_named():
+    """A singular direction and the iteration cap both end in
+    NoConvergenceError, the failure the CLI maps to exit 4."""
+    b = np.array([1.0, -2.0, 0.5, 0.5])
+    m_inv = np.ones(4)
+    with pytest.raises(NoConvergenceError, match="breakdown"):
+        flows2d._projected_cg(np.zeros_like, b, m_inv, 40)
+    A = np.diag([1.0, 10.0, 100.0, 1000.0])
+    with pytest.raises(NoConvergenceError, match="did not converge in 1 "):
+        flows2d._projected_cg(lambda v: A @ v, b, m_inv, 1)
+    x = flows2d._projected_cg(lambda v: A @ v, b, m_inv, 40)
+    P = np.eye(4) - 0.25
+    assert abs(x.sum()) < 1e-14
+    assert np.linalg.norm(P @ A @ x - P @ b) <= 1e-12 * np.linalg.norm(P @ b)
 
 
 def test_prescribed_flow_converges_to_target(genus2):

@@ -25,7 +25,8 @@ rounding noise, such as a conserved drift of 4e-16, compares absolutely.
 The corpus holds the ten 2-d flow families on the tetrahedron, torus_7 and
 genus2_11 (alpha families at alpha = 0, 1 and 2, except alpha = 1
 alpha-calabi on the tetrahedron, which is too stiff for the explicit
-stepper); flow, solve, spectrum and curvature on the three bundled
+stepper), with a Newton solve at alpha = 2, 1, 0 and -1 and a spectrum on
+each of the three; flow, solve, spectrum and curvature on the three bundled
 3-manifolds; the cell5 flow into a removable singularity; and the four
 admissibility conditions on octahedron, icosahedron, torus_7 and genus2_11,
 plus one run with the full per-subset table and one with a subsets file.
@@ -51,6 +52,7 @@ from packflows.packing2d import curvature  # noqa: E402
 SURFACES = ("tetrahedron", "torus_7", "genus2_11")
 SOLIDS = ("cell5", "cell16", "torus3_27")
 RANDOM = "0.8,1.3,1"
+SOLVE_ALPHAS = (2.0, 1.0, 0.0, -1.0)
 RANDOM_3D = "0.95,1.05,1"
 REMOVABLE_RADII = "1.383,0.759,0.37,0.328,1.683"
 CHECKED = ("octahedron", "icosahedron", "torus_7", "genus2_11")
@@ -87,6 +89,12 @@ def corpus(outdir):
                 if row.prescribed:
                     argv += ["--target", _write_target(outdir, mesh, alpha)]
                 runs.append((f"flow-{mesh}-{family}-a{alpha:g}", argv))
+        for alpha in SOLVE_ALPHAS:
+            runs.append((f"solve-{mesh}-a{alpha:g}",
+                         ["solve", "--mesh", mesh, "--alpha", f"{alpha:g}",
+                          "--random", RANDOM]))
+        runs.append((f"spectrum-{mesh}", ["spectrum", "--mesh", mesh,
+                                          "--random", RANDOM]))
     for mesh in SOLIDS:
         runs.append((f"flow-{mesh}", ["flow", "--mesh", mesh, "--eps", "1e-8",
                                       "--random", RANDOM_3D]))
