@@ -15,7 +15,7 @@ it does not change the steps taken.
 
 import numpy as np
 
-from .errors import StepFailureError
+from .errors import PackflowsError, StepFailureError
 
 # Dormand-Prince coefficients
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -37,7 +37,7 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 5.0
 
 
-class DomainError(Exception):
+class DomainError(PackflowsError):
     """Raised by a field callback when a stage leaves the admissible domain."""
 
 

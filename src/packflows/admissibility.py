@@ -177,6 +177,8 @@ def metric_condition(c, r, alpha=2.0, subsets=None,
                      cap=SUBSET_ENUMERATION_CAP):
     """Metric-dependent condition for constant alpha-curvature:
     2 pi chi(M) sum_{i in I} r_i^alpha / ||r||_a^a > rhs(I)."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     r = check_metric(c, r)
     gb = 2.0 * np.pi * euler_characteristic(c)
     nrm = total_measure(r, alpha)

@@ -37,8 +37,8 @@ from .errors import (DegenerateTetrahedronError, DegenerateTriangleError,
 from .mesh import euler_characteristic
 from .operators2d import (_edge_apply, _edge_weights, _hessian_apply,
                           _jacobian_diagonal, _potential_gradient)
-from .packing2d import (_defect_from_angles, angle_defect, average_curvature,
-                        check_metric, inner_angles, total_measure)
+from .packing2d import (_angles, _defect_from_angles, average_curvature,
+                        check_metric, total_measure)
 
 # -- the family table ---------------------------------------------------------
 
@@ -95,8 +95,6 @@ class FlowSpec:
     eps: float = 1e-9
     renormalize: bool = True
     record_energies: bool = True
-    r_min_guard: float = 1e-8
-    r_max_guard: float = 1e8
 
     def __post_init__(self):
         row = FAMILIES.get(self.family)
@@ -242,7 +240,7 @@ def _base_field(spec, c):
     base, alpha, target = _BASE[key], spec.alpha, spec.target
 
     def fn(r):
-        theta = inner_angles(c, r)
+        theta = _angles(c, r)
         K = _defect_from_angles(c, theta)
         v = base(c, r, alpha, target, K, theta)
         if not spec.record_energies:
@@ -275,13 +273,13 @@ def constant_curvature_residual(c, r, alpha=2.0):
     """Scale-free deviation from constant alpha-curvature:
     max |R_a - R_av| * ||r||_a^a / (2 pi |chi| + 1)."""
     r = check_metric(c, r)
-    return _residual(c, r, alpha, None, angle_defect(c, r))
+    return _residual(c, r, alpha, None, _defect_from_angles(c, _angles(c, r)))
 
 
 def prescribed_residual(c, r, alpha, target):
     """max |K - Rbar r^alpha| in radians (scale invariant)."""
     r = check_metric(c, r)
-    return _residual(c, r, alpha, target, angle_defect(c, r))
+    return _residual(c, r, alpha, target, _defect_from_angles(c, _angles(c, r)))
 
 
 def _exponent(spec):
@@ -299,20 +297,28 @@ def _log_measure(p, u):
 # -- stepping -----------------------------------------------------------------
 
 
+def _radii(u):
+    """e^u, or DomainError past the exp overflow guard."""
+    if np.max(np.abs(u)) > 700.0:
+        raise DomainError("log radius out of range")
+    return np.exp(u)
+
+
 def _stage(spec, base):
     """The stepper's field u -> scale * base(e^u), for a base r -> (v, q)
     returning the field and the potential's rate along it. A stage that
-    leaves the admissible region raises DomainError, so the stepper retries
-    smaller."""
+    leaves the admissible region (a named degeneracy or a non-finite field)
+    raises DomainError, so the stepper retries smaller."""
     scale = FAMILIES[spec.family].scale
 
+    @np.errstate(all="ignore")
     def fn(t, u):
-        if np.max(np.abs(u)) > 700.0:  # exp overflow guard
-            raise DomainError("log radius out of range")
         try:
-            v, q = base(np.exp(u))
+            v, q = base(_radii(u))
         except (DegenerateTriangleError, DegenerateTetrahedronError) as exc:
             raise DomainError(str(exc)) from exc
+        if not (np.isfinite(q) and np.isfinite(v).all()):
+            raise DomainError("the field is not finite")
         return scale * v, scale * q
     return fn
 
@@ -329,9 +335,10 @@ def step(spec, c, state):
 
 
 # field(r): base field and potential rate (v, q); sample(t, u, F): trace row
-# (t, r, R, conserved, F, C, residual) given the integral F of q; guard:
-# radius bounds apply; classify(r, t, relax): singularity
+# (t, r, R, conserved, F, C, residual) given the integral F of q; guard: a
+# run leaving the radius bounds diverged; classify(r, t, relax): singularity
 _Flow = namedtuple("_Flow", "field sample guard classify")
+R_MIN_GUARD, R_MAX_GUARD = 1e-8, 1e8
 
 
 def _integrate(spec, c, r0, flow):
@@ -384,8 +391,8 @@ def _integrate(spec, c, r0, flow):
             u = u + (np.log(ref / cur) / p if p else (ref - cur) / len(u))
         rows.append(flow.sample(t, u, f))
         r_now = rows[-1][1]
-        if flow.guard and (np.min(r_now) < spec.r_min_guard
-                           or np.max(r_now) > spec.r_max_guard):
+        if flow.guard and (np.min(r_now) < R_MIN_GUARD
+                           or np.max(r_now) > R_MAX_GUARD):
             termination = "diverged"
             break
     if singularity is not None:
@@ -413,7 +420,7 @@ def run(spec, c, r0):
 
     def sample(t, u, F):
         r = np.exp(u)
-        K = angle_defect(c, r)
+        K = _defect_from_angles(c, _angles(c, r))
         if p is None:
             conserved = math.nan
         elif p:
@@ -591,8 +598,8 @@ def _projected_cg(apply, b, m_inv, max_iter):
 def _newton_point(c, u, alpha):
     """(r, theta, K, g) at u = log r: the radii, their inner angles, angle
     defects and potential gradient, from one angle evaluation."""
-    r = check_metric(c, np.exp(u))
-    theta = inner_angles(c, r)
+    r = _radii(u)
+    theta = _angles(c, r)
     K = _defect_from_angles(c, theta)
     return r, theta, K, _potential_gradient(c, r, K, alpha, None)
 
@@ -624,8 +631,6 @@ def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
     if (isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral)
             or max_iter < 1):
         raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
-    c.require_valid()
-    r0 = check_metric(c, r0)
     if method == "flow":
         spec = FlowSpec(family="alpha_ricci_normalized", alpha=alpha, eps=eps,
                         t_max=500.0)
@@ -637,8 +642,8 @@ def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
         return trace.radii[-1]
     if method != "newton":
         raise ValueError(f"unknown method {method!r}")
-
-    u = np.log(r0)
+    c.require_valid()
+    u = np.log(check_metric(c, r0))
     r, theta, K, g = _newton_point(c, u, alpha)
     for _ in range(max_iter):
         residual = _residual(c, r, alpha, None, K)
@@ -653,7 +658,7 @@ def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
             u_try = u + lam * d
             try:
                 point = _newton_point(c, u_try, alpha)
-            except (DegenerateTriangleError, FloatingPointError):
+            except (DomainError, DegenerateTriangleError):
                 lam *= 0.5
                 continue
             if np.linalg.norm(point[3]) <= (1.0 - 0.25 * lam) * g_norm or lam < 1e-4:

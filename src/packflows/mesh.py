@@ -336,13 +336,10 @@ def save_mesh(c, path):
 
 
 def load_metric(path):
-    """Read a metric JSON {"radii": [...]} into an array."""
+    """Read a metric JSON {"radii": [...]} into an unchecked array."""
     with open(path) as fp:
         doc = json.load(fp)
-    r = np.asarray(doc["radii"], dtype=float)
-    if r.ndim != 1 or np.any(r <= 0) or not np.all(np.isfinite(r)):
-        raise ValueError("radii must be a flat list of positive finite numbers")
-    return r
+    return np.asarray(doc["radii"], dtype=float)
 
 
 def save_metric(r, path):

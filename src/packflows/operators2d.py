@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureFailureError, SpectralFailureError
-from .packing2d import (_defect_from_angles, angle_defect, average_curvature,
-                        check_metric, inner_angles, total_measure)
+from .packing2d import (_angles, _defect_from_angles, average_curvature,
+                        check_metric, total_measure)
 
 KERNEL_TOL = 1e-9
 
@@ -115,7 +115,7 @@ def curvature_jacobian(c, r, coord="log_r"):
     """
     r = check_metric(c, r)
     factor = _coord_factor(coord)
-    w = _edge_weights(c, r, inner_angles(c, r))
+    w = _edge_weights(c, r, _angles(c, r))
     n = c.vertex_count
     i, j = c.edge_array[:, 0], c.edge_array[:, 1]
     diag = np.arange(n)
@@ -137,7 +137,7 @@ def laplacian(c, r, f):
 def alpha_laplacian(c, r, alpha, f):
     """Laplacian with measure r^alpha and log r coordinates."""
     r = check_metric(c, r)
-    w = _edge_weights(c, r, inner_angles(c, r))
+    w = _edge_weights(c, r, _angles(c, r))
     return -_edge_apply(c, w, np.asarray(f, dtype=float)) / r ** alpha
 
 
@@ -180,7 +180,8 @@ def potential_gradient(c, r, alpha=2.0, target=None):
     gradient the residual of the constant-curvature problem.
     """
     r = check_metric(c, r)
-    return _potential_gradient(c, r, angle_defect(c, r), alpha, target)
+    return _potential_gradient(c, r, _defect_from_angles(c, _angles(c, r)),
+                               alpha, target)
 
 
 def _potential_gradient(c, r, K, alpha, target):
@@ -287,7 +288,7 @@ def calabi_energy_gradient(c, r, alpha=2.0, target=None, coord="log_r"):
     A the potential Hessian in the same coordinate."""
     r = check_metric(c, r)
     factor = _coord_factor(coord)
-    theta = inner_angles(c, r)
+    theta = _angles(c, r)
     phi = _potential_gradient(c, r, _defect_from_angles(c, theta), alpha, target)
     w = _edge_weights(c, r, theta)
     return 2.0 * factor * _hessian_apply(c, r, w, alpha, target, phi)

@@ -2,7 +2,9 @@
 
 A metric is a plain array of positive radii, one per vertex. Curvatures come
 back as plain vectors; classical angle defects are in radians, the rescaled
-families carry units of radians per length^alpha.
+families carry units of radians per length^alpha. Public functions check
+their radii (check_metric); the flows call _angles on checked radii, which
+raises DegenerateTriangleError for a NaN or out-of-range cosine.
 """
 
 from collections import namedtuple
@@ -29,14 +31,19 @@ def check_metric(c, r):
 
 def edge_lengths(c, r):
     """l_ij = sqrt(r_i^2 + r_j^2 + 2 r_i r_j cos(phi_ij)) per edge."""
-    r = check_metric(c, r)
+    return _edge_lengths(c, check_metric(c, r))
+
+
+def _edge_lengths(c, r):
     i, j = c.edge_array[:, 0], c.edge_array[:, 1]
     return np.sqrt(r[i] ** 2 + r[j] ** 2 + 2.0 * r[i] * r[j] * c.cos_weights)
 
 
-def _face_side_lengths(c, r):
-    """Per face, the side opposite each of its three vertex columns."""
-    return edge_lengths(c, r)[c.face_edge]
+@np.errstate(all="ignore")
+def _angles(c, r):
+    """Inner angles of radii r that passed check_metric, as an (F, 3) array
+    aligned with the columns of c.face_array."""
+    return _angles_from_sides(_edge_lengths(c, r)[c.face_edge])
 
 
 def _angles_from_sides(s):
@@ -46,7 +53,7 @@ def _angles_from_sides(s):
         b = s[:, (m + 1) % 3]
         cc = s[:, (m + 2) % 3]
         arg = (b * b + cc * cc - s[:, m] ** 2) / (2.0 * b * cc)
-        bad = np.abs(arg) > 1.0 + COS_MARGIN
+        bad = ~(np.abs(arg) <= 1.0 + COS_MARGIN)
         if np.any(bad):
             raise DegenerateTriangleError(
                 f"cosine argument {arg[bad][0]:.6g} outside [-1, 1] in face "
@@ -57,7 +64,7 @@ def _angles_from_sides(s):
 
 def inner_angles(c, r):
     """Inner angles as an (F, 3) array aligned with the columns of c.face_array."""
-    return _angles_from_sides(_face_side_lengths(c, r))
+    return _angles(c, check_metric(c, r))
 
 
 def angle_defect(c, r):
@@ -78,8 +85,10 @@ def curvature(c, r, alpha=2.0):
     alpha=0 recovers the classical defect, alpha=2 the rescaled curvature
     that transforms like smooth Gauss curvature under scaling.
     """
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     r = check_metric(c, r)
-    return angle_defect(c, r) / r ** alpha
+    return _defect_from_angles(c, _angles(c, r)) / r ** alpha
 
 
 def total_measure(r, alpha=2.0):

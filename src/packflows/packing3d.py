@@ -2,8 +2,9 @@
 
 A sphere packing metric assigns a positive radius per vertex and the length
 r_i + r_j to each edge. A tetrahedron is realizable in Euclidean space iff
-its Q factor (sum 1/r)^2 - 2 sum 1/r^2 is positive; geometry functions refuse
-degenerate input rather than return garbage.
+its Q factor (sum 1/r)^2 - 2 sum 1/r^2 is positive. Public functions check
+their radii; _state, on checked radii, raises DegenerateTetrahedronError
+unless every Q is positive and every solid angle finite.
 
 Solid angles take one pass over a constant face-angle table: the 12 face
 angles of every tetrahedron by the law of cosines, from them the dihedral
@@ -57,11 +58,13 @@ def tet_q_factors(c, r):
     return q_factor(r[c.tet_array])
 
 
+@np.errstate(all="ignore")
 def _solid_angles_from_radii(rt):
     """Solid angles, shape (T, 4), for per-tet radii rt of shape (T, 4);
-    raises DegenerateTetrahedronError at the row of least Q unless all Q > 0."""
+    raises DegenerateTetrahedronError at the row of least Q unless all Q > 0,
+    and when a solid angle is NaN."""
     q = q_factor(rt)
-    if np.any(q <= 0.0):
+    if not np.all(q > 0.0):
         bad = int(np.argmin(q))
         raise DegenerateTetrahedronError(
             f"tetrahedron {bad} has Q = {q[bad]:.6g} <= 0", tet_index=bad)
@@ -74,7 +77,10 @@ def _solid_angles_from_radii(rt):
     # dihedral angle along the edge opposite each face angle
     arg = (cos - cos[:, _NEXT] * cos[:, _LAST]) / (sin[:, _NEXT] * sin[:, _LAST])
     dih = np.arccos(np.clip(arg, -1.0, 1.0))
-    return (-np.pi + dih[:, 0] + dih[:, 1] + dih[:, 2]).T
+    ang = (-np.pi + dih[:, 0] + dih[:, 1] + dih[:, 2]).T
+    if not np.all(np.isfinite(ang)):
+        raise DegenerateTetrahedronError("a solid angle is NaN")
+    return ang
 
 
 def solid_angles(c, r):
@@ -86,16 +92,12 @@ def solid_angles(c, r):
 
 def solid_angle_defect(c, r):
     """4 pi minus the sum of incident solid angles, per vertex."""
-    ang = solid_angles(c, r)
-    K = np.full(c.vertex_count, 4.0 * np.pi)
-    np.subtract.at(K, c.tet_array.ravel(), ang.ravel())
-    return K
+    return _state(c, check_metric(c, r)).defect
 
 
 def curvature3(c, r):
     """Rescaled scalar curvature: solid angle defect over r^2."""
-    r = check_metric(c, r)
-    return solid_angle_defect(c, r) / r ** 2
+    return _state(c, check_metric(c, r)).curvature
 
 
 # -- single-tet geometry with the coordinate oracle ---------------------------
@@ -159,8 +161,8 @@ class TetGeometry:
     @classmethod
     def from_radii(cls, radii):
         radii = np.asarray(radii, dtype=float)
-        if radii.shape != (4,) or np.any(radii <= 0):
-            raise ValueError("need four positive radii")
+        if radii.shape != (4,) or not np.all(np.isfinite(radii) & (radii > 0)):
+            raise ValueError("need four positive finite radii")
         q = q_factor(radii)
         if q <= 0:
             raise DegenerateTetrahedronError(f"Q = {q:.6g} <= 0")
@@ -202,11 +204,17 @@ class YamabeState:
 
 def yamabe_state(c, r):
     c.require_valid()
-    r = check_metric(c, r)
-    K = solid_angle_defect(c, r)
+    return _state(c, check_metric(c, r))
+
+
+def _state(c, r):
+    """The YamabeState of radii r that passed check_metric."""
+    ang = _solid_angles_from_radii(r[c.tet_array])
+    K = np.full(c.vertex_count, 4.0 * np.pi)
+    np.subtract.at(K, c.tet_array.ravel(), ang.ravel())
     R = K / r ** 2
     total = float(K @ r)
-    vol = float(np.sum(r ** 3))
+    vol = np.sum(r ** 3)  # numpy: 0 gives inf, not ZeroDivisionError
     return YamabeState(r, K, R, total, vol, total / vol,
                        total / vol ** (1.0 / 3.0))
 
@@ -230,7 +238,7 @@ def defect_jacobian(c, r, rel_step=1e-5):
     """
     c.require_valid()
     r = check_metric(c, r)
-    if np.min(tet_q_factors(c, r)) <= Q_SAFETY_MARGIN:
+    if np.min(q_factor(r[c.tet_array])) <= Q_SAFETY_MARGIN:
         raise NearDegenerateError(
             f"min Q factor within safety margin {Q_SAFETY_MARGIN}")
     n = c.vertex_count
@@ -238,9 +246,9 @@ def defect_jacobian(c, r, rel_step=1e-5):
     def column(j, h):
         rp = r.copy()
         rp[j] = r[j] + h
-        kp = solid_angle_defect(c, rp)
+        kp = _state(c, rp).defect
         rp[j] = r[j] - h
-        km = solid_angle_defect(c, rp)
+        km = _state(c, rp).defect
         return (kp - km) / (2.0 * h)
 
     mat = np.empty((n, n))
@@ -306,14 +314,13 @@ def yamabe_flow(c, r0, spec=None):
     r0 = check_metric(c, r0)
 
     def field(r):
-        # a stage outside the realizable region raises DegenerateTetrahedronError
-        st = yamabe_state(c, r)
+        st = _state(c, r)
         return st.average - st.curvature, 0.0
 
     def sample(t, u, _):
         # the potential column is the closed-form total curvature
         r = np.exp(u)
-        st = yamabe_state(c, r)
+        st = _state(c, r)
         return (t, r, st.curvature, st.volume, st.total, _dissipation(st),
                 _residual(st))
 
@@ -323,7 +330,7 @@ def yamabe_flow(c, r0, spec=None):
         if np.min(rhat) < SING_RADIUS * relax:
             return {"type": "essential", "witness": int(np.argmin(rhat)),
                     "time": float(t_now)}
-        q = tet_q_factors(c, r)
+        q = q_factor(r[c.tet_array])
         if np.min(q) < SING_Q * relax:
             return {"type": "removable", "witness": int(np.argmin(q)),
                     "q": float(np.min(q)), "time": float(t_now)}
@@ -344,13 +351,9 @@ class YamabeEstimate:
     converged_starts: int
 
 
-def _admissible(c, r):
-    return bool(np.all(tet_q_factors(c, r) > 0.0))
-
-
 def _quotient_and_grad(c, u):
     r = np.exp(u)
-    st = yamabe_state(c, r)
+    st = _state(c, r)
     g = r * (st.defect - st.average * r ** 2) / st.volume ** (1.0 / 3.0)
     return st.quotient, g
 
@@ -367,13 +370,14 @@ def _descend_quotient(c, r0, gtol, max_iter=500):
         s = lr
         for _ in range(40):
             u_try = u + s * d
-            r_try = np.exp(u_try)
-            if _admissible(c, r_try):
+            try:
                 q_try, g_try = _quotient_and_grad(c, u_try)
-                if q_try <= q + 1e-4 * s * (g @ d):
-                    u, q, g = u_try, q_try, g_try
-                    lr = min(2.0 * s, 4.0)
-                    break
+            except DegenerateTetrahedronError:
+                q_try = math.inf  # an unrealizable trial is no decrease
+            if q_try <= q + 1e-4 * s * (g @ d):
+                u, q, g = u_try, q_try, g_try
+                lr = min(2.0 * s, 4.0)
+                break
             s *= 0.5
         else:
             return np.exp(u), q, False
@@ -396,7 +400,7 @@ def yamabe_invariant_estimate(c, n_starts=20, seed=0, gtol=1e-8):
     starts = [np.ones(n)]
     while len(starts) < max(1, n_starts):
         cand = rng.uniform(0.4, 1.8, n)
-        if _admissible(c, cand):
+        if np.all(q_factor(cand[c.tet_array]) > 0.0):
             starts.append(cand)
 
     for r0 in starts:

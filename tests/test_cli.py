@@ -271,3 +271,26 @@ def test_flow_prescribed_runaway_radii_writes_outputs(tmp_path):
     assert len(lines) == summary["samples"] + 1
     # F, C and the residual are finite (the prescribed family conserves nothing)
     assert all(np.isfinite([float(x) for x in lines[-1].split(",")[-3:]]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--condition", "metric", "--mesh", "octahedron"],
+    ["curvature", "--mesh", "octahedron"],
+])
+def test_non_finite_alpha_exit2(tmp_path, argv):
+    # NaN alpha once gave "violated" with NaN margins (invalid JSON) or a
+    # curvature summary with "alpha": NaN
+    code = main(argv + ["--alpha", "nan", "--random", "0.5,2,1",
+                        "--out", str(tmp_path)])
+    assert code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_solve_icosahedron_trial_overflow_is_not_invalid_input(tmp_path):
+    # a line-search trial of this valid start overflows; that is a failed
+    # trial, not invalid input (exit 2), and raises no RuntimeWarning
+    radii = ("1.73464,0.749798,1.5736,1.75386,0.732441,1.14366,0.590435,"
+             "1.52357,1.37567,1.35655,0.815812,1.09915")
+    code = main(["solve", "--mesh", "icosahedron", "--radii", radii,
+                 "--out", str(tmp_path)])
+    assert code in (0, 4)

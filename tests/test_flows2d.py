@@ -16,7 +16,8 @@ from packflows.flows2d import (FlowSpec, FlowState, constant_curvature_residual,
                                prescribed_residual, run, step, vector_field)
 from packflows.mesh import euler_characteristic
 from packflows.operators2d import curvature_jacobian, laplacian, potential_gradient
-from packflows.packing2d import angle_defect, average_curvature, curvature
+from packflows.packing2d import (angle_defect, average_curvature, curvature,
+                                 inner_angles)
 
 
 def second_root():
@@ -308,11 +309,12 @@ def test_run_against_scipy_integrator(genus2):
     assert np.abs(np.exp(sol.y[:, -1]) - tr.radii[-1]).max() < 1e-6
 
 
-def test_run_divergence_guard(genus2):
+def test_run_divergence_guard(monkeypatch, genus2):
     rng = np.random.default_rng(15)
     r0 = random_metric(rng, 11)
+    monkeypatch.setattr(flows2d, "R_MAX_GUARD", 1.0001 * r0.max())
     spec = FlowSpec(family="ricci_normalized", t_max=100.0,
-                    r_max_guard=1.0001 * r0.max(), record_energies=False)
+                    record_energies=False)
     tr = run(spec, genus2, r0)
     assert tr.termination in ("diverged", "converged")
 
@@ -461,7 +463,7 @@ def test_cg_newton_direction_matches_dense_oracle(mesh_name, alpha, draw):
         # a jittered flat torus: radii within 5% of a common value
         r = np.exp(0.05 * (2.0 * (r - 0.5) / 1.5 - 1.0))
     oracle = newton_direction_oracle(c, r, alpha)
-    d = flows2d._newton_direction(c, r, flows2d.inner_angles(c, r), alpha,
+    d = flows2d._newton_direction(c, r, inner_angles(c, r), alpha,
                                   potential_gradient(c, r, alpha))
     assert abs(d.sum()) <= 1e-12 * np.abs(d).sum()
     # the floor covers equal radii, where g is constant up to rounding and
@@ -620,7 +622,7 @@ def test_trace_invariants_and_csv(tmp_path, genus2):
 
 
 FLOAT_SETTINGS = ["alpha", "initial_step", "min_step", "max_step", "rtol",
-                  "atol", "t_max", "eps", "r_min_guard", "r_max_guard"]
+                  "atol", "t_max", "eps"]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -673,14 +675,14 @@ def test_run_stepped_out_of_domain(genus2):
 
 
 def test_run_diverged(tetra):
-    # alpha = 1 on the sphere: a radius leaves [r_min_guard, r_max_guard]
+    # alpha = 1 on the sphere: a radius leaves [R_MIN_GUARD, R_MAX_GUARD]
     spec = FlowSpec(family="alpha_ricci_normalized", alpha=1.0,
                     record_energies=False)
     tr = run(spec, tetra, np.array([1.0, 1.2, 0.9, 1.05]))
     assert tr.termination == "diverged"
     r = tr.radii[-1]
-    assert r.min() < spec.r_min_guard or r.max() > spec.r_max_guard
-    assert np.all(tr.radii[:-1].min(axis=1) >= spec.r_min_guard)
+    assert r.min() < flows2d.R_MIN_GUARD or r.max() > flows2d.R_MAX_GUARD
+    assert np.all(tr.radii[:-1].min(axis=1) >= flows2d.R_MIN_GUARD)
 
 
 def test_calabi_runs_form_no_dense_matrix(monkeypatch, torus7):

@@ -205,3 +205,5 @@ def test_metric_validation(tetra):
         edge_lengths(tetra, np.array([1.0, -1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         edge_lengths(tetra, np.array([1.0, np.nan, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="alpha"):
+        curvature(tetra, np.ones(4), np.nan)

@@ -117,6 +117,12 @@ def test_degenerate_tetrahedron_raises(cell5):
     with pytest.raises(DegenerateTetrahedronError) as info:
         solid_angles(cell5, r)
     assert info.value.tet_index == np.argmin(tet_q_factors(cell5, r))
+    # NaN compares False with everything: a NaN radius and a solid angle
+    # that overflows to NaN (Q > 0 here) must still fail by name
+    with pytest.raises(ValueError):
+        tet_geometry([np.nan, 1.0, 1.0, 1.0])
+    with pytest.raises(DegenerateTetrahedronError):
+        solid_angles(cell5, [1e200, 1.0, 1.0, 1.0, 1.0])
 
 
 def test_cell5_defect(cell5):

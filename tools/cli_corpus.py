@@ -29,7 +29,10 @@ stepper), with a Newton solve at alpha = 2, 1, 0 and -1 and a spectrum on
 each of the three; flow, solve, spectrum and curvature on the three bundled
 3-manifolds; the cell5 flow into a removable singularity; and the four
 admissibility conditions on octahedron, icosahedron, torus_7 and genus2_11,
-plus one run with the full per-subset table and one with a subsets file.
+plus one run with the full per-subset table and one with a subsets file;
+and two regression runs: an icosahedron Newton solve whose line search
+meets an overflowing trial point, and the metric condition at alpha = NaN
+(invalid input, exit 2).
 """
 
 import argparse
@@ -60,6 +63,9 @@ CONDITIONS = ("thurston", "y", "metric", "sphere")
 RANDOM_CHECK = "0.5,2,1"
 # unsorted, repeated and overlapping subsets of the icosahedron
 SUBSETS = [[9, 2], [0], [2, 9], [11, 3, 7], [0, 1, 2, 3, 4, 5]]
+# a valid icosahedron start at which a Newton line-search trial overflows
+OVERFLOW_START = ("1.73464,0.749798,1.5736,1.75386,0.732441,1.14366,0.590435,"
+                  "1.52357,1.37567,1.35655,0.815812,1.09915")
 TIMEOUT_S = 600
 
 
@@ -119,6 +125,11 @@ def corpus(outdir):
     runs.append(("check-icosahedron-metric-subsets",
                  ["check", "--mesh", "icosahedron", "--condition", "metric",
                   "--random", RANDOM_CHECK, "--subsets", subsets, "--full"]))
+    runs.append(("solve-icosahedron-overflowing-trial",
+                 ["solve", "--mesh", "icosahedron", "--radii", OVERFLOW_START]))
+    runs.append(("check-octahedron-metric-nan-alpha",
+                 ["check", "--mesh", "octahedron", "--condition", "metric",
+                  "--alpha", "nan", "--random", RANDOM_CHECK]))
     return runs
 
 
