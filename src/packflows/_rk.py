@@ -41,22 +41,24 @@ class DomainError(PackflowsError):
     """Raised by a field callback when a stage leaves the admissible domain."""
 
 
-def _dopri_stages(field, t, y, h):
-    """The seven stage derivatives and the seven stage rates q."""
-    stages = [field(t, y)]
+def _dopri_stages(field, t, y, h, first):
+    """The seven stage derivatives and the seven stage rates q, given the
+    first stage (dy/dt, q) at (t, y), or None to evaluate it."""
+    stages = [field(t, y) if first is None else first]
     for s in range(1, 7):
         ys = y + h * sum(a * ks for a, (ks, _) in zip(_A[s], stages))
         stages.append(field(t + _C[s] * h, ys))
     return zip(*stages)
 
 
-def dopri_step(field, t, y, h, rtol, atol):
-    """One trial Dormand-Prince step of a field (t, y) -> (dy/dt, q).
+def dopri_step(field, t, y, h, rtol, atol, first=None):
+    """One trial Dormand-Prince step of a field (t, y) -> (dy/dt, q), with
+    first the field's value at (t, y) when the caller already has it.
 
     Returns (accepted, t_new, y_new, err_norm, quad) with quad the fifth-order
     integral of q over the step. Raises DomainError through from the field.
     """
-    k, q = _dopri_stages(field, t, y, h)
+    k, q = _dopri_stages(field, t, y, h, first)
     y5 = y + h * sum(b * ks for b, ks in zip(_B5, k))
     y4 = y + h * sum(b * ks for b, ks in zip(_B4, k))
     scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
@@ -64,8 +66,8 @@ def dopri_step(field, t, y, h, rtol, atol):
     return err <= 1.0, t + h, y5, err, h * float(_B5 @ q)
 
 
-def _rk4(field, t, y, h):
-    k1, q1 = field(t, y)
+def _rk4(field, t, y, h, first=None):
+    k1, q1 = field(t, y) if first is None else first
     k2, q2 = field(t + 0.5 * h, y + 0.5 * h * k1)
     k3, q3 = field(t + 0.5 * h, y + 0.5 * h * k2)
     k4, q4 = field(t + h, y + h * k3)
@@ -73,8 +75,8 @@ def _rk4(field, t, y, h):
             (h / 6.0) * (q1 + 2 * q2 + 2 * q3 + q4))
 
 
-def _euler(field, t, y, h):
-    k, q = field(t, y)
+def _euler(field, t, y, h, first=None):
+    k, q = field(t, y) if first is None else first
     return t + h, y + h * k, h * q
 
 
@@ -86,9 +88,12 @@ def rk4_step(field, t, y, h):
 _FIXED = {"euler": _euler, "rk4": _rk4}
 
 
-def advance(field, t, y, h, method, rtol, atol, min_step, max_step):
+def advance(field, t, y, h, method, rtol, atol, min_step, max_step,
+            first=None):
     """Advance one accepted step of a field (t, y) -> (dy/dt, q); adaptive
-    methods retry with smaller h.
+    methods retry with smaller h. The first stage, the field at (t, y), is
+    evaluated once and shared by every trial; a caller that already has it
+    passes it as first.
 
     Returns (t_new, y_new, quad, h_next, rejected) where quad is the
     integral of q over the accepted step and rejected counts the failed
@@ -97,7 +102,7 @@ def advance(field, t, y, h, method, rtol, atol, min_step, max_step):
     min_step exists.
     """
     if method in _FIXED:
-        t2, y2, quad = _FIXED[method](field, t, y, h)
+        t2, y2, quad = _FIXED[method](field, t, y, h, first)
         return t2, y2, quad, h, 0
     if method != "dopri5":
         raise ValueError(f"unknown method {method!r}")
@@ -107,7 +112,10 @@ def advance(field, t, y, h, method, rtol, atol, min_step, max_step):
         if h < min_step:
             raise StepFailureError(f"step size {h:.3g} fell below {min_step:.3g}")
         try:
-            ok, t2, y2, err, quad = dopri_step(field, t, y, h, rtol, atol)
+            if first is None:
+                first = field(t, y)
+            ok, t2, y2, err, quad = dopri_step(field, t, y, h, rtol, atol,
+                                               first)
         except DomainError:
             h *= 0.5
             rejected += 1

@@ -11,6 +11,7 @@ Exit codes: 0 success; 2 invalid input; 3 degenerate geometry;
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -279,6 +280,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if not math.isfinite(args.alpha):
+        print(f"error: --alpha must be finite, got {args.alpha}", file=sys.stderr)
+        return EXIT_INVALID
     os.makedirs(args.out, exist_ok=True)
     try:
         return args.fn(args)

@@ -229,19 +229,25 @@ class FlowTrace:
 # -- vector fields ------------------------------------------------------------
 
 
+def _point(c, r):
+    """A 2-d flow's evaluated point at checked radii r: (r, theta, K), the
+    radii with their inner angles and angle defects."""
+    theta = _angles(c, r)
+    return r, theta, _defect_from_angles(c, theta)
+
+
 def _base_field(spec, c):
-    """The family's base field r -> (v, q): v the field and q = g . v the
-    rate of the Ricci potential along it, g = K - Rbar r^alpha the potential
-    gradient (q = 0 when energies are not recorded). One angle evaluation
-    gives both."""
+    """The family's base field at a point (r, theta, K) of _point, as (v, q):
+    v the field and q = g . v the rate of the Ricci potential along it,
+    g = K - Rbar r^alpha the potential gradient (q = 0 when energies are not
+    recorded)."""
     key = FAMILIES[spec.family].field
     if key is None:
         raise ValueError(f"family {spec.family!r} is not a 2-d flow")
     base, alpha, target = _BASE[key], spec.alpha, spec.target
 
-    def fn(r):
-        theta = _angles(c, r)
-        K = _defect_from_angles(c, theta)
+    def fn(point):
+        r, theta, K = point
         v = base(c, r, alpha, target, K, theta)
         if not spec.record_energies:
             return v, 0.0
@@ -252,7 +258,7 @@ def _base_field(spec, c):
 def vector_field(spec, c, r):
     """Right-hand side of the selected family as d(log r)/dt per vertex."""
     return (FAMILIES[spec.family].scale
-            * _base_field(spec, c)(check_metric(c, r))[0])
+            * _base_field(spec, c)(_point(c, check_metric(c, r)))[0])
 
 
 # -- residuals and conserved quantities ---------------------------------------
@@ -273,13 +279,13 @@ def constant_curvature_residual(c, r, alpha=2.0):
     """Scale-free deviation from constant alpha-curvature:
     max |R_a - R_av| * ||r||_a^a / (2 pi |chi| + 1)."""
     r = check_metric(c, r)
-    return _residual(c, r, alpha, None, _defect_from_angles(c, _angles(c, r)))
+    return _residual(c, r, alpha, None, _point(c, r)[2])
 
 
 def prescribed_residual(c, r, alpha, target):
     """max |K - Rbar r^alpha| in radians (scale invariant)."""
     r = check_metric(c, r)
-    return _residual(c, r, alpha, target, _defect_from_angles(c, _angles(c, r)))
+    return _residual(c, r, alpha, target, _point(c, r)[2])
 
 
 def _exponent(spec):
@@ -304,29 +310,34 @@ def _radii(u):
     return np.exp(u)
 
 
-def _stage(spec, base):
-    """The stepper's field u -> scale * base(e^u), for a base r -> (v, q)
-    returning the field and the potential's rate along it. A stage that
-    leaves the admissible region (a named degeneracy or a non-finite field)
-    raises DomainError, so the stepper retries smaller."""
+def _stage(spec, evaluate, base):
+    """The stepper's field u -> scale * base(evaluate(e^u)), and the same
+    field at a point already evaluated; evaluate maps radii to a point, base
+    maps a point to the field and the potential's rate along it, (v, q). A
+    stage that leaves the admissible region (a named degeneracy or a
+    non-finite field) raises DomainError, so the stepper retries smaller."""
     scale = FAMILIES[spec.family].scale
+
+    def at(point):
+        v, q = base(point)
+        if not (np.isfinite(q) and np.isfinite(v).all()):
+            raise DomainError("the field is not finite")
+        return scale * v, scale * q
 
     @np.errstate(all="ignore")
     def fn(t, u):
         try:
-            v, q = base(_radii(u))
+            point = evaluate(_radii(u))
         except (DegenerateTriangleError, DegenerateTetrahedronError) as exc:
             raise DomainError(str(exc)) from exc
-        if not (np.isfinite(q) and np.isfinite(v).all()):
-            raise DomainError("the field is not finite")
-        return scale * v, scale * q
-    return fn
+        return at(point)
+    return fn, np.errstate(all="ignore")(at)
 
 
 def step(spec, c, state):
     """One integrator step from a FlowState; adaptive methods retry until the
     local error estimate passes. Raises StepFailureError below min_step."""
-    fn = _stage(spec, _base_field(spec, c))
+    fn, _ = _stage(spec, lambda r: _point(c, r), _base_field(spec, c))
     u = np.log(check_metric(c, state.r))
     t2, u2, _, h_next, _ = advance(fn, state.t, u, state.h, spec.method,
                                    spec.rtol, spec.atol, spec.min_step,
@@ -334,10 +345,12 @@ def step(spec, c, state):
     return FlowState(t2, np.exp(u2), h_next)
 
 
-# field(r): base field and potential rate (v, q); sample(t, u, F): trace row
-# (t, r, R, conserved, F, C, residual) given the integral F of q; guard: a
-# run leaving the radius bounds diverged; classify(r, t, relax): singularity
-_Flow = namedtuple("_Flow", "field sample guard classify")
+# evaluate(r): the point of radii r, all the field and the sample read;
+# field(point): base field and potential rate (v, q); sample(t, point, F):
+# trace row (t, r, R, conserved, F, C, residual) given the integral F of q;
+# guard: a run leaving the radius bounds diverged; classify(r, t, relax):
+# singularity
+_Flow = namedtuple("_Flow", "evaluate field sample guard classify")
 R_MIN_GUARD, R_MAX_GUARD = 1e-8, 1e8
 
 
@@ -349,14 +362,17 @@ def _integrate(spec, c, r0, flow):
     since its gradient sums to zero (Gauss-Bonnet). Stops on the first of:
     converged (residual below spec.eps), a classified singularity, max_time,
     max_steps, stepped_out_of_domain (no step above min_step), diverged.
+    Each accepted point is evaluated once: its sample and the first stage of
+    the next step share it.
     """
-    fn = _stage(spec, flow.field)
+    fn, at = _stage(spec, flow.evaluate, flow.field)
     p = _exponent(spec)
     u = np.log(r0)
     ref = _log_measure(p, u)
     t, h = 0.0, min(spec.initial_step, spec.resolved_max_step())
     f = 0.0
-    rows = [flow.sample(t, u, f)]
+    point = flow.evaluate(np.exp(u))
+    rows = [flow.sample(t, point, f)]
     termination = singularity = None
     n_steps = n_rejected = 0
     while True:
@@ -376,8 +392,11 @@ def _integrate(spec, c, r0, flow):
         try:
             t, u, df, h, rej = advance(fn, t, u, min(h, spec.t_max - t),
                                       spec.method, spec.rtol, spec.atol,
-                                      spec.min_step, spec.resolved_max_step())
-        except StepFailureError:
+                                      spec.min_step, spec.resolved_max_step(),
+                                      at(point))
+        except (DomainError, StepFailureError):
+            # DomainError: the field is not finite at the point itself, so
+            # no step of any size leaves it
             if flow.classify is not None:
                 singularity = flow.classify(np.exp(u), t, relax=1e3)
             termination = "stepped_out_of_domain"
@@ -389,7 +408,8 @@ def _integrate(spec, c, r0, flow):
             # shift along the constant vector to restore the conserved quantity
             cur = _log_measure(p, u)
             u = u + (np.log(ref / cur) / p if p else (ref - cur) / len(u))
-        rows.append(flow.sample(t, u, f))
+        point = flow.evaluate(np.exp(u))
+        rows.append(flow.sample(t, point, f))
         r_now = rows[-1][1]
         if flow.guard and (np.min(r_now) < R_MIN_GUARD
                            or np.max(r_now) > R_MAX_GUARD):
@@ -418,9 +438,8 @@ def run(spec, c, r0):
         raise ValueError(f"target has shape {target.shape}, expected {r0.shape}")
     p = _exponent(spec)
 
-    def sample(t, u, F):
-        r = np.exp(u)
-        K = _defect_from_angles(c, _angles(c, r))
+    def sample(t, point, F):
+        r, _, K = point
         if p is None:
             conserved = math.nan
         elif p:
@@ -435,8 +454,9 @@ def run(spec, c, r0):
         return (t, r, K / r ** spec.alpha, conserved, F, C,
                 _residual(c, r, spec.alpha, target, K))
 
-    return _integrate(spec, c, r0,
-                      _Flow(_base_field(spec, c), sample, True, None))
+    return _integrate(spec, c, r0, _Flow(lambda r: _point(c, r),
+                                         _base_field(spec, c), sample, True,
+                                         None))
 
 
 # -- maximum-principle envelopes ----------------------------------------------
@@ -598,9 +618,7 @@ def _projected_cg(apply, b, m_inv, max_iter):
 def _newton_point(c, u, alpha):
     """(r, theta, K, g) at u = log r: the radii, their inner angles, angle
     defects and potential gradient, from one angle evaluation."""
-    r = _radii(u)
-    theta = _angles(c, r)
-    K = _defect_from_angles(c, theta)
+    r, theta, K = _point(c, _radii(u))
     return r, theta, K, _potential_gradient(c, r, K, alpha, None)
 
 

@@ -6,11 +6,19 @@ its Q factor (sum 1/r)^2 - 2 sum 1/r^2 is positive. Public functions check
 their radii; _state, on checked radii, raises DegenerateTetrahedronError
 unless every Q is positive and every solid angle finite.
 
-Solid angles take one pass over a constant face-angle table: the 12 face
-angles of every tetrahedron by the law of cosines, from them the dihedral
-angles by the spherical law of cosines, and at each vertex the sum of its
-three dihedral angles minus pi. An independent triple-product formula on
-embedded coordinates is available through tet_geometry for cross-checking.
+Solid angles are in closed form. With edge lengths r_i + r_j the volume of
+a tetrahedron satisfies 9 V^2 = (r_1 r_2 r_3 r_4)^2 Q, and the face angle at
+vertex p between the edges to a and b has cosine 1 - 2 t_a t_b, where
+t_o = r_o / (r_p + r_o). The van Oosterom-Strackee triple-product formula
+then gives the solid angle at p with one atan2:
+
+    Omega_p = 2 atan2(r_p t_a t_b t_c sqrt(Q), 2 - (t_a t_b + t_a t_c + t_b t_c)).
+
+r_p sqrt(Q) is scale free, so it is evaluated on the radii divided by the
+tetrahedron's smallest. Their inverses lie in (0, 1], so at no scale of the
+radii does Q overflow or lose its digits to underflow. The same triple
+product on embedded coordinates is available through tet_geometry for
+cross-checking.
 """
 
 import math
@@ -29,13 +37,8 @@ Q_SAFETY_MARGIN = 1e-6
 SING_RADIUS = 1e-6
 SING_Q = 1e-8
 
-# face angle [p, m] lies at tet column p between the edges to columns
-# _FACE_A[p, m] and _FACE_B[p, m], the pairs (1, 2), (0, 2), (0, 1) of _OTHERS[p]
+# the three other columns of each tet column p
 _OTHERS = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
-_FACE_A = _OTHERS[:, [1, 0, 0]]
-_FACE_B = _OTHERS[:, [2, 2, 1]]
-# the other two face angles at the same column, in cyclic order
-_NEXT, _LAST = [1, 2, 0], [2, 0, 1]
 
 
 def q_factor(r_i, r_j=None, r_k=None, r_l=None):
@@ -61,26 +64,25 @@ def tet_q_factors(c, r):
 @np.errstate(all="ignore")
 def _solid_angles_from_radii(rt):
     """Solid angles, shape (T, 4), for per-tet radii rt of shape (T, 4);
-    raises DegenerateTetrahedronError at the row of least Q unless all Q > 0,
-    and when a solid angle is NaN."""
-    q = q_factor(rt)
-    if not np.all(q > 0.0):
+    raises DegenerateTetrahedronError at the row of least Q unless every Q
+    is positive, and when a solid angle is not finite."""
+    rho = rt / rt.min(axis=1, keepdims=True)
+    q = q_factor(rho)  # Q r_min^2 <= 16: the inverse radii lie in (0, 1]
+    if not q.min() > 0.0:  # NaN-safe
         bad = int(np.argmin(q))
         raise DegenerateTetrahedronError(
-            f"tetrahedron {bad} has Q = {q[bad]:.6g} <= 0", tet_index=bad)
-    cols = rt.T
-    rp, ra, rb = cols[:, np.newaxis], cols[_FACE_A], cols[_FACE_B]
-    lpa, lpb, lab = rp + ra, rp + rb, ra + rb
-    arg = (lpa ** 2 + lpb ** 2 - lab ** 2) / (2.0 * lpa * lpb)
-    gam = np.arccos(np.clip(arg, -1.0, 1.0))
-    cos, sin = np.cos(gam), np.sin(gam)
-    # dihedral angle along the edge opposite each face angle
-    arg = (cos - cos[:, _NEXT] * cos[:, _LAST]) / (sin[:, _NEXT] * sin[:, _LAST])
-    dih = np.arccos(np.clip(arg, -1.0, 1.0))
-    ang = (-np.pi + dih[:, 0] + dih[:, 1] + dih[:, 2]).T
-    if not np.all(np.isfinite(ang)):
-        raise DegenerateTetrahedronError("a solid angle is NaN")
-    return ang
+            f"tetrahedron {bad} is not realizable: Q = {q_factor(rt[bad]):.6g}",
+            tet_index=bad)
+    cols = rho.T
+    ro = cols[_OTHERS]
+    t = ro / (cols[:, np.newaxis] + ro)
+    ta, tb, tc = t[:, 0], t[:, 1], t[:, 2]
+    tab = ta * tb
+    ang = 2.0 * np.arctan2(cols * (tab * tc) * np.sqrt(q),
+                           2.0 - (tab + tc * (ta + tb)))
+    if not math.isfinite(ang.sum()):  # a radius ratio past the float range
+        raise DegenerateTetrahedronError("a solid angle is not finite")
+    return ang.T
 
 
 def solid_angles(c, r):
@@ -135,7 +137,8 @@ def cayley_menger(l):
 
 def solid_angle_at_origin(a, b, c):
     """Triple-product (van Oosterom-Strackee) solid angle for direction
-    vectors a, b, c. Independent oracle for the spherical-excess path."""
+    vectors a, b, c. On embedded coordinates it is an independent oracle
+    for the closed form from radii."""
     na, nb, nc = (np.linalg.norm(v) for v in (a, b, c))
     num = abs(np.dot(a, np.cross(b, c)))
     den = na * nb * nc + np.dot(a, b) * nc + np.dot(a, c) * nb + np.dot(b, c) * na
@@ -146,8 +149,8 @@ def solid_angle_at_origin(a, b, c):
 class TetGeometry:
     """Full geometry of one conformal tetrahedron.
 
-    Construction validates that the spherical-excess angles agree with the
-    coordinate-based oracle to 1e-9.
+    Construction validates that the closed-form angles from the radii agree
+    with the triple product on embedded coordinates to 1e-9.
     """
 
     radii: np.ndarray
@@ -210,8 +213,8 @@ def yamabe_state(c, r):
 def _state(c, r):
     """The YamabeState of radii r that passed check_metric."""
     ang = _solid_angles_from_radii(r[c.tet_array])
-    K = np.full(c.vertex_count, 4.0 * np.pi)
-    np.subtract.at(K, c.tet_array.ravel(), ang.ravel())
+    K = 4.0 * np.pi - np.bincount(c.tet_array.ravel(), ang.ravel(),
+                                  c.vertex_count)
     R = K / r ** 2
     total = float(K @ r)
     vol = np.sum(r ** 3)  # numpy: 0 gives inf, not ZeroDivisionError
@@ -313,16 +316,13 @@ def yamabe_flow(c, r0, spec=None):
     c.require_valid()
     r0 = check_metric(c, r0)
 
-    def field(r):
-        st = _state(c, r)
+    def field(st):
         return st.average - st.curvature, 0.0
 
-    def sample(t, u, _):
+    def sample(t, st, _):
         # the potential column is the closed-form total curvature
-        r = np.exp(u)
-        st = _state(c, r)
-        return (t, r, st.curvature, st.volume, st.total, _dissipation(st),
-                _residual(st))
+        return (t, st.radii, st.curvature, st.volume, st.total,
+                _dissipation(st), _residual(st))
 
     def classify(r, t_now, relax=1.0):
         scale = float(np.sum(r ** 3)) ** (1.0 / 3.0)
@@ -336,7 +336,8 @@ def yamabe_flow(c, r0, spec=None):
                     "q": float(np.min(q)), "time": float(t_now)}
         return None
 
-    return _integrate(spec, c, r0, _Flow(field, sample, False, classify))
+    return _integrate(spec, c, r0, _Flow(lambda r: _state(c, r), field,
+                                         sample, False, classify))
 
 
 # -- Yamabe invariant upper bound -----------------------------------------------

@@ -276,6 +276,14 @@ def test_flow_prescribed_runaway_radii_writes_outputs(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["check", "--condition", "metric", "--mesh", "octahedron"],
     ["curvature", "--mesh", "octahedron"],
+    # commands that read no alpha once ran and exited 0
+    ["curvature", "--mesh", "cell5"],
+    ["check", "--condition", "y", "--mesh", "octahedron"],
+    ["check", "--condition", "thurston", "--mesh", "octahedron"],
+    ["check", "--condition", "sphere", "--mesh", "octahedron"],
+    ["spectrum", "--mesh", "octahedron"],
+    ["spectrum", "--mesh", "cell5"],
+    ["solve", "--mesh", "cell5", "--starts", "1"],
 ])
 def test_non_finite_alpha_exit2(tmp_path, argv):
     # NaN alpha once gave "violated" with NaN margins (invalid JSON) or a

@@ -37,19 +37,20 @@ def log_radii(draw, n):
 
 
 def _stage(c, family, alpha):
-    """The stepper's field of a family on c; in 3-d the field yamabe_flow
-    hands to the driver."""
+    """The stepper's field of a family on c; in 3-d that of the flow
+    yamabe_flow hands to the driver."""
     if c.dim == 3:
         spec = packing3d.default_yamabe_spec()
         with mock.patch.object(packing3d, "_integrate",
-                               lambda spec, c, r0, flow: flow.field):
-            field = packing3d.yamabe_flow(c, np.ones(c.vertex_count), spec)
-        return flows2d._stage(spec, field)
+                               lambda spec, c, r0, flow: flow):
+            flow = packing3d.yamabe_flow(c, np.ones(c.vertex_count), spec)
+        return flows2d._stage(spec, flow.evaluate, flow.field)[0]
     row = FAMILIES[family]
     spec = FlowSpec(family, alpha=alpha if row.alpha is None else row.alpha,
                     target=(np.linspace(-1.0, 1.0, c.vertex_count)
                             if row.prescribed else None))
-    return flows2d._stage(spec, flows2d._base_field(spec, c))
+    return flows2d._stage(spec, lambda r: flows2d._point(c, r),
+                          flows2d._base_field(spec, c))[0]
 
 
 @settings(max_examples=400, deadline=None, database=None)

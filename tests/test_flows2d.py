@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from scipy.optimize import brentq
 
 from conftest import (calabi_families, grid_torus, newton_direction_oracle,
                       random_metric)
-from packflows import data, flows2d, operators2d
+from packflows import data, flows2d, operators2d, packing2d, packing3d
 from packflows.cli import main
 from packflows.errors import (DegenerateTriangleError, NoConvergenceError,
                               NotApplicableError)
@@ -699,3 +701,33 @@ def test_calabi_runs_form_no_dense_matrix(monkeypatch, torus7):
         for family, alpha in calabi_families():
             trace = run(FlowSpec(family, alpha=alpha, max_steps=3), c, r0)
             assert trace.n_steps == 3, (family, alpha, trace.termination)
+
+
+def test_each_accepted_point_is_evaluated_once(monkeypatch, torus7, torus3):
+    """The sample of an accepted point and the first stage of the next step
+    share one evaluation, and every trial from that point reuses it: a run
+    makes 1 + 7 accepted + 6 rejected angle or solid-angle evaluations."""
+    calls = Counter()
+    state, angles = packing3d._state, packing2d._angles
+
+    def counted_state(c, r):
+        calls["evaluations"] += 1
+        return state(c, r)
+
+    def counted_angles(c, r):
+        calls["evaluations"] += 1
+        return angles(c, r)
+    monkeypatch.setattr(packing3d, "_state", counted_state)
+    for module in (packing2d, flows2d):
+        monkeypatch.setattr(module, "_angles", counted_angles)
+
+    rng = np.random.default_rng(0)
+    r2 = rng.uniform(0.8, 1.3, torus7.vertex_count)
+    r3 = rng.uniform(0.9, 1.1, torus3.vertex_count)
+    for driver in (lambda: run(FlowSpec("calabi", t_max=5.0), torus7, r2),
+                   lambda: packing3d.yamabe_flow(torus3, r3)):
+        calls.clear()
+        trace = driver()
+        assert trace.termination in ("max_time", "converged")
+        assert trace.n_rejected > 0
+        assert calls["evaluations"] == 1 + 7 * trace.n_steps + 6 * trace.n_rejected

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from packflows import data, packing3d
@@ -41,8 +41,9 @@ def test_regular_solid_angle_and_oracle():
 
 
 def test_solid_angles_match_coordinate_oracle():
-    # TetGeometry cross-checks the spherical-excess value against the
-    # triple-product formula at every vertex; exercise it on random radii
+    # TetGeometry cross-checks the closed form from radii against the
+    # triple-product formula on coordinates at every vertex; exercise it on
+    # random radii
     rng = np.random.default_rng(1)
     count = 0
     while count < 200:
@@ -64,8 +65,8 @@ def test_solid_angle_scale_invariance():
 
 
 def loop_solid_angles(rt):
-    """Per-vertex loop over the face angles: the reference for the
-    face-angle table, with the same arithmetic in the same order."""
+    """Per-vertex loop over the face angles and the spherical excess of the
+    dihedral angles: an independent reference for the closed form."""
     others = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
     out = np.empty_like(rt)
     for p, o in enumerate(others):
@@ -88,16 +89,16 @@ def loop_solid_angles(rt):
 @given(mesh_name=st.sampled_from(["cell5", "cell16", "torus3_27"]),
        draw=st.data())
 def test_solid_angles_match_oracle_on_complexes(mesh_name, draw):
-    # every row of the face-angle kernel against the triple-product formula
-    # on embedded coordinates and, bit for bit, against the per-vertex loop;
-    # the defect against the per-vertex sums
+    # every row of the closed-form kernel against the triple-product formula
+    # on embedded coordinates and against the per-vertex spherical-excess
+    # loop; the defect against the per-vertex sums
     c = data.load(mesh_name)
     n = c.vertex_count
     r = np.array(draw.draw(st.lists(st.floats(0.3, 3.0), min_size=n,
                                     max_size=n)))
     assume(np.min(tet_q_factors(c, r)) > 1e-3)
     ang = solid_angles(c, r)
-    assert np.array_equal(ang, loop_solid_angles(r[c.tet_array]))
+    assert np.abs(ang - loop_solid_angles(r[c.tet_array])).max() <= 1e-12
     sums = np.zeros(n)
     for t, tet in enumerate(c.tet_array):
         rt = r[tet]
@@ -117,12 +118,47 @@ def test_degenerate_tetrahedron_raises(cell5):
     with pytest.raises(DegenerateTetrahedronError) as info:
         solid_angles(cell5, r)
     assert info.value.tet_index == np.argmin(tet_q_factors(cell5, r))
-    # NaN compares False with everything: a NaN radius and a solid angle
-    # that overflows to NaN (Q > 0 here) must still fail by name
+    # NaN compares False with everything: a NaN radius, a Q whose unscaled
+    # value is NaN, and a radius ratio past the float range within one
+    # tetrahedron (Q > 0, but the solid angles are NaN) must fail by name
     with pytest.raises(ValueError):
         tet_geometry([np.nan, 1.0, 1.0, 1.0])
-    with pytest.raises(DegenerateTetrahedronError):
-        solid_angles(cell5, [1e200, 1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(DegenerateTetrahedronError, match="Q = nan"):
+        solid_angles(cell5, [1e-200, 1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(DegenerateTetrahedronError, match="not finite"):
+        solid_angles(cell5, [1e300, 1e-10, 1e-10, 1e-10, 1e-10])
+
+
+def test_solid_angles_in_the_limit_of_one_huge_sphere(cell5):
+    # a vertex of radius 1e200 sees the three unit spheres at angle 0, and
+    # each of them sees a plane and two unit spheres at pi / 3
+    r = np.array([1e200, 1.0, 1.0, 1.0, 1.0])
+    ang = solid_angles(cell5, r)
+    rows = np.nonzero(cell5.tet_array == 0)
+    assert len(rows[0]) == 4
+    for t, col in zip(*rows):
+        expect = np.full(4, np.pi / 3)
+        expect[col] = 0.0
+        assert np.abs(ang[t] - expect).max() <= 1e-15
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(mesh_name=st.sampled_from(["cell5", "cell16", "torus3_27"]),
+       k=st.floats(-300.0, 300.0), seed=st.integers(0, 2 ** 32 - 1))
+# at these scales the unscaled Q of seed 0's cell5 radii overflows to +inf
+# in some tetrahedra, and is computed from subnormal terms
+@example(mesh_name="cell5", k=-153.36, seed=0)
+@example(mesh_name="cell5", k=160.0, seed=0)
+def test_solid_angles_are_scale_invariant(mesh_name, k, seed):
+    c = data.load(mesh_name)
+    r = np.random.default_rng(seed).uniform(0.3, 3.0, c.vertex_count)
+    assume(np.min(tet_q_factors(c, r)) > 1e-3)
+    unit = solid_angles(c, r)
+    try:
+        scaled = solid_angles(c, 10.0 ** k * r)
+    except DegenerateTetrahedronError:
+        return
+    assert np.abs(scaled - unit).max() <= 1e-12
 
 
 def test_cell5_defect(cell5):

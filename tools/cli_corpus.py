@@ -27,7 +27,9 @@ genus2_11 (alpha families at alpha = 0, 1 and 2, except alpha = 1
 alpha-calabi on the tetrahedron, which is too stiff for the explicit
 stepper), with a Newton solve at alpha = 2, 1, 0 and -1 and a spectrum on
 each of the three; flow, solve, spectrum and curvature on the three bundled
-3-manifolds; the cell5 flow into a removable singularity; and the four
+3-manifolds; curvature and a short flow on the 7 x 7 x 7 Freudenthal 3-torus
+(2058 tetrahedra, written to OUTDIR/meshes); the cell5 flow into a removable
+singularity; and the four
 admissibility conditions on octahedron, icosahedron, torus_7 and genus2_11,
 plus one run with the full per-subset table and one with a subsets file;
 and two regression runs: an icosahedron Newton solve whose line search
@@ -51,6 +53,7 @@ import numpy as np  # noqa: E402
 from packflows import data  # noqa: E402
 from packflows.flows2d import FAMILIES  # noqa: E402
 from packflows.packing2d import curvature  # noqa: E402
+from gen_meshes import torus3_freudenthal  # noqa: E402
 
 SURFACES = ("tetrahedron", "torus_7", "genus2_11")
 SOLIDS = ("cell5", "cell16", "torus3_27")
@@ -58,6 +61,7 @@ RANDOM = "0.8,1.3,1"
 SOLVE_ALPHAS = (2.0, 1.0, 0.0, -1.0)
 RANDOM_3D = "0.95,1.05,1"
 REMOVABLE_RADII = "1.383,0.759,0.37,0.328,1.683"
+LARGE_TORUS3 = 7  # the Freudenthal 3-torus of 7^3 vertices, 2058 tetrahedra
 CHECKED = ("octahedron", "icosahedron", "torus_7", "genus2_11")
 CONDITIONS = ("thurston", "y", "metric", "sphere")
 RANDOM_CHECK = "0.5,2,1"
@@ -108,6 +112,14 @@ def corpus(outdir):
         for cmd in ("spectrum", "curvature"):
             runs.append((f"{cmd}-{mesh}",
                          [cmd, "--mesh", mesh, "--random", RANDOM_3D]))
+    large = os.path.join(outdir, "meshes", f"torus3_{LARGE_TORUS3 ** 3}.json")
+    os.makedirs(os.path.dirname(large), exist_ok=True)
+    with open(large, "w") as fp:
+        json.dump(torus3_freudenthal(LARGE_TORUS3), fp)
+    runs.append(("curvature-torus3-large",
+                 ["curvature", "--mesh", large, "--random", RANDOM_3D]))
+    runs.append(("flow-torus3-large", ["flow", "--mesh", large, "--t-max",
+                                       "0.05", "--random", RANDOM_3D]))
     runs.append(("flow-cell5-removable", ["flow", "--mesh", "cell5",
                                           "--radii", REMOVABLE_RADII]))
     for mesh in CHECKED:
