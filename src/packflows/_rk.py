@@ -43,17 +43,17 @@ class DomainError(PackflowsError):
 
 def _dopri_stages(field, t, y, h, first):
     """The seven stage derivatives and the seven stage rates q, given the
-    first stage (dy/dt, q) at (t, y), or None to evaluate it."""
-    stages = [field(t, y) if first is None else first]
+    first stage (dy/dt, q) at (t, y)."""
+    stages = [first]
     for s in range(1, 7):
         ys = y + h * sum(a * ks for a, (ks, _) in zip(_A[s], stages))
         stages.append(field(t + _C[s] * h, ys))
     return zip(*stages)
 
 
-def dopri_step(field, t, y, h, rtol, atol, first=None):
+def dopri_step(field, t, y, h, rtol, atol, first):
     """One trial Dormand-Prince step of a field (t, y) -> (dy/dt, q), with
-    first the field's value at (t, y) when the caller already has it.
+    first the field's value at (t, y).
 
     Returns (accepted, t_new, y_new, err_norm, quad) with quad the fifth-order
     integral of q over the step. Raises DomainError through from the field.

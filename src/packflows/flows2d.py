@@ -312,10 +312,13 @@ def _radii(u):
 
 def _stage(spec, evaluate, base):
     """The stepper's field u -> scale * base(evaluate(e^u)), and the same
-    field at a point already evaluated; evaluate maps radii to a point, base
-    maps a point to the field and the potential's rate along it, (v, q). A
-    stage that leaves the admissible region (a named degeneracy or a
-    non-finite field) raises DomainError, so the stepper retries smaller."""
+    field at an accepted point already evaluated, the first stage of the next
+    step; evaluate maps radii to a point, base maps a point to the field and
+    the potential's rate along it, (v, q). A stage that leaves the admissible
+    region (a named degeneracy or a non-finite field) raises DomainError, so
+    the stepper retries smaller. A non-finite first stage raises
+    StepFailureError instead: no step of any size or method leaves its point.
+    """
     scale = FAMILIES[spec.family].scale
 
     def at(point):
@@ -331,7 +334,14 @@ def _stage(spec, evaluate, base):
         except (DegenerateTriangleError, DegenerateTetrahedronError) as exc:
             raise DomainError(str(exc)) from exc
         return at(point)
-    return fn, np.errstate(all="ignore")(at)
+
+    @np.errstate(all="ignore")
+    def first(point):
+        try:
+            return at(point)
+        except DomainError as exc:
+            raise StepFailureError(f"{exc} at an accepted point") from exc
+    return fn, first
 
 
 def step(spec, c, state):
@@ -365,7 +375,7 @@ def _integrate(spec, c, r0, flow):
     Each accepted point is evaluated once: its sample and the first stage of
     the next step share it.
     """
-    fn, at = _stage(spec, flow.evaluate, flow.field)
+    fn, first = _stage(spec, flow.evaluate, flow.field)
     p = _exponent(spec)
     u = np.log(r0)
     ref = _log_measure(p, u)
@@ -393,10 +403,8 @@ def _integrate(spec, c, r0, flow):
             t, u, df, h, rej = advance(fn, t, u, min(h, spec.t_max - t),
                                       spec.method, spec.rtol, spec.atol,
                                       spec.min_step, spec.resolved_max_step(),
-                                      at(point))
-        except (DomainError, StepFailureError):
-            # DomainError: the field is not finite at the point itself, so
-            # no step of any size leaves it
+                                      first(point))
+        except StepFailureError:
             if flow.classify is not None:
                 singularity = flow.classify(np.exp(u), t, relax=1e3)
             termination = "stepped_out_of_domain"

@@ -64,14 +64,15 @@ def tet_q_factors(c, r):
 @np.errstate(all="ignore")
 def _solid_angles_from_radii(rt):
     """Solid angles, shape (T, 4), for per-tet radii rt of shape (T, 4);
-    raises DegenerateTetrahedronError at the row of least Q unless every Q
-    is positive, and when a solid angle is not finite."""
+    raises DegenerateTetrahedronError unless every Q is positive, naming the
+    row of least scale-free factor Q r_min^2 (r_min the row's smallest
+    radius), and when a solid angle is not finite."""
     rho = rt / rt.min(axis=1, keepdims=True)
     q = q_factor(rho)  # Q r_min^2 <= 16: the inverse radii lie in (0, 1]
     if not q.min() > 0.0:  # NaN-safe
         bad = int(np.argmin(q))
         raise DegenerateTetrahedronError(
-            f"tetrahedron {bad} is not realizable: Q = {q_factor(rt[bad]):.6g}",
+            f"tetrahedron {bad} is not realizable: Q r_min^2 = {q[bad]:.6g}",
             tet_index=bad)
     cols = rho.T
     ro = cols[_OTHERS]

@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from conftest import (calabi_families, grid_torus, newton_direction_oracle,
                       random_metric)
 from packflows import data, flows2d, operators2d, packing2d, packing3d
+from packflows._rk import DomainError
 from packflows.cli import main
 from packflows.errors import (DegenerateTriangleError, NoConvergenceError,
                               NotApplicableError)
@@ -731,3 +732,34 @@ def test_each_accepted_point_is_evaluated_once(monkeypatch, torus7, torus3):
         assert trace.termination in ("max_time", "converged")
         assert trace.n_rejected > 0
         assert calls["evaluations"] == 1 + 7 * trace.n_steps + 6 * trace.n_rejected
+
+
+def test_a_field_that_is_not_finite_ends_the_run_or_the_trial(tetra):
+    """A non-finite field at an accepted point ends the run
+    stepped_out_of_domain for every method: it is the first stage of every
+    step, so no step leaves the point. In a later stage it is a failed trial
+    to dopri5, which retries smaller, and an error to the fixed-step methods.
+    """
+    r0 = np.ones(4)
+
+    def integrate(method, finite_at_start):
+        def field(point):
+            ok = finite_at_start and np.array_equal(point[0], r0)
+            return np.full(4, 1.0 if ok else np.nan), 0.0
+
+        def sample(t, point, F):
+            return t, point[0], 0.0, 0.0, F, 0.0, 1.0
+        flow = flows2d._Flow(lambda r: flows2d._point(tetra, r), field,
+                             sample, True, None)
+        spec = FlowSpec("ricci", method=method, t_max=1.0)
+        return flows2d._integrate(spec, tetra, r0, flow)
+
+    for method in ("dopri5", "rk4", "euler"):
+        trace = integrate(method, False)
+        assert (trace.termination, trace.n_steps) == ("stepped_out_of_domain", 0)
+    trace = integrate("dopri5", True)
+    assert (trace.termination, trace.n_steps) == ("stepped_out_of_domain", 0)
+    with pytest.raises(DomainError):
+        integrate("rk4", True)
+    trace = integrate("euler", True)
+    assert (trace.termination, trace.n_steps) == ("stepped_out_of_domain", 1)

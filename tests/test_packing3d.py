@@ -111,19 +111,28 @@ def test_solid_angles_match_oracle_on_complexes(mesh_name, draw):
     assert np.abs(solid_angle_defect(c, r) - (4 * np.pi - sums)).max() <= 1e-12
 
 
-def test_degenerate_tetrahedron_raises(cell5):
+def test_degenerate_tetrahedron_raises(cell5, cell16):
     with pytest.raises(DegenerateTetrahedronError):
         tet_geometry([1.0, 1.0, 1.0, 0.1])
     r = np.array([1.0, 1.0, 1.0, 1.0, 0.1])
     with pytest.raises(DegenerateTetrahedronError) as info:
         solid_angles(cell5, r)
     assert info.value.tet_index == np.argmin(tet_q_factors(cell5, r))
+    # the error names the row of least scale-free factor Q r_min^2, which is
+    # not the row of least Q when the bad rows differ in scale
+    r = np.array([0.1, 3.0, 0.3, 0.3, 3.0, 3.0, 10.0, 0.3])
+    scaled = tet_q_factors(cell16, r) * r[cell16.tet_array].min(axis=1) ** 2
+    assert np.argmin(tet_q_factors(cell16, r)) != np.argmin(scaled)
+    with pytest.raises(DegenerateTetrahedronError,
+                       match=f"Q r_min\\^2 = {scaled.min():.6g}") as info:
+        solid_angles(cell16, r)
+    assert info.value.tet_index == np.argmin(scaled)
     # NaN compares False with everything: a NaN radius, a Q whose unscaled
     # value is NaN, and a radius ratio past the float range within one
     # tetrahedron (Q > 0, but the solid angles are NaN) must fail by name
     with pytest.raises(ValueError):
         tet_geometry([np.nan, 1.0, 1.0, 1.0])
-    with pytest.raises(DegenerateTetrahedronError, match="Q = nan"):
+    with pytest.raises(DegenerateTetrahedronError, match="Q r_min\\^2 = -1"):
         solid_angles(cell5, [1e-200, 1.0, 1.0, 1.0, 1.0])
     with pytest.raises(DegenerateTetrahedronError, match="not finite"):
         solid_angles(cell5, [1e300, 1e-10, 1e-10, 1e-10, 1e-10])
