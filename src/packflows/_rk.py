@@ -11,6 +11,14 @@ a scalar rate. Each step also returns the integral of q over the step under
 the method's own weights: a quadrature carried along with the ODE (Hairer,
 Norsett, Wanner, Solving ODEs I, II.4-5). q never enters the error norm, so
 it does not change the steps taken.
+
+A Dormand-Prince trial is table driven: its seven stages fill the rows of a
+(7, N) array k, and its rates a (7,) array q. Stage s is evaluated at
+y + h * sum_j A[s, j] k_j over the first s rows, and the fifth- and
+fourth-order solutions are y + h * sum_j b_j k_j over all seven rows, the
+zero coefficients included. Each sum is one np.add.reduce over the stage
+axis from 0.0: it adds its at most seven terms in order, so a trial is bit
+for bit the term-by-term sum of the textbook formula.
 """
 
 import numpy as np
@@ -19,18 +27,20 @@ from .errors import PackflowsError, StepFailureError
 
 # Dormand-Prince coefficients
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+# (stage s reads the row _A[s, :s])
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
+])
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                 187 / 2100, 1 / 40])
+_B = np.array([_B5, _B4])
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
@@ -42,13 +52,17 @@ class DomainError(PackflowsError):
 
 
 def _dopri_stages(field, t, y, h, first):
-    """The seven stage derivatives and the seven stage rates q, given the
-    first stage (dy/dt, q) at (t, y)."""
-    stages = [first]
+    """The seven stage derivatives as the rows of a (7, N) array k and the
+    seven stage rates as a (7,) array q, given the first stage (dy/dt, q)
+    at (t, y)."""
+    k = np.empty((7, len(y)))
+    q = np.empty(7)
+    k[0], q[0] = first
     for s in range(1, 7):
-        ys = y + h * sum(a * ks for a, (ks, _) in zip(_A[s], stages))
-        stages.append(field(t + _C[s] * h, ys))
-    return zip(*stages)
+        ys = y + h * np.add.reduce(_A[s, :s, None] * k[:s], axis=0,
+                                   initial=0.0)
+        k[s], q[s] = field(t + _C[s] * h, ys)
+    return k, q
 
 
 def dopri_step(field, t, y, h, rtol, atol, first):
@@ -59,8 +73,7 @@ def dopri_step(field, t, y, h, rtol, atol, first):
     integral of q over the step. Raises DomainError through from the field.
     """
     k, q = _dopri_stages(field, t, y, h, first)
-    y5 = y + h * sum(b * ks for b, ks in zip(_B5, k))
-    y4 = y + h * sum(b * ks for b, ks in zip(_B4, k))
+    y5, y4 = y + h * np.add.reduce(_B[:, :, None] * k, axis=1, initial=0.0)
     scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
     err = np.sqrt(np.mean(((y5 - y4) / scale) ** 2))
     return err <= 1.0, t + h, y5, err, h * float(_B5 @ q)

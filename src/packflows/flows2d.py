@@ -42,18 +42,19 @@ from .packing2d import (_angles, _defect_from_angles, average_curvature,
 
 # -- the family table ---------------------------------------------------------
 
-# base fields of the alpha families from the inner angles theta of r and
-# their angle defects K, (c, r, alpha, target, K, theta) -> d(log r)/dt; the
-# Calabi rows apply the edge-weight Jacobian of theta, an O(E) matvec
+# base fields of the alpha families from the inner angles theta of r, their
+# squared sides L and their angle defects K,
+# (c, r, alpha, target, K, theta, L) -> d(log r)/dt; the Calabi rows apply
+# the edge-weight Jacobian of theta and L, an O(E) matvec
 _BASE = {
-    "ricci": lambda c, r, a, target, K, theta: -(K / r ** a),
-    "ricci_normalized": lambda c, r, a, target, K, theta: (
+    "ricci": lambda c, r, a, target, K, theta, L: -(K / r ** a),
+    "ricci_normalized": lambda c, r, a, target, K, theta, L: (
         average_curvature(c, r, a) - K / r ** a),
-    "prescribed": lambda c, r, a, target, K, theta: target - K / r ** a,
-    "calabi": lambda c, r, a, target, K, theta: -_edge_apply(
-        c, _edge_weights(c, r, theta), K / r ** a) / r ** a,
-    "calabi_modified": lambda c, r, a, target, K, theta: -_hessian_apply(
-        c, r, _edge_weights(c, r, theta), a, target,
+    "prescribed": lambda c, r, a, target, K, theta, L: target - K / r ** a,
+    "calabi": lambda c, r, a, target, K, theta, L: -_edge_apply(
+        c, _edge_weights(c, r, theta, L), K / r ** a) / r ** a,
+    "calabi_modified": lambda c, r, a, target, K, theta, L: -_hessian_apply(
+        c, r, _edge_weights(c, r, theta, L), a, target,
         _potential_gradient(c, r, K, a, target)),
 }
 
@@ -230,15 +231,15 @@ class FlowTrace:
 
 
 def _point(c, r):
-    """A 2-d flow's evaluated point at checked radii r: (r, theta, K), the
-    radii with their inner angles and angle defects."""
-    theta = _angles(c, r)
-    return r, theta, _defect_from_angles(c, theta)
+    """A 2-d flow's evaluated point at checked radii r: (r, theta, L, K), the
+    radii with their inner angles, squared sides and angle defects."""
+    theta, L = _angles(c, r)
+    return r, theta, L, _defect_from_angles(c, theta)
 
 
 def _base_field(spec, c):
-    """The family's base field at a point (r, theta, K) of _point, as (v, q):
-    v the field and q = g . v the rate of the Ricci potential along it,
+    """The family's base field at a point (r, theta, L, K) of _point, as
+    (v, q): v the field and q = g . v the rate of the Ricci potential along it,
     g = K - Rbar r^alpha the potential gradient (q = 0 when energies are not
     recorded)."""
     key = FAMILIES[spec.family].field
@@ -247,8 +248,8 @@ def _base_field(spec, c):
     base, alpha, target = _BASE[key], spec.alpha, spec.target
 
     def fn(point):
-        r, theta, K = point
-        v = base(c, r, alpha, target, K, theta)
+        r, theta, L, K = point
+        v = base(c, r, alpha, target, K, theta, L)
         if not spec.record_energies:
             return v, 0.0
         return v, float(_potential_gradient(c, r, K, alpha, target) @ v)
@@ -279,13 +280,13 @@ def constant_curvature_residual(c, r, alpha=2.0):
     """Scale-free deviation from constant alpha-curvature:
     max |R_a - R_av| * ||r||_a^a / (2 pi |chi| + 1)."""
     r = check_metric(c, r)
-    return _residual(c, r, alpha, None, _point(c, r)[2])
+    return _residual(c, r, alpha, None, _point(c, r)[3])
 
 
 def prescribed_residual(c, r, alpha, target):
     """max |K - Rbar r^alpha| in radians (scale invariant)."""
     r = check_metric(c, r)
-    return _residual(c, r, alpha, target, _point(c, r)[2])
+    return _residual(c, r, alpha, target, _point(c, r)[3])
 
 
 def _exponent(spec):
@@ -447,7 +448,7 @@ def run(spec, c, r0):
     p = _exponent(spec)
 
     def sample(t, point, F):
-        r, _, K = point
+        r, _, _, K = point
         if p is None:
             conserved = math.nan
         elif p:
@@ -624,17 +625,19 @@ def _projected_cg(apply, b, m_inv, max_iter):
 
 
 def _newton_point(c, u, alpha):
-    """(r, theta, K, g) at u = log r: the radii, their inner angles, angle
-    defects and potential gradient, from one angle evaluation."""
-    r, theta, K = _point(c, _radii(u))
-    return r, theta, K, _potential_gradient(c, r, K, alpha, None)
+    """(r, theta, L, K, g) at u = log r: the radii, their inner angles,
+    squared sides, angle defects and potential gradient, from one angle
+    evaluation."""
+    r, theta, L, K = _point(c, _radii(u))
+    return r, theta, L, K, _potential_gradient(c, r, K, alpha, None)
 
 
-def _newton_direction(c, r, theta, alpha, g):
+def _newton_direction(c, r, theta, L, alpha, g):
     """The Newton step on the slice: -P g solved against the projected
     potential Hessian, applied through the edge weights of the inner angles
-    theta of r and preconditioned with the Jacobian's diagonal."""
-    w = _edge_weights(c, r, theta)
+    theta and squared sides L of r and preconditioned with the Jacobian's
+    diagonal."""
+    w = _edge_weights(c, r, theta, L)
     return _projected_cg(lambda v: _hessian_apply(c, r, w, alpha, None, v),
                          -g, 1.0 / _jacobian_diagonal(c, w),
                          10 * c.vertex_count)
@@ -670,12 +673,12 @@ def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
         raise ValueError(f"unknown method {method!r}")
     c.require_valid()
     u = np.log(check_metric(c, r0))
-    r, theta, K, g = _newton_point(c, u, alpha)
+    r, theta, L, K, g = _newton_point(c, u, alpha)
     for _ in range(max_iter):
         residual = _residual(c, r, alpha, None, K)
         if residual < eps:
             return r
-        d = _newton_direction(c, r, theta, alpha, g)
+        d = _newton_direction(c, r, theta, L, alpha, g)
         # backtracking on the gradient norm, with a floor so Newton can still
         # crawl through mildly indefinite regions
         lam = 1.0
@@ -687,9 +690,9 @@ def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
             except (DomainError, DegenerateTriangleError):
                 lam *= 0.5
                 continue
-            if np.linalg.norm(point[3]) <= (1.0 - 0.25 * lam) * g_norm or lam < 1e-4:
+            if np.linalg.norm(point[4]) <= (1.0 - 0.25 * lam) * g_norm or lam < 1e-4:
                 u = u_try
-                r, theta, K, g = point
+                r, theta, L, K, g = point
                 break
             lam *= 0.5
         else:

@@ -8,7 +8,9 @@ d/d(log r) = 2 d/d(log r^2). Every matrix-valued function takes an explicit
 
 The curvature Jacobian dK_i/d(log r_j) is symmetric, its rows sum to zero
 and it vanishes off the edges, so the edge weights w_ij = dK_i/d(log r_j)
-are the Jacobian: J f = sum_j w_ij (f_j - f_i). The Laplacians, the Calabi
+are the Jacobian: J f = sum_j w_ij (f_j - f_i). _edge_weights takes the
+inner angles and the squared sides that packing2d._angles returns together,
+so a point's squared sides are formed once. The Laplacians, the Calabi
 energy gradient, the Calabi flow fields and Newton's conjugate-gradient
 solve apply it as that O(E) matvec; the dense matrices of
 curvature_jacobian and potential_hessian are only assembled from the
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureFailureError, SpectralFailureError
-from .packing2d import (_angles, _defect_from_angles, average_curvature,
-                        check_metric, total_measure)
+from .packing2d import (_P, _Q, _angles, _defect_from_angles,
+                        average_curvature, check_metric, total_measure)
 
 KERNEL_TOL = 1e-9
 
@@ -44,19 +46,14 @@ class JacobianMatrix:
                 fp.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
-# columns of the two other vertices p, q of face column k (the ends of the
-# side k opposite vertex k)
-_P = [1, 2, 0]
-_Q = [2, 0, 1]
-
-
-def _edge_weights(c, r, theta):
+def _edge_weights(c, r, theta, L):
     """The curvature Jacobian as one weight per edge: w_e = dK_i/d(log r_j)
-    = dK_j/d(log r_i) for the edge e = {i, j}, from the inner angles theta of
-    the radii r.
+    = dK_j/d(log r_i) for the edge e = {i, j}, from the inner angles theta
+    and the squared sides L of the radii r, both as _angles returns them.
 
     In a face with sides s_m opposite its vertices and area A, the side k
-    joins the vertices p and q, and r_q moves the sides s_p and s_k:
+    joins the vertices p and q (the columns _P[k] and _Q[k]), and r_q moves
+    the sides s_p and s_k:
         dtheta_p/dr_q = dtheta_p/ds_p ds_p/dr_q + dtheta_p/ds_k ds_k/dr_q
     with dtheta_p/ds_p = s_p / 2A, dtheta_p/ds_k = -s_p cos(theta_q) / 2A,
     ds_p/dr_q = (r_q + r_k cos phi_p) / s_p, ds_k/dr_q = (r_q + r_p cos phi_k) / s_k.
@@ -66,10 +63,7 @@ def _edge_weights(c, r, theta):
                                - (L_p + L_k - L_q) (L_k + r_q^2 - r_p^2) / 2 L_k.
     Each face adds -r_q dtheta_p/dr_q to the weight of each of its sides.
     """
-    i, j = c.edge_array[:, 0], c.edge_array[:, 1]
-    rho = r * r
-    L = (rho[i] + rho[j] + 2.0 * r[i] * r[j] * c.cos_weights)[c.face_edge]
-    rho_f = rho[c.face_array]
+    rho_f = (r * r)[c.face_array]
     Lp, rho_q = L[:, _P], rho_f[:, _Q]
     four_area = 2.0 * np.sqrt(L[:, 1] * L[:, 2]) * np.sin(theta[:, 0])
     dth = ((Lp + rho_q - rho_f)
@@ -115,7 +109,7 @@ def curvature_jacobian(c, r, coord="log_r"):
     """
     r = check_metric(c, r)
     factor = _coord_factor(coord)
-    w = _edge_weights(c, r, _angles(c, r))
+    w = _edge_weights(c, r, *_angles(c, r))
     n = c.vertex_count
     i, j = c.edge_array[:, 0], c.edge_array[:, 1]
     diag = np.arange(n)
@@ -137,7 +131,7 @@ def laplacian(c, r, f):
 def alpha_laplacian(c, r, alpha, f):
     """Laplacian with measure r^alpha and log r coordinates."""
     r = check_metric(c, r)
-    w = _edge_weights(c, r, _angles(c, r))
+    w = _edge_weights(c, r, *_angles(c, r))
     return -_edge_apply(c, w, np.asarray(f, dtype=float)) / r ** alpha
 
 
@@ -180,7 +174,7 @@ def potential_gradient(c, r, alpha=2.0, target=None):
     gradient the residual of the constant-curvature problem.
     """
     r = check_metric(c, r)
-    return _potential_gradient(c, r, _defect_from_angles(c, _angles(c, r)),
+    return _potential_gradient(c, r, _defect_from_angles(c, _angles(c, r)[0]),
                                alpha, target)
 
 
@@ -288,7 +282,7 @@ def calabi_energy_gradient(c, r, alpha=2.0, target=None, coord="log_r"):
     A the potential Hessian in the same coordinate."""
     r = check_metric(c, r)
     factor = _coord_factor(coord)
-    theta = _angles(c, r)
+    theta, L = _angles(c, r)
     phi = _potential_gradient(c, r, _defect_from_angles(c, theta), alpha, target)
-    w = _edge_weights(c, r, theta)
+    w = _edge_weights(c, r, theta, L)
     return 2.0 * factor * _hessian_apply(c, r, w, alpha, target, phi)

@@ -3,8 +3,14 @@
 A metric is a plain array of positive radii, one per vertex. Curvatures come
 back as plain vectors; classical angle defects are in radians, the rescaled
 families carry units of radians per length^alpha. Public functions check
-their radii (check_metric); the flows call _angles on checked radii, which
-raises DegenerateTriangleError for a NaN or out-of-range cosine.
+their radii (check_metric); the flows, Newton and the operators call _angles
+on checked radii, which raises DegenerateTriangleError for a NaN or
+out-of-range cosine.
+
+_angles is one vectorised pass per point: the squared sides L of every face,
+then the law of cosines over all three corners at once. It returns L with
+the angles, so the edge weights of operators2d share the squared sides
+instead of forming them again.
 """
 
 from collections import namedtuple
@@ -19,6 +25,11 @@ from .mesh import euler_characteristic
 # past this margin is numeric corruption, not geometry.
 COS_MARGIN = 1e-9
 
+# columns of the two other vertices of face column m, the ends of the side
+# m opposite vertex m
+_P = np.array([1, 2, 0])
+_Q = np.array([2, 0, 1])
+
 
 def check_metric(c, r):
     r = np.asarray(r, dtype=float)
@@ -31,40 +42,44 @@ def check_metric(c, r):
 
 def edge_lengths(c, r):
     """l_ij = sqrt(r_i^2 + r_j^2 + 2 r_i r_j cos(phi_ij)) per edge."""
-    return _edge_lengths(c, check_metric(c, r))
+    return np.sqrt(_squared_lengths(c, check_metric(c, r)))
 
 
-def _edge_lengths(c, r):
+def _squared_lengths(c, r):
+    """l_ij^2 per edge, of radii r that passed check_metric."""
     i, j = c.edge_array[:, 0], c.edge_array[:, 1]
-    return np.sqrt(r[i] ** 2 + r[j] ** 2 + 2.0 * r[i] * r[j] * c.cos_weights)
+    return r[i] ** 2 + r[j] ** 2 + 2.0 * r[i] * r[j] * c.cos_weights
 
 
 @np.errstate(all="ignore")
 def _angles(c, r):
-    """Inner angles of radii r that passed check_metric, as an (F, 3) array
-    aligned with the columns of c.face_array."""
-    return _angles_from_sides(_edge_lengths(c, r)[c.face_edge])
+    """(theta, L) of radii r that passed check_metric: the inner angles as
+    an (F, 3) array aligned with the columns of c.face_array, and the
+    squared sides, L[:, m] the square of the side opposite column m."""
+    L = _squared_lengths(c, r)[c.face_edge]
+    return _angles_from_sides(np.sqrt(L)), L
 
 
 def _angles_from_sides(s):
-    """Law of cosines per face; s[:, m] is the side opposite vertex column m."""
-    out = np.empty_like(s)
-    for m in range(3):
-        b = s[:, (m + 1) % 3]
-        cc = s[:, (m + 2) % 3]
-        arg = (b * b + cc * cc - s[:, m] ** 2) / (2.0 * b * cc)
-        bad = ~(np.abs(arg) <= 1.0 + COS_MARGIN)
-        if np.any(bad):
-            raise DegenerateTriangleError(
-                f"cosine argument {arg[bad][0]:.6g} outside [-1, 1] in face "
-                f"row {int(np.nonzero(bad)[0][0])}")
-        out[:, m] = np.arccos(np.clip(arg, -1.0, 1.0))
-    return out
+    """Law of cosines on all three corners of every face at once; s[:, m]
+    is the side opposite vertex column m. A NaN or out-of-range cosine
+    raises DegenerateTriangleError naming the first column with a bad row
+    and that column's first bad row."""
+    b, cc = s[:, _P], s[:, _Q]
+    arg = (b * b + cc * cc - s ** 2) / (2.0 * b * cc)
+    ok = np.abs(arg) <= 1.0 + COS_MARGIN  # False for NaN
+    if not ok.all():
+        col = int(np.argmin(ok.all(axis=0)))
+        row = int(np.argmin(ok[:, col]))
+        raise DegenerateTriangleError(
+            f"cosine argument {arg[row, col]:.6g} outside [-1, 1] in face "
+            f"row {row}")
+    return np.arccos(np.clip(arg, -1.0, 1.0))
 
 
 def inner_angles(c, r):
     """Inner angles as an (F, 3) array aligned with the columns of c.face_array."""
-    return _angles(c, check_metric(c, r))
+    return _angles(c, check_metric(c, r))[0]
 
 
 def angle_defect(c, r):
@@ -88,7 +103,7 @@ def curvature(c, r, alpha=2.0):
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     r = check_metric(c, r)
-    return _defect_from_angles(c, _angles(c, r)) / r ** alpha
+    return _defect_from_angles(c, _angles(c, r)[0]) / r ** alpha
 
 
 def total_measure(r, alpha=2.0):

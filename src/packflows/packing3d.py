@@ -31,9 +31,11 @@ from .flows2d import FlowSpec, _Flow, _integrate
 from .operators2d import JacobianMatrix
 from .packing2d import check_metric
 
+# Q_SAFETY_MARGIN and SING_Q bound the scale-free factor Q r_min^2 of
+# _scale_free_q, which the kernel tests too: defect_jacobian refuses a metric
+# within the margin. Yamabe flow singularities: a volume-normalized radius
+# below SING_RADIUS is essential, a factor below SING_Q removable
 Q_SAFETY_MARGIN = 1e-6
-# Yamabe flow singularities: a volume-normalized radius below SING_RADIUS is
-# essential, a Q factor below SING_Q removable
 SING_RADIUS = 1e-6
 SING_Q = 1e-8
 
@@ -59,6 +61,12 @@ def tet_q_factors(c, r):
     """Q factor of every tetrahedron for the given metric."""
     r = check_metric(c, r)
     return q_factor(r[c.tet_array])
+
+
+def _scale_free_q(rt):
+    """Q r_min^2 per row of per-tet radii rt, r_min the row's smallest
+    radius: unchanged when the radii are scaled, and at most 16."""
+    return q_factor(rt / rt.min(axis=1, keepdims=True))
 
 
 @np.errstate(all="ignore")
@@ -237,14 +245,16 @@ def defect_jacobian(c, r, rel_step=1e-5):
 
     No closed form is available for the solid-angle derivatives; the result
     is validated by its structure (symmetry, positive semi-definiteness,
-    kernel along r). Refuses metrics within the safety margin of the
-    admissibility boundary.
+    kernel along r). Refuses metrics whose scale-free factor Q r_min^2 is
+    within the safety margin of the admissibility boundary.
     """
     c.require_valid()
     r = check_metric(c, r)
-    if np.min(q_factor(r[c.tet_array])) <= Q_SAFETY_MARGIN:
+    q_min = np.min(_scale_free_q(r[c.tet_array]))
+    if q_min <= Q_SAFETY_MARGIN:
         raise NearDegenerateError(
-            f"min Q factor within safety margin {Q_SAFETY_MARGIN}")
+            f"min Q r_min^2 = {q_min:.6g} within safety margin "
+            f"{Q_SAFETY_MARGIN}")
     n = c.vertex_count
 
     def column(j, h):
@@ -307,8 +317,9 @@ def yamabe_flow(c, r0, spec=None):
     The volume sum r_i^3 is conserved (projected after each step) and the
     total curvature is nonincreasing. Termination is encoded in the trace:
     converged, max_time, max_steps, or a singularity classified as essential
-    (a normalized radius collapsing) or removable (a Q factor collapsing with
-    radii bounded away from zero).
+    (a normalized radius collapsing) or removable (a scale-free factor
+    Q r_min^2 collapsing with radii bounded away from zero; the singularity
+    reports it as q).
     """
     if spec is None:
         spec = default_yamabe_spec()
@@ -331,7 +342,7 @@ def yamabe_flow(c, r0, spec=None):
         if np.min(rhat) < SING_RADIUS * relax:
             return {"type": "essential", "witness": int(np.argmin(rhat)),
                     "time": float(t_now)}
-        q = q_factor(r[c.tet_array])
+        q = _scale_free_q(r[c.tet_array])
         if np.min(q) < SING_Q * relax:
             return {"type": "removable", "witness": int(np.argmin(q)),
                     "q": float(np.min(q)), "time": float(t_now)}

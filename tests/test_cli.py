@@ -181,6 +181,23 @@ def test_spectrum_3d(tmp_path):
     assert all(w > -1e-6 for w in doc["eigenvalues"])
 
 
+def test_3d_thresholds_are_scale_free(tmp_path):
+    """The singularity watch and the Jacobian's safety margin compare the
+    scale-free Q r_min^2: a well-shaped cell5 metric of radius ~1e5 flows
+    (its flow is 1e10 times slower than at unit scale, so it ends at
+    t_max), and its spectrum at ~1e4 is computed."""
+    code = main(["flow", "--mesh", "cell5",
+                 "--radii", "1e5,1.1e5,0.9e5,1e5,1.05e5",
+                 "--out", str(tmp_path / "flow")])
+    summary = read_json(tmp_path / "flow" / "flow_summary.json")
+    assert (code, summary["termination"]) == (4, "max_time")
+    assert summary["steps"] > 0 and "singularity" not in summary
+    code = main(["spectrum", "--mesh", "cell5",
+                 "--radii", "1e4,1.1e4,0.9e4,1e4,1.05e4",
+                 "--out", str(tmp_path / "spectrum")])
+    assert code == 0
+
+
 def test_solve_second_root(tmp_path):
     code = main(["solve", "--mesh", "tetrahedron", "--start", "1,6,6,6",
                  "--out", str(tmp_path)])

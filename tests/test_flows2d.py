@@ -19,8 +19,7 @@ from packflows.flows2d import (FlowSpec, FlowState, constant_curvature_residual,
                                prescribed_residual, run, step, vector_field)
 from packflows.mesh import euler_characteristic
 from packflows.operators2d import curvature_jacobian, laplacian, potential_gradient
-from packflows.packing2d import (angle_defect, average_curvature, curvature,
-                                 inner_angles)
+from packflows.packing2d import angle_defect, average_curvature, curvature
 
 
 def second_root():
@@ -466,7 +465,7 @@ def test_cg_newton_direction_matches_dense_oracle(mesh_name, alpha, draw):
         # a jittered flat torus: radii within 5% of a common value
         r = np.exp(0.05 * (2.0 * (r - 0.5) / 1.5 - 1.0))
     oracle = newton_direction_oracle(c, r, alpha)
-    d = flows2d._newton_direction(c, r, inner_angles(c, r), alpha,
+    d = flows2d._newton_direction(c, r, *packing2d._angles(c, r), alpha,
                                   potential_gradient(c, r, alpha))
     assert abs(d.sum()) <= 1e-12 * np.abs(d).sum()
     # the floor covers equal radii, where g is constant up to rounding and

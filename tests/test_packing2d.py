@@ -2,12 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import random_metric
+from conftest import grid_torus, random_metric
+from packflows import data, packing2d
 from packflows.errors import DegenerateTriangleError
 from packflows.mesh import Surface2Complex, euler_characteristic
-from packflows.packing2d import (angle_defect, average_curvature, curvature,
-                                 curvature_averages, edge_lengths,
+from packflows.packing2d import (COS_MARGIN, angle_defect, average_curvature,
+                                 curvature, curvature_averages, edge_lengths,
                                  inner_angles, total_measure)
 
 # second constant-curvature ratio on the tetrahedron sphere, from the
@@ -207,3 +211,96 @@ def test_metric_validation(tetra):
         edge_lengths(tetra, np.array([1.0, np.nan, 1.0, 1.0]))
     with pytest.raises(ValueError, match="alpha"):
         curvature(tetra, np.ones(4), np.nan)
+
+
+# -- the vectorised angle kernel against the per-corner loop ------------------
+
+
+def loop_angles_from_sides(s):
+    """The law of cosines one corner column at a time: the oracle of the
+    vectorised kernel, with its error naming the first bad row of the first
+    bad column."""
+    out = np.empty_like(s)
+    for m in range(3):
+        b = s[:, (m + 1) % 3]
+        cc = s[:, (m + 2) % 3]
+        arg = (b * b + cc * cc - s[:, m] ** 2) / (2.0 * b * cc)
+        bad = ~(np.abs(arg) <= 1.0 + COS_MARGIN)
+        if np.any(bad):
+            raise DegenerateTriangleError(
+                f"cosine argument {arg[bad][0]:.6g} outside [-1, 1] in face "
+                f"row {int(np.nonzero(bad)[0][0])}")
+        out[:, m] = np.arccos(np.clip(arg, -1.0, 1.0))
+    return out
+
+
+ORACLE_SURFACES = {name: data.load(name) for name in
+                   ("tetrahedron", "octahedron", "icosahedron", "torus_7",
+                    "genus2_11")}
+ORACLE_SURFACES["grid_20x20"] = grid_torus(20, 20)
+
+
+def reweighted(c, weights):
+    """c with the edge weights replaced."""
+    edges = [(i, j, w) for (i, j), w in zip(c.edges, weights)]
+    return Surface2Complex(c.vertex_count, c.faces, edges=edges)
+
+
+def kernel_outcome(kernel, s):
+    """The angles, or the message of the DegenerateTriangleError."""
+    with np.errstate(all="ignore"):
+        try:
+            return kernel(s)
+        except DegenerateTriangleError as exc:
+            return str(exc)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(ORACLE_SURFACES)), draw=st.data())
+def test_angle_kernel_is_the_per_corner_loop_bit_for_bit(name, draw):
+    """Radii over ten orders of magnitude and weights in [0, pi/2]: the
+    angles equal the loop's bit for bit, and the squared sides returned
+    with them are the ones the edge weights formed before they shared
+    them."""
+    c = ORACLE_SURFACES[name]
+    u = draw.draw(arrays(float, c.vertex_count,
+                         elements=st.floats(-11.5, 11.5)))
+    w = draw.draw(arrays(float, len(c.edges),
+                         elements=st.floats(0.0, np.pi / 2)))
+    c = reweighted(c, w)
+    r = np.exp(u)
+    theta, L = packing2d._angles(c, r)
+    sides = edge_lengths(c, r)[c.face_edge]
+    assert np.array_equal(np.sqrt(L), sides)
+    i, j = c.edge_array[:, 0], c.edge_array[:, 1]
+    rho = r * r
+    assert np.array_equal(
+        L, (rho[i] + rho[j] + 2.0 * r[i] * r[j] * c.cos_weights)[c.face_edge])
+    assert np.array_equal(theta, kernel_outcome(loop_angles_from_sides, sides))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(ORACLE_SURFACES)), draw=st.data())
+def test_angle_kernel_names_the_loops_corrupt_corner(name, draw):
+    """Sides corrupted to NaN, inf, 0, an overflowing 1e300 or past the
+    triangle inequality, far ("long") or just enough to put only their own
+    corner past the margin when the other two sides are equal ("tight"):
+    both kernels raise, and name the same row and value."""
+    c = ORACLE_SURFACES[name]
+    rng = np.random.default_rng(draw.draw(st.integers(0, 2 ** 32 - 1)))
+    s = edge_lengths(c, random_metric(rng, c.vertex_count))[c.face_edge]
+    cells = draw.draw(st.lists(
+        st.tuples(st.integers(0, len(s) - 1), st.integers(0, 2),
+                  st.sampled_from(["nan", "inf", "zero", "huge", "long",
+                                   "tight"])),
+        min_size=1, max_size=6))
+    for row, col, kind in cells:
+        if kind == "tight":
+            s[row, (col + 2) % 3] = s[row, (col + 1) % 3]
+        others = s[row, (col + 1) % 3] + s[row, (col + 2) % 3]
+        s[row, col] = {"nan": np.nan, "inf": np.inf, "zero": 0.0,
+                       "huge": 1e300, "long": 1.5 * others,
+                       "tight": (1.0 + 5e-10) * others}[kind]
+    want = kernel_outcome(loop_angles_from_sides, s)
+    assert isinstance(want, str)
+    assert kernel_outcome(packing2d._angles_from_sides, s) == want

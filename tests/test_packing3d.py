@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -357,6 +359,33 @@ def test_flow_removable_singularity(cell5):
     # radii stayed away from zero: genuinely removable, not essential
     scale = np.sum(tr.radii[-1] ** 3) ** (1.0 / 3.0)
     assert tr.radii[-1].min() / scale > 1e-3
+
+
+def singularity_watch(c):
+    """The classify of the flow yamabe_flow hands to the driver."""
+    with mock.patch.object(packing3d, "_integrate",
+                           lambda spec, c, r0, flow: flow):
+        return yamabe_flow(c, np.ones(c.vertex_count)).classify
+
+
+@pytest.mark.parametrize("k", [-8, -3, 1, 4, 8])
+def test_singularity_watch_is_scale_free(cell5, k):
+    """The watch compares the scale-free Q r_min^2 and the volume-normalized
+    radii, so a metric and its multiple by 10^k get the same verdict: none,
+    removable (with the same reported factor) or essential."""
+    classify = singularity_watch(cell5)
+    eps_boundary = (2 * np.sqrt(3) - 3) / 3
+    metrics = [np.array([1.0, 1.1, 0.9, 1.0, 1.05]),
+               np.array([1.0, 1.0, 1.0, 1.0, eps_boundary * (1 + 1e-9)]),
+               np.array([1.0, 1.0, 1.0, 1.0, 1e-8])]
+    verdicts = [classify(r, 0.5) for r in metrics]
+    assert [v and v["type"] for v in verdicts] == [None, "removable",
+                                                   "essential"]
+    assert 0 < verdicts[1]["q"] < packing3d.SING_Q
+    for r, verdict in zip(metrics, verdicts):
+        assert classify(10.0 ** k * r, 0.5) == verdict
+        assert classify(10.0 ** k * r, 0.5, relax=1e3) == classify(
+            r, 0.5, relax=1e3)
 
 
 def test_flow_essential_classification_threshold(cell5, monkeypatch):

@@ -15,7 +15,8 @@ For each run it prints one of
     within R        same files, exit code, termination and step count, and
                     every numeric CSV and JSON field within R (the largest
                     relative difference is printed)
-    different       anything else (the first cause is printed)
+    different       anything else (the first cause is printed, then each
+                    side's exit code, termination and step count)
 
 and it exits 1 when any run is different. A difference is taken relative
 to the largest magnitude in its CSV column (over both runs), or of the two
@@ -229,6 +230,22 @@ def compare_run(dir_a, dir_b, rtol):
     return "within", f"{worst:.3g}"
 
 
+def _outcome(rundir):
+    """'exit E, TERMINATION, N steps' of a run directory ('-' for what it
+    does not hold)."""
+    def read(name):
+        try:
+            with open(os.path.join(rundir, name)) as fp:
+                return fp.read()
+        except OSError:
+            return None
+    code = (read("exit") or "-").strip()
+    summary = read("flow_summary.json")
+    doc = json.loads(summary) if summary else {}
+    return (f"exit {code}, {doc.get('termination', '-')}, "
+            f"{doc.get('steps', '-')} steps")
+
+
 def compare(dir_a, dir_b, rtol):
     """Print a verdict per run; the number of runs that are different."""
     names_a = {n for n in os.listdir(dir_a) if os.path.isfile(
@@ -245,6 +262,9 @@ def compare(dir_a, dir_b, rtol):
         counts[verdict] += 1
         label = f"within {rtol:g}" if verdict == "within" else verdict
         print(f"{name}: {label}" + (f" ({detail})" if detail else ""))
+        if verdict == "different":
+            for side in (dir_a, dir_b):
+                print(f"    {side}: {_outcome(os.path.join(side, name))}")
     print(", ".join(f"{k} {v}" for k, v in counts.items()))
     return counts["different"]
 
