@@ -95,6 +95,15 @@ class AdmissibilityReport:
         return doc
 
 
+def check_surface(c):
+    """c, checked to be a valid surface: the conditions are stated for surfaces."""
+    c.require_valid()
+    if c.dim != 2:
+        raise ValueError(f"the admissibility conditions are stated for "
+                         f"surfaces, not for a {c.dim}-complex")
+    return c
+
+
 def rhs_table(c, subsets=None, cap=SUBSET_ENUMERATION_CAP):
     """The subset table behind every condition: (subsets, rhs, indicator).
 
@@ -103,7 +112,7 @@ def rhs_table(c, subsets=None, cap=SUBSET_ENUMERATION_CAP):
     admissible-curvature space iff indicator @ x > rhs holds componentwise
     (plus the Gauss-Bonnet plane). Link terms are added in face order.
     """
-    c.require_valid()
+    check_surface(c)
     if subsets is None:
         rows = list(proper_subsets(c.vertex_count, cap))
     else:
@@ -141,18 +150,19 @@ def _masked_sum(ind, w):
 
 
 def _report(c, condition, lhs_fn, subsets, cap):
+    """The report of lhs_fn(indicator, 2 pi chi(M)) > rhs on the subset table."""
     rows, rhs, ind = rhs_table(c, subsets, cap)
+    lhs = lhs_fn(ind, 2.0 * np.pi * euler_characteristic(c))
     records = [SubsetRecord(I, lhs, r) for I, lhs, r
-               in zip(rows, lhs_fn(ind).tolist(), rhs.tolist())]
+               in zip(rows, lhs.tolist(), rhs.tolist())]
     return AdmissibilityReport(condition, records, subsets is None)
 
 
 def thurston_condition(c, subsets=None, cap=SUBSET_ENUMERATION_CAP):
     """Existence criterion for constant classical curvature:
     2 pi chi(M) |I| / |V| > rhs(I) for every nonempty proper I."""
-    gb = 2.0 * np.pi * euler_characteristic(c)
     n = c.vertex_count
-    return _report(c, "thurston", lambda ind: gb * ind.sum(axis=1) / n,
+    return _report(c, "thurston", lambda ind, gb: gb * ind.sum(axis=1) / n,
                    subsets, cap)
 
 
@@ -164,9 +174,9 @@ def y_membership(c, x, subsets=None, cap=SUBSET_ENUMERATION_CAP,
     if x.shape != (c.vertex_count,) or not np.all(np.isfinite(x)):
         raise ValueError(f"x must be a finite vector of shape "
                          f"({c.vertex_count},), got shape {x.shape}")
-    gb = 2.0 * np.pi * euler_characteristic(c)
-    report = _report(c, "y_membership", lambda ind: _masked_sum(ind, x),
+    report = _report(c, "y_membership", lambda ind, gb: _masked_sum(ind, x),
                      subsets, cap)
+    gb = 2.0 * np.pi * euler_characteristic(c)
     if abs(x.sum() - gb) > gb_tol:
         report.extra_failures = [
             f"Gauss-Bonnet plane: sum(x) = {x.sum():.12g} != {gb:.12g}"]
@@ -180,14 +190,13 @@ def metric_condition(c, r, alpha=2.0, subsets=None,
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     r = check_metric(c, r)
-    gb = 2.0 * np.pi * euler_characteristic(c)
     nrm = total_measure(r, alpha)
     return _report(c, f"metric_alpha_{alpha:g}",
-                   lambda ind: gb * _masked_sum(ind, r ** alpha) / nrm,
+                   lambda ind, gb: gb * _masked_sum(ind, r ** alpha) / nrm,
                    subsets, cap)
 
 
 def sphere_condition(c, subsets=None, cap=SUBSET_ENUMERATION_CAP):
     """rhs(I) < 0 for every nonempty proper I (hypothesis of the
     nonnegative-curvature existence theorems)."""
-    return _report(c, "sphere", lambda ind: np.zeros(len(ind)), subsets, cap)
+    return _report(c, "sphere", lambda ind, gb: np.zeros(len(ind)), subsets, cap)

@@ -163,7 +163,7 @@ def _read_subsets(path):
 
 
 def cmd_check(args):
-    c = _load_mesh(args)
+    c = admissibility.check_surface(_load_mesh(args))
     subsets = _read_subsets(args.subsets) if args.subsets else None
 
     if args.condition == "thurston":
@@ -193,7 +193,7 @@ def cmd_spectrum(args):
         eigenvalues, kernel_residual = operators2d.laplacian_spectrum(c, r)
     else:
         lam = packing3d.defect_jacobian(c, r).matrix
-        eigenvalues = np.linalg.eigvalsh(0.5 * (lam + lam.T))
+        eigenvalues = np.linalg.eigvalsh(lam)
         radius = max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
         kernel_residual = float(abs(eigenvalues[0]) / radius)
     _write_json({"eigenvalues": [float(w) for w in eigenvalues],

@@ -33,7 +33,8 @@ class DegenerateTetrahedronError(PackflowsError):
 
 
 class NearDegenerateError(PackflowsError):
-    """Metric too close to the admissibility boundary for finite differences."""
+    """Metric too close to the admissibility boundary for the curvature
+    Jacobian, whose entries grow like 1 / sqrt(Q r_min^2) toward it."""
 
 
 class SpectralFailureError(PackflowsError):

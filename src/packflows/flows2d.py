@@ -643,6 +643,13 @@ def _newton_direction(c, r, theta, L, alpha, g):
                          10 * c.vertex_count)
 
 
+def _check_positive_int(name, value):
+    """Raise ValueError unless value is an integer (not a bool) >= 1."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
                             max_iter=100):
     """Search for a constant alpha-curvature metric.
@@ -657,9 +664,7 @@ def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
         raise ValueError(f"alpha must be finite, got {alpha}")
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    if (isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral)
-            or max_iter < 1):
-        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
+    _check_positive_int("max_iter", max_iter)
     if method == "flow":
         spec = FlowSpec(family="alpha_ricci_normalized", alpha=alpha, eps=eps,
                         t_max=500.0)

@@ -239,7 +239,12 @@ class Manifold3Complex(_Complex):
         self.tet_array = np.array(self.tetrahedra, dtype=int).reshape(-1, 4)
         self.edge_array = np.array(self.edges, dtype=int).reshape(-1, 2)
         self._edge_index = {e: k for k, e in enumerate(self.edges)}
-        for arr in (self.tet_array, self.edge_array):
+        # tet_edge[t, k] = index of the edge of the k-th column pair, in the
+        # order (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+        self.tet_edge = np.array(
+            [[self._edge_index[e] for e in itertools.combinations(tet, 2)]
+             for tet in self.tetrahedra], dtype=int).reshape(-1, 6)
+        for arr in (self.tet_array, self.edge_array, self.tet_edge):
             arr.setflags(write=False)
 
     def degrees(self):

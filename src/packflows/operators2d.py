@@ -89,6 +89,18 @@ def _jacobian_diagonal(c, w):
     return -(np.bincount(i, w, n) + np.bincount(j, w, n))
 
 
+def _dense_jacobian(c, w, diag):
+    """The dense symmetric matrix with the edge values w off the diagonal and
+    diag on it (the edges are unique and loop-free: each entry is set once)."""
+    n = c.vertex_count
+    i, j = c.edge_array[:, 0], c.edge_array[:, 1]
+    mat = np.zeros((n, n))
+    mat[i, j] = w
+    mat[j, i] = w
+    mat[np.arange(n), np.arange(n)] = diag
+    return mat
+
+
 def _coord_factor(coord):
     """d/d(log r) = 2 d/d(log r^2): the factor from log r to coord."""
     if coord == "log_r":
@@ -104,19 +116,12 @@ def curvature_jacobian(c, r, coord="log_r"):
     coord="log_r" gives dK_i/d(log r_j); coord="log_r2" gives half of it.
     Symmetric, positive semi-definite, zero row sums, kernel the constant
     vector. Assembled from the edge weights: w off the diagonal, minus the
-    row sums on it (the edges are unique and have no loops, so each entry is
-    set once).
+    row sums on it.
     """
     r = check_metric(c, r)
     factor = _coord_factor(coord)
     w = _edge_weights(c, r, *_angles(c, r))
-    n = c.vertex_count
-    i, j = c.edge_array[:, 0], c.edge_array[:, 1]
-    diag = np.arange(n)
-    mat = np.zeros((n, n))
-    mat[i, j] = w
-    mat[j, i] = w
-    mat[diag, diag] = _jacobian_diagonal(c, w)
+    mat = _dense_jacobian(c, w, _jacobian_diagonal(c, w))
     mat *= factor
     return JacobianMatrix(mat, coord)
 

@@ -107,11 +107,13 @@ def curvature(c, r, alpha=2.0):
 
 
 def total_measure(r, alpha=2.0):
-    """Sum of r_i^alpha; by convention the vertex count when alpha = 0."""
+    """Sum of r_i^alpha; by convention the vertex count when alpha = 0. A
+    numpy float, so a sum that underflows to 0 divides to inf, not to a
+    ZeroDivisionError."""
     r = np.asarray(r, dtype=float)
     if alpha == 0.0:
         return float(len(r))
-    return float(np.sum(r ** alpha))
+    return np.sum(r ** alpha)
 
 
 CurvatureAverages = namedtuple("CurvatureAverages",

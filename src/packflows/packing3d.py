@@ -19,6 +19,9 @@ tetrahedron's smallest. Their inverses lie in (0, 1], so at no scale of the
 radii does Q overflow or lose its digits to underflow. The same triple
 product on embedded coordinates is available through tet_geometry for
 cross-checking.
+
+The Jacobian dK/dr is in closed form too: one symmetric weight per edge, as
+in two dimensions, from the same variables (_edge_weights3).
 """
 
 import math
@@ -27,12 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTetrahedronError, NearDegenerateError
-from .flows2d import FlowSpec, _Flow, _integrate
-from .operators2d import JacobianMatrix
+from .flows2d import FlowSpec, _Flow, _check_positive_int, _integrate
+from .operators2d import (JacobianMatrix, _dense_jacobian, _edge_apply,
+                          _jacobian_diagonal)
 from .packing2d import check_metric
 
 # Q_SAFETY_MARGIN and SING_Q bound the scale-free factor Q r_min^2 of
-# _scale_free_q, which the kernel tests too: defect_jacobian refuses a metric
+# _scale_free_q, which the kernel tests too: the Jacobian refuses a metric
 # within the margin. Yamabe flow singularities: a volume-normalized radius
 # below SING_RADIUS is essential, a factor below SING_Q removable
 Q_SAFETY_MARGIN = 1e-6
@@ -41,6 +45,8 @@ SING_Q = 1e-8
 
 # the three other columns of each tet column p
 _OTHERS = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
+# True where o = _OTHERS[p, k] > p: the pairs p < o in tet_edge's column order
+_PAIRS = _OTHERS > np.arange(4)[:, np.newaxis]
 
 
 def q_factor(r_i, r_j=None, r_k=None, r_l=None):
@@ -69,26 +75,34 @@ def _scale_free_q(rt):
     return q_factor(rt / rt.min(axis=1, keepdims=True))
 
 
+def _tet_terms(rt):
+    """(rho, q, t, N, D) of per-tet radii rt (T, 4), unchecked: the columns
+    rho of rt / r_min, q = Q r_min^2, t[p, k] = t_o for o = _OTHERS[p, k],
+    and Omega = 2 atan2(N, D)."""
+    rho = rt / rt.min(axis=1, keepdims=True)
+    q = q_factor(rho)  # Q r_min^2 <= 16: the inverse radii lie in (0, 1]
+    cols = rho.T
+    ro = cols[_OTHERS]
+    t = ro / (cols[:, np.newaxis] + ro)
+    ta, tb, tc = t[:, 0], t[:, 1], t[:, 2]
+    tab = ta * tb
+    return (cols, q, t, cols * (tab * tc) * np.sqrt(q),
+            2.0 - (tab + tc * (ta + tb)))
+
+
 @np.errstate(all="ignore")
 def _solid_angles_from_radii(rt):
     """Solid angles, shape (T, 4), for per-tet radii rt of shape (T, 4);
     raises DegenerateTetrahedronError unless every Q is positive, naming the
     row of least scale-free factor Q r_min^2 (r_min the row's smallest
     radius), and when a solid angle is not finite."""
-    rho = rt / rt.min(axis=1, keepdims=True)
-    q = q_factor(rho)  # Q r_min^2 <= 16: the inverse radii lie in (0, 1]
+    _, q, _, num, den = _tet_terms(rt)
     if not q.min() > 0.0:  # NaN-safe
         bad = int(np.argmin(q))
         raise DegenerateTetrahedronError(
             f"tetrahedron {bad} is not realizable: Q r_min^2 = {q[bad]:.6g}",
             tet_index=bad)
-    cols = rho.T
-    ro = cols[_OTHERS]
-    t = ro / (cols[:, np.newaxis] + ro)
-    ta, tb, tc = t[:, 0], t[:, 1], t[:, 2]
-    tab = ta * tb
-    ang = 2.0 * np.arctan2(cols * (tab * tc) * np.sqrt(q),
-                           2.0 - (tab + tc * (ta + tb)))
+    ang = 2.0 * np.arctan2(num, den)
     if not math.isfinite(ang.sum()):  # a radius ratio past the float range
         raise DegenerateTetrahedronError("a solid angle is not finite")
     return ang.T
@@ -240,52 +254,56 @@ def curvature_norm_bound(c, r):
 # -- Jacobian and Laplacian ----------------------------------------------------
 
 
-def defect_jacobian(c, r, rel_step=1e-5):
-    """dK_i/dr_j by central differences with one Richardson level.
-
-    No closed form is available for the solid-angle derivatives; the result
-    is validated by its structure (symmetry, positive semi-definiteness,
-    kernel along r). Refuses metrics whose scale-free factor Q r_min^2 is
-    within the safety margin of the admissibility boundary.
+@np.errstate(all="ignore")
+def _edge_weights3(c, r):
+    """g_ij = r_i r_j dK_i/dr_j = -sum_T r_p rho_o dOmega_p/drho_o per edge
+    {i, j} = {p, o}, p < o, for checked radii r (Omega_p depends on
+    rho = r / r_min alone); refuses metrics within the safety margin. With
+    o', o'' the other two of p's columns,
+        rho_o dOmega_p/drho_o = 2N (D x - y) / (N^2 + D^2),
+        x = rho_o dlog N/drho_o = 1 - t_o + (2/rho_o - sum 1/rho) / (q rho_o),
+        y = rho_o dD/drho_o = -(t_o' + t_o'') t_o (1 - t_o).
     """
+    rt = r[c.tet_array]
+    cols, q, t, num, den = _tet_terms(rt)
+    if q.min() <= Q_SAFETY_MARGIN:
+        raise NearDegenerateError(
+            f"min Q r_min^2 = {q.min():.6g} within safety margin "
+            f"{Q_SAFETY_MARGIN}")
+    inv = 1.0 / cols
+    inv_o = inv[_OTHERS]
+    x = (1.0 - t) + inv_o * (2.0 * inv_o - inv.sum(axis=0)) / q
+    y = -(t.sum(axis=1, keepdims=True) - t) * t * (1.0 - t)
+    num, den = num[:, np.newaxis], den[:, np.newaxis]
+    d_ang = 2.0 * num * (den * x - y) / (num * num + den * den)
+    terms = (rt.T[:, np.newaxis] * d_ang)[_PAIRS]
+    g = -np.bincount(c.tet_edge.ravel(), terms.T.ravel(), len(c.edges))
+    if not math.isfinite(g.sum()):  # a radius ratio past the float range
+        raise DegenerateTetrahedronError("a solid angle derivative is not finite")
+    return g
+
+
+def defect_jacobian(c, r):
+    """dK_i/dr_j = D^-1 G D^-1, D = diag(r), G the edge weights g off the
+    diagonal and minus their row sums on it (K is scale free: kernel r).
+    D^-1 scales the edge values, so the matrix is exactly symmetric. Refuses
+    metrics whose Q r_min^2 is within the safety margin."""
     c.require_valid()
     r = check_metric(c, r)
-    q_min = np.min(_scale_free_q(r[c.tet_array]))
-    if q_min <= Q_SAFETY_MARGIN:
-        raise NearDegenerateError(
-            f"min Q r_min^2 = {q_min:.6g} within safety margin "
-            f"{Q_SAFETY_MARGIN}")
-    n = c.vertex_count
-
-    def column(j, h):
-        rp = r.copy()
-        rp[j] = r[j] + h
-        kp = _state(c, rp).defect
-        rp[j] = r[j] - h
-        km = _state(c, rp).defect
-        return (kp - km) / (2.0 * h)
-
-    mat = np.empty((n, n))
-    for j in range(n):
-        h = rel_step * r[j]
-        d_h = column(j, h)
-        d_h2 = column(j, 0.5 * h)
-        mat[:, j] = (4.0 * d_h2 - d_h) / 3.0
-    return JacobianMatrix(mat, "r")
+    g = _edge_weights3(c, r)
+    i, j = c.edge_array[:, 0], c.edge_array[:, 1]
+    return JacobianMatrix(_dense_jacobian(c, g / r[i] / r[j],
+                                          _jacobian_diagonal(c, g) / r / r), "r")
 
 
 def laplacian3(c, r, f):
-    """(1/r_i^2) sum_{j~i} (-dK_i/dr_j r_j)(f_j - f_i).
-
-    Written in difference form so constants are annihilated exactly even
-    though the Jacobian is a finite-difference approximation.
-    """
+    """(1/r_i^2) sum_{j~i} (-dK_i/dr_j r_j)(f_j - f_i)
+    = -(1/r_i^3) sum_j g_ij (f_j - f_i), as an O(E) matvec."""
+    c.require_valid()
     r = check_metric(c, r)
     f = np.asarray(f, dtype=float)
-    lam = defect_jacobian(c, r).matrix
-    W = -lam * r[np.newaxis, :]
-    np.fill_diagonal(W, 0.0)
-    return np.sum(W * (f[np.newaxis, :] - f[:, np.newaxis]), axis=1) / r ** 2
+    # divided in turn, since r^3 overflows for radii past 1e102
+    return -_edge_apply(c, _edge_weights3(c, r), f) / r / r / r
 
 
 # -- the normalized Yamabe flow -------------------------------------------------
@@ -405,13 +423,14 @@ def yamabe_invariant_estimate(c, n_starts=20, seed=0, gtol=1e-8):
     never a certification of it.
     """
     c.require_valid()
+    _check_positive_int("n_starts", n_starts)
     rng = np.random.default_rng(seed)
     n = c.vertex_count
 
     best = None
     n_conv = 0
     starts = [np.ones(n)]
-    while len(starts) < max(1, n_starts):
+    while len(starts) < n_starts:
         cand = rng.uniform(0.4, 1.8, n)
         if np.all(q_factor(cand[c.tet_array]) > 0.0):
             starts.append(cand)

@@ -8,6 +8,7 @@ from packflows.flows2d import FAMILIES
 from packflows.mesh import Surface2Complex
 from packflows.operators2d import potential_gradient, potential_hessian
 from packflows.packing2d import edge_lengths, inner_angles
+from packflows.packing3d import solid_angle_defect
 
 
 @pytest.fixture(scope="session")
@@ -148,6 +149,30 @@ def defect_jacobian_r_oracle(c, r):
             np.add.at(J, (c.face_array[:, m], c.face_array[:, w]),
                       -dth_dr[:, m, w])
     return J
+
+
+def defect_jacobian_fd_oracle(c, r, rel_step=1e-5):
+    """dK_i/dr_j of a 3-manifold metric by central differences with one
+    Richardson level: the route the closed form replaced, kept as an oracle.
+    Its error is of order rel_step^4 relative, plus the rounding of the
+    differences."""
+    n = c.vertex_count
+
+    def column(j, h):
+        rp = r.copy()
+        rp[j] = r[j] + h
+        kp = solid_angle_defect(c, rp)
+        rp[j] = r[j] - h
+        km = solid_angle_defect(c, rp)
+        return (kp - km) / (2.0 * h)
+
+    mat = np.empty((n, n))
+    for j in range(n):
+        h = rel_step * r[j]
+        d_h = column(j, h)
+        d_h2 = column(j, 0.5 * h)
+        mat[:, j] = (4.0 * d_h2 - d_h) / 3.0
+    return mat
 
 
 def newton_direction_oracle(c, r, alpha):

@@ -300,10 +300,11 @@ def test_criterion_11_three_dimensional_geometry(cell5, cell16):
                 assert abs(st.quotient) <= curvature_norm_bound(c, r) + 1e-12
             lam = defect_jacobian(c, np.ones(c.vertex_count)).matrix
             scale = np.abs(lam).max()
-            w = np.linalg.eigvalsh(0.5 * (lam + lam.T))
-            assert w[0] >= -1e-6 * scale
+            assert np.array_equal(lam, lam.T)
+            w = np.linalg.eigvalsh(lam)
+            assert w[0] >= -1e-12 * scale
             assert np.linalg.norm(lam @ np.ones(c.vertex_count)) <= \
-                1e-6 * scale * np.sqrt(c.vertex_count)
+                1e-12 * scale * np.sqrt(c.vertex_count)
 
 
 def test_criterion_12_admissibility(tetra, octa, icosa, torus7):

@@ -100,6 +100,18 @@ def test_malformed_subsets_rejected(octa, subsets):
         subset_rhs(octa, subsets[0])
 
 
+@pytest.mark.parametrize("condition", [
+    thurston_condition, sphere_condition, rhs_table,
+    lambda c: metric_condition(c, np.ones(c.vertex_count)),
+    lambda c: y_membership(c, np.zeros(c.vertex_count)),
+])
+def test_conditions_refuse_a_3_manifold(cell5, condition):
+    # the conditions are stated for surfaces; a 3-complex once failed with
+    # an AttributeError
+    with pytest.raises(ValueError, match="surfaces"):
+        condition(cell5)
+
+
 def test_thurston_tetrahedron(tetra):
     report = thurston_condition(tetra)
     assert report.exhaustive

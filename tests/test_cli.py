@@ -223,6 +223,25 @@ def test_solve_3d_estimate(tmp_path):
     assert "yamabe_quotient_upper_bound" in doc
 
 
+@pytest.mark.parametrize("starts", ["0", "-3"])
+def test_solve_3d_nonpositive_starts_exit2(tmp_path, starts):
+    # once run as one start, with "starts": 1 in the summary and exit 0
+    code = main(["solve", "--mesh", "cell5", "--starts", starts,
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert not (tmp_path / "solve_summary.json").exists()
+
+
+@pytest.mark.parametrize("condition", ["thurston", "sphere", "metric", "y"])
+def test_check_3_manifold_exit2(tmp_path, condition):
+    # the conditions are stated for surfaces; a 3-complex once ended in an
+    # AttributeError traceback and exit 1
+    code = main(["check", "--mesh", "cell5", "--condition", condition,
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert not (tmp_path / "check.json").exists()
+
+
 def test_outputs_deterministic(tmp_path):
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"

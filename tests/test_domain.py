@@ -11,6 +11,7 @@ from collections import Counter
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ from packflows import (admissibility, data, flows2d, mesh, operators2d,
                        packing2d, packing3d)
 from packflows._rk import DomainError
 from packflows.errors import (DegenerateTetrahedronError,
-                              DegenerateTriangleError)
+                              DegenerateTriangleError, NearDegenerateError)
 from packflows.flows2d import FAMILIES, FlowSpec
 
 COMPLEXES = {name: data.load(name) for name in data.available()}
@@ -67,6 +68,14 @@ def test_stages_are_finite_or_leave_the_domain(name, family, alpha, draw):
     assert np.all(np.isfinite(v)) and np.isfinite(q)
 
 
+def test_stage_with_an_underflowing_measure_leaves_the_domain():
+    # r^3 underflows to 0 in every vertex: the average curvature 2 pi chi / 0
+    # once raised ZeroDivisionError from the stage instead of DomainError
+    stage = _stage(COMPLEXES["tetrahedron"], "alpha_calabi", 3.0)
+    with pytest.raises(DomainError):
+        stage(0.0, np.full(4, -249.0))
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(name=st.sampled_from(sorted(COMPLEXES)), draw=st.data())
 def test_kernels_are_finite_or_name_the_degeneracy(name, draw):
@@ -80,6 +89,18 @@ def test_kernels_are_finite_or_name_the_degeneracy(name, draw):
     except named:
         return
     assert np.all(np.isfinite(out))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(name=st.sampled_from(["cell5", "cell16", "torus3_27"]), draw=st.data())
+def test_jacobian_3d_is_finite_or_refuses_by_name(name, draw):
+    c = COMPLEXES[name]
+    r = np.exp(draw.draw(log_radii(c.vertex_count)))
+    try:
+        lam = packing3d.defect_jacobian(c, r).matrix
+    except (NearDegenerateError, DegenerateTetrahedronError):
+        return
+    assert np.all(np.isfinite(lam))
 
 
 def test_drivers_validate_only_at_entry(monkeypatch):

@@ -27,6 +27,18 @@ def test_face_edge_count_relation(surfaces):
         assert 3 * len(c.faces) == 2 * len(c.edges)
 
 
+def test_tet_edge_names_the_edge_of_each_column_pair(cell5, cell16, torus3):
+    pairs = list(itertools.combinations(range(4), 2))
+    for c in (cell5, cell16, torus3):
+        assert c.tet_edge.shape == (len(c.tetrahedra), 6)
+        assert not c.tet_edge.flags.writeable
+        for tet, row in zip(c.tet_array, c.tet_edge):
+            for (a, b), e in zip(pairs, row):
+                assert c.edges[e] == (tet[a], tet[b])
+        # every edge lies in some tetrahedron
+        assert set(c.tet_edge.ravel()) == set(range(len(c.edges)))
+
+
 def test_genus2_min_degree(genus2):
     deg = genus2.degrees()
     assert deg.min() == 7

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import defect_jacobian_fd_oracle
 from packflows import data, packing3d
 from packflows.errors import (DegenerateTetrahedronError, NearDegenerateError)
 from packflows.packing3d import (_embed_lengths, curvature3,
@@ -138,6 +139,8 @@ def test_degenerate_tetrahedron_raises(cell5, cell16):
         solid_angles(cell5, [1e-200, 1.0, 1.0, 1.0, 1.0])
     with pytest.raises(DegenerateTetrahedronError, match="not finite"):
         solid_angles(cell5, [1e300, 1e-10, 1e-10, 1e-10, 1e-10])
+    with pytest.raises(DegenerateTetrahedronError, match="not finite"):
+        defect_jacobian(cell5, [1e300, 1e-10, 1e-10, 1e-10, 1e-10])
 
 
 def test_solid_angles_in_the_limit_of_one_huge_sphere(cell5):
@@ -237,18 +240,35 @@ def test_quotient_scale_invariance_and_bound(cell5, cell16):
             assert abs(st.quotient) <= curvature_norm_bound(c, r) + 1e-12
 
 
-def test_defect_jacobian_structure(cell5, cell16):
+def test_defect_jacobian_structure(cell5, cell16, torus3):
+    # assembled from one weight per edge: exactly symmetric, and with the
+    # diagonal from the scale invariance of K, r is in the kernel to rounding
     rng = np.random.default_rng(7)
-    for c in (cell5, cell16):
+    for c in (cell5, cell16, torus3):
         r = random_admissible(c, rng)
         lam = defect_jacobian(c, r).matrix
         scale = np.abs(lam).max()
-        assert np.abs(lam - lam.T).max() < 1e-6 * scale
+        assert np.array_equal(lam, lam.T)
         # kernel along r, PSD, rank N-1
-        assert np.linalg.norm(lam @ r) <= 1e-6 * scale * np.linalg.norm(r)
-        w = np.linalg.eigvalsh(0.5 * (lam + lam.T))
-        assert w[0] >= -1e-6 * scale
+        assert np.linalg.norm(lam @ r) <= 1e-12 * scale * np.linalg.norm(r)
+        w = np.linalg.eigvalsh(lam)
+        assert w[0] >= -1e-12 * scale
         assert w[1] > 1e-6 * scale
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(mesh_name=st.sampled_from(["cell5", "cell16", "torus3_27"]),
+       seed=st.integers(0, 2 ** 32 - 1), lo=st.floats(0.3, 0.9),
+       k=st.floats(-20.0, 20.0))
+def test_defect_jacobian_matches_finite_differences(mesh_name, seed, lo, k):
+    # the closed form against central differences with one Richardson
+    # level, on admissible metrics of any scale (dK/dr scales like 1/r)
+    c = data.load(mesh_name)
+    r = 10.0 ** k * random_admissible(c, np.random.default_rng(seed), lo=lo,
+                                      tries=1000)
+    lam = defect_jacobian(c, r).matrix
+    oracle = defect_jacobian_fd_oracle(c, r)
+    assert np.abs(lam - oracle).max() <= 1e-6 * np.abs(oracle).max()
 
 
 def test_gradient_of_total_curvature_is_defect(cell5, cell16):
@@ -285,7 +305,13 @@ def test_laplacian3_constants_and_measure(cell16):
     f = rng.standard_normal(8)
     out = laplacian3(cell16, r, f)
     # integral against the volume measure vanishes
-    assert abs(np.sum(out * r ** 3)) < 1e-5 * np.abs(out).max()
+    assert abs(np.sum(out * r ** 3)) <= 1e-12 * np.abs(out).max()
+    # the matvec of the dense Jacobian's off-diagonal part
+    lam = defect_jacobian(cell16, r).matrix
+    W = -lam * r[np.newaxis, :]
+    np.fill_diagonal(W, 0.0)
+    dense = np.sum(W * (f[np.newaxis, :] - f[:, np.newaxis]), axis=1) / r ** 2
+    assert np.abs(out - dense).max() <= 1e-12 * np.abs(out).max()
 
 
 def test_curvature_evolution_identity_3d(cell16):
@@ -427,6 +453,13 @@ def test_yamabe_invariant_estimate(torus3, cell5):
     est5 = yamabe_invariant_estimate(cell5, n_starts=6, seed=1)
     assert est5.value <= yamabe_state(cell5, np.ones(5)).quotient + 1e-12
     assert abs(est5.value) <= curvature_norm_bound(cell5, est5.metric) + 1e-9
+
+
+@pytest.mark.parametrize("n_starts", [0, -3, 2.5, True, None])
+def test_yamabe_invariant_estimate_rejects_bad_n_starts(cell5, n_starts):
+    # 0 and -3 were once run as one start
+    with pytest.raises(ValueError, match="n_starts must be a positive integer"):
+        yamabe_invariant_estimate(cell5, n_starts=n_starts)
 
 
 def test_flow_max_steps(cell5):

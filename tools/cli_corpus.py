@@ -28,9 +28,9 @@ genus2_11 (alpha families at alpha = 0, 1 and 2, except alpha = 1
 alpha-calabi on the tetrahedron, which is too stiff for the explicit
 stepper), with a Newton solve at alpha = 2, 1, 0 and -1 and a spectrum on
 each of the three; flow, solve, spectrum and curvature on the three bundled
-3-manifolds; curvature and a short flow on the 7 x 7 x 7 Freudenthal 3-torus
-(2058 tetrahedra, written to OUTDIR/meshes); the cell5 flow into a removable
-singularity; and the four
+3-manifolds; curvature, spectrum and a short flow on the 7 x 7 x 7
+Freudenthal 3-torus (2058 tetrahedra, written to OUTDIR/meshes); the cell5
+flow into a removable singularity; and the four
 admissibility conditions on octahedron, icosahedron, torus_7 and genus2_11,
 plus one run with the full per-subset table and one with a subsets file;
 and two regression runs: an icosahedron Newton solve whose line search
@@ -117,8 +117,9 @@ def corpus(outdir):
     os.makedirs(os.path.dirname(large), exist_ok=True)
     with open(large, "w") as fp:
         json.dump(torus3_freudenthal(LARGE_TORUS3), fp)
-    runs.append(("curvature-torus3-large",
-                 ["curvature", "--mesh", large, "--random", RANDOM_3D]))
+    for cmd in ("curvature", "spectrum"):
+        runs.append((f"{cmd}-torus3-large",
+                     [cmd, "--mesh", large, "--random", RANDOM_3D]))
     runs.append(("flow-torus3-large", ["flow", "--mesh", large, "--t-max",
                                        "0.05", "--random", RANDOM_3D]))
     runs.append(("flow-cell5-removable", ["flow", "--mesh", "cell5",
