@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (SUBSET_ENUMERATION_CAP, check_subset, euler_characteristic,
+from .mesh import (SUBSET_ENUMERATION_CAP, _check_complex, check_subset,
                    proper_subsets)
 from .packing2d import check_metric, total_measure
 
@@ -95,15 +95,6 @@ class AdmissibilityReport:
         return doc
 
 
-def check_surface(c):
-    """c, checked to be a valid surface: the conditions are stated for surfaces."""
-    c.require_valid()
-    if c.dim != 2:
-        raise ValueError(f"the admissibility conditions are stated for "
-                         f"surfaces, not for a {c.dim}-complex")
-    return c
-
-
 def rhs_table(c, subsets=None, cap=SUBSET_ENUMERATION_CAP):
     """The subset table behind every condition: (subsets, rhs, indicator).
 
@@ -112,7 +103,7 @@ def rhs_table(c, subsets=None, cap=SUBSET_ENUMERATION_CAP):
     admissible-curvature space iff indicator @ x > rhs holds componentwise
     (plus the Gauss-Bonnet plane). Link terms are added in face order.
     """
-    check_surface(c)
+    _check_complex(c, 2)
     if subsets is None:
         rows = list(proper_subsets(c.vertex_count, cap))
     else:
@@ -152,7 +143,7 @@ def _masked_sum(ind, w):
 def _report(c, condition, lhs_fn, subsets, cap):
     """The report of lhs_fn(indicator, 2 pi chi(M)) > rhs on the subset table."""
     rows, rhs, ind = rhs_table(c, subsets, cap)
-    lhs = lhs_fn(ind, 2.0 * np.pi * euler_characteristic(c))
+    lhs = lhs_fn(ind, 2.0 * np.pi * c.chi)
     records = [SubsetRecord(I, lhs, r) for I, lhs, r
                in zip(rows, lhs.tolist(), rhs.tolist())]
     return AdmissibilityReport(condition, records, subsets is None)
@@ -176,7 +167,7 @@ def y_membership(c, x, subsets=None, cap=SUBSET_ENUMERATION_CAP,
                          f"({c.vertex_count},), got shape {x.shape}")
     report = _report(c, "y_membership", lambda ind, gb: _masked_sum(ind, x),
                      subsets, cap)
-    gb = 2.0 * np.pi * euler_characteristic(c)
+    gb = 2.0 * np.pi * c.chi
     if abs(x.sum() - gb) > gb_tol:
         report.extra_failures = [
             f"Gauss-Bonnet plane: sum(x) = {x.sum():.12g} != {gb:.12g}"]

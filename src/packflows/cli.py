@@ -30,6 +30,9 @@ EXIT_SINGULARITY = 5
 EXIT_VIOLATED = 6
 EXIT_TOO_LARGE = 7
 
+# the flow a complex of each dimension runs when --family is not given
+DEFAULT_FAMILY = {2: "ricci-normalized", 3: "yamabe"}
+
 
 def _write_json(doc, path):
     with open(path, "w") as fp:
@@ -38,13 +41,10 @@ def _write_json(doc, path):
 
 
 def _load_mesh(args):
-    """The complex named by --mesh, checked to be valid."""
+    """The complex named by --mesh; the library checks it on first use."""
     if args.mesh in data.available():
-        c = data.load(args.mesh)
-    else:
-        c = mesh.load_mesh(args.mesh)
-    c.require_valid()
-    return c
+        return data.load(args.mesh)
+    return mesh.load_mesh(args.mesh)
 
 
 def _metric_for(args, c):
@@ -59,7 +59,7 @@ def _metric_for(args, c):
         r = rng.uniform(float(a), float(b), n)
     else:
         r = np.ones(n)
-    return packing2d.check_metric(c, r)
+    return packing2d.check_metric(c, r, c.dim)
 
 
 def _add_common(p):
@@ -118,10 +118,6 @@ def cmd_curvature(args):
     return EXIT_OK
 
 
-def _family_name(flag):
-    return flag.replace("-", "_")
-
-
 def cmd_flow(args):
     c = _load_mesh(args)
     r0 = _metric_for(args, c)
@@ -130,12 +126,10 @@ def cmd_flow(args):
         with open(args.target) as fp:
             target = np.asarray(json.load(fp)["target"], dtype=float)
 
-    kw = dict(alpha=args.alpha, target=target, t_max=args.t_max, eps=args.eps)
-    if c.dim == 3:
-        trace = packing3d.yamabe_flow(c, r0, packing3d.default_yamabe_spec(**kw))
-    else:
-        spec = flows2d.FlowSpec(family=_family_name(args.family), **kw)
-        trace = flows2d.run(spec, c, r0)
+    spec = flows2d.FlowSpec(
+        family=(args.family or DEFAULT_FAMILY[c.dim]).replace("-", "_"),
+        alpha=args.alpha, target=target, t_max=args.t_max, eps=args.eps)
+    trace = flows2d.run(spec, c, r0)
 
     formats = args.format.split(",")
     if "csv" in formats:
@@ -163,7 +157,7 @@ def _read_subsets(path):
 
 
 def cmd_check(args):
-    c = admissibility.check_surface(_load_mesh(args))
+    c = _load_mesh(args)
     subsets = _read_subsets(args.subsets) if args.subsets else None
 
     if args.condition == "thurston":
@@ -192,10 +186,8 @@ def cmd_spectrum(args):
     if c.dim == 2:
         eigenvalues, kernel_residual = operators2d.laplacian_spectrum(c, r)
     else:
-        lam = packing3d.defect_jacobian(c, r).matrix
-        eigenvalues = np.linalg.eigvalsh(lam)
-        radius = max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
-        kernel_residual = float(abs(eigenvalues[0]) / radius)
+        eigenvalues, kernel_residual = operators2d.spectrum(
+            packing3d.defect_jacobian(c, r).matrix)
     _write_json({"eigenvalues": [float(w) for w in eigenvalues],
                  "kernel_residual": float(kernel_residual)},
                 os.path.join(args.out, "spectrum.json"))
@@ -245,10 +237,11 @@ def build_parser():
 
     p = sub.add_parser("flow", help="integrate a curvature flow")
     _add_common(p)
-    p.add_argument("--family", default="ricci-normalized",
+    p.add_argument("--family",
                    help="flow family, e.g. ricci-normalized, calabi, "
-                        "alpha-ricci-normalized (3-d meshes always run the "
-                        "normalized Yamabe flow)")
+                        "alpha-ricci-normalized on a surface, yamabe on a "
+                        "3-manifold (default: ricci-normalized on a surface, "
+                        "yamabe on a 3-manifold)")
     p.add_argument("--target", help="target curvature JSON for prescribed families")
     p.add_argument("--t-max", type=float, default=50.0)
     p.add_argument("--eps", type=float, default=1e-9)

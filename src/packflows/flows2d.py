@@ -21,7 +21,11 @@ A and phi are the potential Hessian and gradient in log r coordinates;
 (*) the product of the radii when alpha = 0. The classic families trace the
 alpha = 2 curves at half (Ricci) or a quarter (Calabi) of the speed; this
 is the log r^2 versus log r time convention. Every flow runs through one
-driver, ``_integrate``.
+driver, ``_integrate``, on the ``_Flow`` of its row (``_flow``): run, step
+and vector_field take a surface for the 2-d rows and a 3-manifold for
+yamabe, whose state, sample and singularity classifier are packing3d's.
+The geometry modules (packing2d, packing3d, operators2d) import nothing
+from this driver.
 """
 
 import math
@@ -31,14 +35,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import packing3d
 from ._rk import DomainError, advance
 from .errors import (DegenerateTetrahedronError, DegenerateTriangleError,
                      NoConvergenceError, NotApplicableError, StepFailureError)
 from .mesh import euler_characteristic
 from .operators2d import (_edge_apply, _edge_weights, _hessian_apply,
                           _jacobian_diagonal, _potential_gradient)
-from .packing2d import (_angles, _defect_from_angles, average_curvature,
-                        check_metric, total_measure)
+from .packing2d import (_angles, _average_curvature, _check_positive_int,
+                        _defect_from_angles, check_metric, total_measure)
 
 # -- the family table ---------------------------------------------------------
 
@@ -49,7 +54,7 @@ from .packing2d import (_angles, _defect_from_angles, average_curvature,
 _BASE = {
     "ricci": lambda c, r, a, target, K, theta, L: -(K / r ** a),
     "ricci_normalized": lambda c, r, a, target, K, theta, L: (
-        average_curvature(c, r, a) - K / r ** a),
+        _average_curvature(c, r, a) - K / r ** a),
     "prescribed": lambda c, r, a, target, K, theta, L: target - K / r ** a,
     "calabi": lambda c, r, a, target, K, theta, L: -_edge_apply(
         c, _edge_weights(c, r, theta, L), K / r ** a) / r ** a,
@@ -237,29 +242,10 @@ def _point(c, r):
     return r, theta, L, _defect_from_angles(c, theta)
 
 
-def _base_field(spec, c):
-    """The family's base field at a point (r, theta, L, K) of _point, as
-    (v, q): v the field and q = g . v the rate of the Ricci potential along it,
-    g = K - Rbar r^alpha the potential gradient (q = 0 when energies are not
-    recorded)."""
-    key = FAMILIES[spec.family].field
-    if key is None:
-        raise ValueError(f"family {spec.family!r} is not a 2-d flow")
-    base, alpha, target = _BASE[key], spec.alpha, spec.target
-
-    def fn(point):
-        r, theta, L, K = point
-        v = base(c, r, alpha, target, K, theta, L)
-        if not spec.record_energies:
-            return v, 0.0
-        return v, float(_potential_gradient(c, r, K, alpha, target) @ v)
-    return fn
-
-
 def vector_field(spec, c, r):
     """Right-hand side of the selected family as d(log r)/dt per vertex."""
-    return (FAMILIES[spec.family].scale
-            * _base_field(spec, c)(_point(c, check_metric(c, r)))[0])
+    r, flow = _flow(spec, c, r)
+    return FAMILIES[spec.family].scale * flow.field(flow.evaluate(r))[0]
 
 
 # -- residuals and conserved quantities ---------------------------------------
@@ -271,9 +257,8 @@ def _residual(c, r, alpha, target, K):
     max |K - Rbar r^alpha|."""
     if target is not None:
         return float(np.max(np.abs(_potential_gradient(c, r, K, alpha, target))))
-    dev = np.max(np.abs(K / r ** alpha - average_curvature(c, r, alpha)))
-    chi = euler_characteristic(c)
-    return float(dev * total_measure(r, alpha) / (2.0 * np.pi * abs(chi) + 1.0))
+    dev = np.max(np.abs(K / r ** alpha - _average_curvature(c, r, alpha)))
+    return float(dev * total_measure(r, alpha) / (2.0 * np.pi * abs(c.chi) + 1.0))
 
 
 def constant_curvature_residual(c, r, alpha=2.0):
@@ -348,11 +333,11 @@ def _stage(spec, evaluate, base):
 def step(spec, c, state):
     """One integrator step from a FlowState; adaptive methods retry until the
     local error estimate passes. Raises StepFailureError below min_step."""
-    fn, _ = _stage(spec, lambda r: _point(c, r), _base_field(spec, c))
-    u = np.log(check_metric(c, state.r))
-    t2, u2, _, h_next, _ = advance(fn, state.t, u, state.h, spec.method,
-                                   spec.rtol, spec.atol, spec.min_step,
-                                   spec.resolved_max_step())
+    r, flow = _flow(spec, c, state.r)
+    fn, _ = _stage(spec, flow.evaluate, flow.field)
+    t2, u2, _, h_next, _ = advance(fn, state.t, np.log(r), state.h,
+                                   spec.method, spec.rtol, spec.atol,
+                                   spec.min_step, spec.resolved_max_step())
     return FlowState(t2, np.exp(u2), h_next)
 
 
@@ -431,21 +416,32 @@ def _integrate(spec, c, r0, flow):
                      target=spec.target, singularity=singularity)
 
 
-def run(spec, c, r0):
-    """Integrate the flow until convergence or a stop condition.
+def _flow(spec, c, r):
+    """(r, flow): the radii r, checked on c, a complex of the family's
+    dimension, and against the target's shape; and the family's _Flow on c.
+    The 3-d row, yamabe (the one with no base field), evaluates
+    packing3d._state and takes its sample and singularity classifier from
+    packing3d. A 2-d row evaluates _point; its field gives q = g . v, the
+    rate of the Ricci potential along the base field v (g = K - Rbar
+    r^alpha), which the stepper integrates into the trace's potential when
+    energies are recorded (else q = 0 and no energy is sampled)."""
+    if FAMILIES[spec.family].field is None:
+        return check_metric(c, r, 3), _Flow(
+            lambda r: packing3d._state(c, r),
+            lambda st: (st.average - st.curvature, 0.0), packing3d._sample,
+            False, lambda r, t, relax=1.0: packing3d._classify(c, r, t, relax))
+    r = check_metric(c, r)
+    base, p = _BASE[FAMILIES[spec.family].field], _exponent(spec)
+    alpha, target = spec.alpha, spec.target
+    if target is not None and target.shape != r.shape:
+        raise ValueError(f"target has shape {target.shape}, expected {r.shape}")
 
-    Convergence means the scale-normalized curvature residual falls below
-    spec.eps. Normalized families are projected back onto their conserved
-    constraint after every accepted step. With spec.record_energies the
-    trace's potential is integrated by the stepper from its own stages, and
-    each sample's angle defects give R, the residual and the Calabi energy.
-    """
-    c.require_valid()
-    r0 = check_metric(c, r0)
-    target = spec.target
-    if target is not None and target.shape != r0.shape:
-        raise ValueError(f"target has shape {target.shape}, expected {r0.shape}")
-    p = _exponent(spec)
+    def field(point):
+        r, theta, L, K = point
+        v = base(c, r, alpha, target, K, theta, L)
+        if not spec.record_energies:
+            return v, 0.0
+        return v, float(_potential_gradient(c, r, K, alpha, target) @ v)
 
     def sample(t, point, F):
         r, _, _, K = point
@@ -456,16 +452,26 @@ def run(spec, c, r0):
         else:
             conserved = float(np.exp(np.sum(np.log(r))))
         if spec.record_energies:
-            g = _potential_gradient(c, r, K, spec.alpha, target)
+            g = _potential_gradient(c, r, K, alpha, target)
             C = float(g @ g)
         else:
             F = C = math.nan
-        return (t, r, K / r ** spec.alpha, conserved, F, C,
-                _residual(c, r, spec.alpha, target, K))
+        return (t, r, K / r ** alpha, conserved, F, C,
+                _residual(c, r, alpha, target, K))
 
-    return _integrate(spec, c, r0, _Flow(lambda r: _point(c, r),
-                                         _base_field(spec, c), sample, True,
-                                         None))
+    return r, _Flow(lambda r: _point(c, r), field, sample, True, None)
+
+
+def run(spec, c, r0):
+    """Integrate the flow until convergence or a stop condition, on a
+    surface for the 2-d families and on a 3-manifold for yamabe.
+
+    Convergence means the scale-normalized curvature residual falls below
+    spec.eps. Normalized families are projected back onto their conserved
+    constraint after every accepted step. Yamabe also stops on a singularity.
+    """
+    r0, flow = _flow(spec, c, r0)
+    return _integrate(spec, c, r0, flow)
 
 
 # -- maximum-principle envelopes ----------------------------------------------
@@ -530,7 +536,7 @@ def max_principle_bounds(c, trace, alpha=None, tol=1e-6):
     chi = euler_characteristic(c)
     t = trace.times
     R = trace.curvatures
-    cav = average_curvature(c, trace.radii[0], a)
+    cav = _average_curvature(c, trace.radii[0], a)
     smin = float(R[0].min())
     smax = float(R[0].max())
     rmin = R.min(axis=1)
@@ -643,13 +649,6 @@ def _newton_direction(c, r, theta, L, alpha, g):
                          10 * c.vertex_count)
 
 
-def _check_positive_int(name, value):
-    """Raise ValueError unless value is an integer (not a bool) >= 1."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < 1):
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
                             max_iter=100):
     """Search for a constant alpha-curvature metric.
@@ -676,7 +675,6 @@ def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
         return trace.radii[-1]
     if method != "newton":
         raise ValueError(f"unknown method {method!r}")
-    c.require_valid()
     u = np.log(check_metric(c, r0))
     r, theta, L, K, g = _newton_point(c, u, alpha)
     for _ in range(max_iter):

@@ -148,6 +148,7 @@ class Surface2Complex(_Complex):
             for v in f:
                 self.vertex_faces[v].append(fi)
         self.cos_weights = np.cos(self.weights)
+        self.chi = self.vertex_count - len(self.edges) + len(self.faces)
         for arr in (self.weights, self.cos_weights, self.edge_array,
                     self.face_array, self.face_edge):
             arr.setflags(write=False)
@@ -263,9 +264,19 @@ class Manifold3Complex(_Complex):
 # -- Euler characteristics and subsets -------------------------------------
 
 
+def _check_complex(c, dim):
+    """c, checked to be valid and of dimension dim: the public functions of
+    each dimension are stated for its complexes only."""
+    c.require_valid()
+    if c.dim != dim:
+        kind = "surfaces" if dim == 2 else "3-manifolds"
+        raise ValueError(f"stated for {kind}, not for a {c.dim}-complex")
+    return c
+
+
 def euler_characteristic(c):
-    """V - E + F of a surface complex."""
-    return c.vertex_count - len(c.edges) + len(c.faces)
+    """V - E + F of a valid surface complex."""
+    return _check_complex(c, 2).chi
 
 
 def check_subset(c, subset):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureFailureError, SpectralFailureError
-from .packing2d import (_P, _Q, _angles, _defect_from_angles,
-                        average_curvature, check_metric, total_measure)
+from .packing2d import (_P, _Q, _angles, _average_curvature,
+                        _defect_from_angles, check_metric, total_measure)
 
 KERNEL_TOL = 1e-9
 
@@ -152,8 +152,14 @@ def laplacian_spectrum(c, r):
     scale = 1.0 / r
     L *= scale[:, None]
     L *= scale[None, :]
+    return spectrum(L)
+
+
+def spectrum(mat):
+    """(eigenvalues ascending, |smallest| / spectral radius) of the symmetric
+    matrix mat; an eigensolver failure raises SpectralFailureError."""
     try:
-        w = np.linalg.eigvalsh(L)
+        w = np.linalg.eigvalsh(mat)
     except np.linalg.LinAlgError as exc:
         raise SpectralFailureError(f"eigensolver failed: {exc}") from exc
     radius = max(abs(w[0]), abs(w[-1]), 1e-300)
@@ -185,7 +191,7 @@ def potential_gradient(c, r, alpha=2.0, target=None):
 
 def _potential_gradient(c, r, K, alpha, target):
     """K - Rbar r^alpha from the angle defects K of the radii r."""
-    rb = average_curvature(c, r, alpha) if target is None else np.asarray(target)
+    rb = _average_curvature(c, r, alpha) if target is None else np.asarray(target)
     return K - rb * r ** alpha
 
 
@@ -249,7 +255,7 @@ def potential_hessian(c, r, alpha=2.0, target=None, coord="log_r"):
     factor = _coord_factor(coord)
     Lt = curvature_jacobian(c, r, coord="log_r").matrix
     if target is None:
-        rav = average_curvature(c, r, alpha)
+        rav = _average_curvature(c, r, alpha)
         s = r ** (alpha / 2.0)
         nrm = total_measure(r, alpha)
         # D (I - s s^T / nrm) D with D = diag(s)
@@ -267,7 +273,7 @@ def _hessian_apply(c, r, w, alpha, target, v):
     ra = r ** alpha
     if target is not None:
         return _edge_apply(c, w, v) - alpha * np.asarray(target) * ra * v
-    rav = average_curvature(c, r, alpha)
+    rav = _average_curvature(c, r, alpha)
     return _edge_apply(c, w, v) - alpha * rav * (
         ra * v - ra * (ra @ v) / total_measure(r, alpha))
 

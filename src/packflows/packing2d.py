@@ -13,12 +13,13 @@ the angles, so the edge weights of operators2d share the squared sides
 instead of forming them again.
 """
 
+import numbers
 from collections import namedtuple
 
 import numpy as np
 
 from .errors import DegenerateTriangleError
-from .mesh import euler_characteristic
+from .mesh import _check_complex, euler_characteristic
 
 # Tolerated excursion of an inner-angle cosine beyond [-1, 1]. Thurston's
 # lemma rules out genuine degeneracy for weights in [0, pi/2], so anything
@@ -31,13 +32,22 @@ _P = np.array([1, 2, 0])
 _Q = np.array([2, 0, 1])
 
 
-def check_metric(c, r):
+def check_metric(c, r, dim=2):
+    """r, checked to be positive finite radii of c, a valid dim-complex."""
+    _check_complex(c, dim)
     r = np.asarray(r, dtype=float)
     if r.shape != (c.vertex_count,):
         raise ValueError(f"metric has shape {r.shape}, expected ({c.vertex_count},)")
     if not np.all(np.isfinite(r)) or np.any(r <= 0):
         raise ValueError("radii must be positive and finite")
     return r
+
+
+def _check_positive_int(name, value):
+    """Raise ValueError unless value is an integer (not a bool) >= 1."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def edge_lengths(c, r):
@@ -122,7 +132,12 @@ CurvatureAverages = namedtuple("CurvatureAverages",
 
 def average_curvature(c, r, alpha=2.0):
     """2 pi chi(M) / ||r||_alpha^alpha."""
-    return 2.0 * np.pi * euler_characteristic(c) / total_measure(r, alpha)
+    return _average_curvature(_check_complex(c, 2), r, alpha)
+
+
+def _average_curvature(c, r, alpha):
+    """average_curvature of a checked surface complex."""
+    return 2.0 * np.pi * c.chi / total_measure(r, alpha)
 
 
 def curvature_averages(c, r, alpha=2.0):

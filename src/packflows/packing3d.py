@@ -22,6 +22,9 @@ cross-checking.
 
 The Jacobian dK/dr is in closed form too: one symmetric weight per edge, as
 in two dimensions, from the same variables (_edge_weights3).
+
+The normalized Yamabe flow is flows2d's yamabe row: it drives _state with
+the sample and singularity classifier below (this module never imports it).
 """
 
 import math
@@ -30,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTetrahedronError, NearDegenerateError
-from .flows2d import FlowSpec, _Flow, _check_positive_int, _integrate
+from .mesh import _check_complex
 from .operators2d import (JacobianMatrix, _dense_jacobian, _edge_apply,
                           _jacobian_diagonal)
-from .packing2d import check_metric
+from .packing2d import _check_positive_int, check_metric
 
 # Q_SAFETY_MARGIN and SING_Q bound the scale-free factor Q r_min^2 of
 # _scale_free_q, which the kernel tests too: the Jacobian refuses a metric
@@ -65,7 +68,7 @@ def q_factor(r_i, r_j=None, r_k=None, r_l=None):
 
 def tet_q_factors(c, r):
     """Q factor of every tetrahedron for the given metric."""
-    r = check_metric(c, r)
+    r = check_metric(c, r, 3)
     return q_factor(r[c.tet_array])
 
 
@@ -111,18 +114,18 @@ def _solid_angles_from_radii(rt):
 def solid_angles(c, r):
     """Solid angle at each vertex of each tetrahedron, aligned with
     c.tet_array columns."""
-    r = check_metric(c, r)
+    r = check_metric(c, r, 3)
     return _solid_angles_from_radii(r[c.tet_array])
 
 
 def solid_angle_defect(c, r):
     """4 pi minus the sum of incident solid angles, per vertex."""
-    return _state(c, check_metric(c, r)).defect
+    return _state(c, check_metric(c, r, 3)).defect
 
 
 def curvature3(c, r):
     """Rescaled scalar curvature: solid angle defect over r^2."""
-    return _state(c, check_metric(c, r)).curvature
+    return _state(c, check_metric(c, r, 3)).curvature
 
 
 # -- single-tet geometry with the coordinate oracle ---------------------------
@@ -229,8 +232,7 @@ class YamabeState:
 
 
 def yamabe_state(c, r):
-    c.require_valid()
-    return _state(c, check_metric(c, r))
+    return _state(c, check_metric(c, r, 3))
 
 
 def _state(c, r):
@@ -288,8 +290,7 @@ def defect_jacobian(c, r):
     diagonal and minus their row sums on it (K is scale free: kernel r).
     D^-1 scales the edge values, so the matrix is exactly symmetric. Refuses
     metrics whose Q r_min^2 is within the safety margin."""
-    c.require_valid()
-    r = check_metric(c, r)
+    r = check_metric(c, r, 3)
     g = _edge_weights3(c, r)
     i, j = c.edge_array[:, 0], c.edge_array[:, 1]
     return JacobianMatrix(_dense_jacobian(c, g / r[i] / r[j],
@@ -299,8 +300,7 @@ def defect_jacobian(c, r):
 def laplacian3(c, r, f):
     """(1/r_i^2) sum_{j~i} (-dK_i/dr_j r_j)(f_j - f_i)
     = -(1/r_i^3) sum_j g_ij (f_j - f_i), as an O(E) matvec."""
-    c.require_valid()
-    r = check_metric(c, r)
+    r = check_metric(c, r, 3)
     f = np.asarray(f, dtype=float)
     # divided in turn, since r^3 overflows for radii past 1e102
     return -_edge_apply(c, _edge_weights3(c, r), f) / r / r / r
@@ -323,51 +323,27 @@ def _dissipation(st):
     return float(np.sum((st.defect - st.average * st.radii ** 2) ** 2 / st.radii))
 
 
-def default_yamabe_spec(**kw):
-    kw.setdefault("family", "yamabe")
-    kw.setdefault("t_max", 20.0)
-    return FlowSpec(**kw)
+def _sample(t, st, _):
+    """The flow's trace row at the YamabeState st: the potential column is
+    the closed-form total curvature, the Calabi column the dissipation."""
+    return (t, st.radii, st.curvature, st.volume, st.total, _dissipation(st),
+            _residual(st))
 
 
-def yamabe_flow(c, r0, spec=None):
-    """Integrate d(log r_i)/dt = (R_av - R_i)/2 with singularity watch.
-
-    The volume sum r_i^3 is conserved (projected after each step) and the
-    total curvature is nonincreasing. Termination is encoded in the trace:
-    converged, max_time, max_steps, or a singularity classified as essential
-    (a normalized radius collapsing) or removable (a scale-free factor
-    Q r_min^2 collapsing with radii bounded away from zero; the singularity
-    reports it as q).
-    """
-    if spec is None:
-        spec = default_yamabe_spec()
-    if spec.family != "yamabe":
-        raise ValueError("spec.family must be 'yamabe'")
-    c.require_valid()
-    r0 = check_metric(c, r0)
-
-    def field(st):
-        return st.average - st.curvature, 0.0
-
-    def sample(t, st, _):
-        # the potential column is the closed-form total curvature
-        return (t, st.radii, st.curvature, st.volume, st.total,
-                _dissipation(st), _residual(st))
-
-    def classify(r, t_now, relax=1.0):
-        scale = float(np.sum(r ** 3)) ** (1.0 / 3.0)
-        rhat = r / scale
-        if np.min(rhat) < SING_RADIUS * relax:
-            return {"type": "essential", "witness": int(np.argmin(rhat)),
-                    "time": float(t_now)}
-        q = _scale_free_q(r[c.tet_array])
-        if np.min(q) < SING_Q * relax:
-            return {"type": "removable", "witness": int(np.argmin(q)),
-                    "q": float(np.min(q)), "time": float(t_now)}
-        return None
-
-    return _integrate(spec, c, r0, _Flow(lambda r: _state(c, r), field,
-                                         sample, False, classify))
+def _classify(c, r, t_now, relax=1.0):
+    """The flow's singularity at radii r, or None: essential when a
+    volume-normalized radius collapses, removable when a factor Q r_min^2
+    (reported as q) collapses first; relax loosens both thresholds."""
+    scale = float(np.sum(r ** 3)) ** (1.0 / 3.0)
+    rhat = r / scale
+    if np.min(rhat) < SING_RADIUS * relax:
+        return {"type": "essential", "witness": int(np.argmin(rhat)),
+                "time": float(t_now)}
+    q = _scale_free_q(r[c.tet_array])
+    if np.min(q) < SING_Q * relax:
+        return {"type": "removable", "witness": int(np.argmin(q)),
+                "q": float(np.min(q)), "time": float(t_now)}
+    return None
 
 
 # -- Yamabe invariant upper bound -----------------------------------------------
@@ -422,7 +398,7 @@ def yamabe_invariant_estimate(c, n_starts=20, seed=0, gtol=1e-8):
     reports the lowest value found. This is an upper bound for the infimum,
     never a certification of it.
     """
-    c.require_valid()
+    _check_complex(c, 3)
     _check_positive_int("n_starts", n_starts)
     rng = np.random.default_rng(seed)
     n = c.vertex_count

@@ -17,9 +17,9 @@ from packflows.flows2d import (FlowSpec, FlowState, find_constant_curvature,
 from packflows.mesh import euler_characteristic
 from packflows.operators2d import curvature_jacobian, potential_hessian
 from packflows.packing2d import angle_defect, curvature
-from packflows.packing3d import (curvature_norm_bound, default_yamabe_spec,
-                                 defect_jacobian, solid_angle_defect,
-                                 tet_geometry, yamabe_flow, yamabe_state)
+from packflows.packing3d import (curvature_norm_bound, defect_jacobian,
+                                 solid_angle_defect, tet_geometry,
+                                 yamabe_state)
 
 REGULAR_SOLID_ANGLE = 3 * np.arccos(1.0 / 3.0) - np.pi
 
@@ -224,7 +224,7 @@ def test_criterion_09_conservation_and_monotonicity(genus2, torus7, torus3):
         # 3-d: volume conserved, total curvature nonincreasing, derivative
         # matches the closed dissipation form
         r0 = 1.0 + 0.02 * rng.standard_normal(27)
-        tr3 = yamabe_flow(torus3, r0, default_yamabe_spec(t_max=2.0, eps=1e-14))
+        tr3 = run(FlowSpec("yamabe", t_max=2.0, eps=1e-14), torus3, r0)
         assert np.abs(tr3.conserved / tr3.conserved[0] - 1.0).max() <= 1e-7
         assert np.all(np.diff(tr3.potential) <= 1e-9)
         from packflows._rk import rk4_step

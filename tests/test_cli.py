@@ -271,6 +271,41 @@ def test_flow_target_of_wrong_shape_exit2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("mesh, family", [
+    ("cell16", "calabi"), ("cell16", "ricci-normalized"),
+    ("cell16", "alpha-calabi"), ("torus_7", "yamabe")])
+def test_flow_family_of_the_other_dimension_exit2(tmp_path, capsys, mesh,
+                                                  family):
+    # a surface family on a 3-manifold once ran the Yamabe flow instead,
+    # wrote "family": "yamabe" and exited 5
+    code = main(["flow", "--mesh", mesh, "--family", family,
+                 "--random", "0.95,1.05,1", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stated for") and "Traceback" not in err
+    assert not (tmp_path / "flow_summary.json").exists()
+
+
+@pytest.mark.parametrize("mesh, family", [("cell16", "yamabe"),
+                                          ("torus_7", "ricci_normalized")])
+def test_flow_family_defaults_to_the_dimension(tmp_path, mesh, family):
+    code = main(["flow", "--mesh", mesh, "--t-max", "0.1",
+                 "--out", str(tmp_path)])
+    assert code in (0, 4)
+    assert read_json(tmp_path / "flow_summary.json")["family"] == family
+
+
+@pytest.mark.parametrize("mesh", ["icosahedron", "cell16"])
+def test_spectrum_eigensolver_failure_exit4(tmp_path, monkeypatch, mesh):
+    # the 3-d spectrum once let LinAlgError (a ValueError) through: exit 2
+    def fail(mat):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    code = main(["spectrum", "--mesh", mesh, "--out", str(tmp_path)])
+    assert code == 4
+    assert not (tmp_path / "spectrum.json").exists()
+
+
 def test_flow_3d_rejects_alpha_and_target_exit2(tmp_path):
     code = main(["flow", "--mesh", "cell5", "--alpha", "0.5",
                  "--out", str(tmp_path)])

@@ -7,8 +7,8 @@ DomainError from a stage. Warnings are errors in this suite, so a kernel
 that lets NaN or an overflow through fails here too.
 """
 
+import inspect
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +20,8 @@ from packflows import (admissibility, data, flows2d, mesh, operators2d,
                        packing2d, packing3d)
 from packflows._rk import DomainError
 from packflows.errors import (DegenerateTetrahedronError,
-                              DegenerateTriangleError, NearDegenerateError)
+                              DegenerateTriangleError, InvalidComplexError,
+                              NearDegenerateError)
 from packflows.flows2d import FAMILIES, FlowSpec
 
 COMPLEXES = {name: data.load(name) for name in data.available()}
@@ -38,20 +39,14 @@ def log_radii(draw, n):
 
 
 def _stage(c, family, alpha):
-    """The stepper's field of a family on c; in 3-d that of the flow
-    yamabe_flow hands to the driver."""
-    if c.dim == 3:
-        spec = packing3d.default_yamabe_spec()
-        with mock.patch.object(packing3d, "_integrate",
-                               lambda spec, c, r0, flow: flow):
-            flow = packing3d.yamabe_flow(c, np.ones(c.vertex_count), spec)
-        return flows2d._stage(spec, flow.evaluate, flow.field)[0]
+    """The stepper's field of a family on c (of yamabe on a 3-manifold)."""
+    family = "yamabe" if c.dim == 3 else family
     row = FAMILIES[family]
     spec = FlowSpec(family, alpha=alpha if row.alpha is None else row.alpha,
                     target=(np.linspace(-1.0, 1.0, c.vertex_count)
                             if row.prescribed else None))
-    return flows2d._stage(spec, lambda r: flows2d._point(c, r),
-                          flows2d._base_field(spec, c))[0]
+    _, flow = flows2d._flow(spec, c, np.ones(c.vertex_count))
+    return flows2d._stage(spec, flow.evaluate, flow.field)[0]
 
 
 @settings(max_examples=400, deadline=None, database=None)
@@ -109,9 +104,9 @@ def test_drivers_validate_only_at_entry(monkeypatch):
     calls = Counter()
     check, require_valid = packing2d.check_metric, mesh._Complex.require_valid
 
-    def counted_check(c, r):
+    def counted_check(c, r, dim=2):
         calls["check_metric"] += 1
-        return check(c, r)
+        return check(c, r, dim)
 
     def counted_require_valid(self):
         calls["require_valid"] += 1
@@ -131,7 +126,8 @@ def test_drivers_validate_only_at_entry(monkeypatch):
             genus2, 2.0, r2), 1),
         ("flow", lambda: flows2d.find_constant_curvature(
             genus2, 2.0, r2, method="flow"), 1),
-        ("yamabe_flow", lambda: packing3d.yamabe_flow(cell16, r3), 1),
+        ("yamabe", lambda: flows2d.run(FlowSpec("yamabe", t_max=20.0),
+                                       cell16, r3), 1),
         ("estimate", lambda: packing3d.yamabe_invariant_estimate(
             cell16, n_starts=3), 0),
     ]
@@ -141,3 +137,106 @@ def test_drivers_validate_only_at_entry(monkeypatch):
         if hasattr(result, "n_steps"):
             assert result.n_steps > 10, name
         assert calls == Counter(check_metric=checks, require_valid=1), name
+
+
+# every public function of a dimension that takes a complex, as
+# (name, dim, call(c, r)); run, step and vector_field once per family
+_SURFACE_TRACE = flows2d.run(FlowSpec("ricci_normalized", t_max=0.1),
+                             COMPLEXES["tetrahedron"], np.ones(4))
+
+
+def _spec(family, n):
+    row = FAMILIES[family]
+    return FlowSpec(family, target=np.zeros(n) if row.prescribed else None)
+
+
+BOUNDARY = [
+    ("mesh.euler_characteristic", 2, lambda c, r: mesh.euler_characteristic(c)),
+    ("packing2d.check_metric", 2, packing2d.check_metric),
+    ("packing2d.edge_lengths", 2, packing2d.edge_lengths),
+    ("packing2d.inner_angles", 2, packing2d.inner_angles),
+    ("packing2d.angle_defect", 2, packing2d.angle_defect),
+    ("packing2d.curvature", 2, packing2d.curvature),
+    ("packing2d.average_curvature", 2, packing2d.average_curvature),
+    ("packing2d.curvature_averages", 2, packing2d.curvature_averages),
+    ("operators2d.curvature_jacobian", 2, operators2d.curvature_jacobian),
+    ("operators2d.laplacian", 2, lambda c, r: operators2d.laplacian(c, r, r)),
+    ("operators2d.alpha_laplacian", 2,
+     lambda c, r: operators2d.alpha_laplacian(c, r, 1.0, r)),
+    ("operators2d.laplacian_spectrum", 2, operators2d.laplacian_spectrum),
+    ("operators2d.first_positive_eigenvalue", 2,
+     operators2d.first_positive_eigenvalue),
+    ("operators2d.potential_gradient", 2, operators2d.potential_gradient),
+    ("operators2d.ricci_potential", 2,
+     lambda c, r: operators2d.ricci_potential(c, np.log(r), np.log(r) + 0.1)),
+    ("operators2d.potential_hessian", 2, operators2d.potential_hessian),
+    ("operators2d.calabi_energy", 2, operators2d.calabi_energy),
+    ("operators2d.calabi_energy_gradient", 2,
+     operators2d.calabi_energy_gradient),
+    ("flows2d.constant_curvature_residual", 2,
+     flows2d.constant_curvature_residual),
+    ("flows2d.prescribed_residual", 2,
+     lambda c, r: flows2d.prescribed_residual(c, r, 2.0, np.zeros(len(r)))),
+    ("flows2d.max_principle_bounds", 2,
+     lambda c, r: flows2d.max_principle_bounds(c, _SURFACE_TRACE)),
+    ("flows2d.find_constant_curvature", 2,
+     lambda c, r: flows2d.find_constant_curvature(c, 2.0, r)),
+    ("flows2d.find_constant_curvature(flow)", 2,
+     lambda c, r: flows2d.find_constant_curvature(c, 2.0, r, method="flow")),
+    ("packing3d.tet_q_factors", 3, packing3d.tet_q_factors),
+    ("packing3d.solid_angles", 3, packing3d.solid_angles),
+    ("packing3d.solid_angle_defect", 3, packing3d.solid_angle_defect),
+    ("packing3d.curvature3", 3, packing3d.curvature3),
+    ("packing3d.yamabe_state", 3, packing3d.yamabe_state),
+    ("packing3d.curvature_norm_bound", 3, packing3d.curvature_norm_bound),
+    ("packing3d.defect_jacobian", 3, packing3d.defect_jacobian),
+    ("packing3d.laplacian3", 3, lambda c, r: packing3d.laplacian3(c, r, r)),
+    ("packing3d.yamabe_residual", 3, packing3d.yamabe_residual),
+    ("packing3d.yamabe_invariant_estimate", 3,
+     lambda c, r: packing3d.yamabe_invariant_estimate(c, n_starts=1)),
+] + [
+    (f"flows2d.{name}({family})", 3 if row.field is None else 2, call)
+    for family, row in sorted(FAMILIES.items())
+    for name, call in [
+        ("run", lambda c, r, f=family: flows2d.run(_spec(f, len(r)), c, r)),
+        ("step", lambda c, r, f=family: flows2d.step(
+            _spec(f, len(r)), c, flows2d.FlowState(0.0, r, 0.01))),
+        ("vector_field", lambda c, r, f=family: flows2d.vector_field(
+            _spec(f, len(r)), c, r))]
+]
+# valid complexes of each dimension, and invalid ones: a face or a
+# tetrahedron short of closed
+OTHER = {2: COMPLEXES["cell5"], 3: COMPLEXES["torus_7"]}
+INVALID = {2: mesh.Surface2Complex(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)]),
+           3: mesh.Manifold3Complex(5, COMPLEXES["cell5"].tetrahedra[:4])}
+
+
+def test_boundary_table_covers_every_public_function():
+    def takes_a_complex(fn):
+        params = list(inspect.signature(fn).parameters)
+        return params[:1] == ["c"] or params[:2] == ["spec", "c"]
+    public = {f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+              for module in (packing2d, operators2d, flows2d, packing3d)
+              for name, fn in vars(module).items()
+              if not name.startswith("_") and inspect.isfunction(fn)
+              and fn.__module__ == module.__name__ and takes_a_complex(fn)}
+    covered = {name.split("(")[0] for name, _, _ in BOUNDARY}
+    assert public | {"mesh.euler_characteristic"} == covered
+
+
+@pytest.mark.parametrize("name, dim, call", BOUNDARY,
+                         ids=[name for name, _, _ in BOUNDARY])
+def test_boundary_refuses_the_other_dimension_by_name(name, dim, call):
+    # 34 of these once died with a bare AttributeError
+    c = OTHER[dim]
+    with pytest.raises(ValueError, match="stated for"):
+        call(c, np.ones(c.vertex_count))
+
+
+@pytest.mark.parametrize("name, dim, call", BOUNDARY,
+                         ids=[name for name, _, _ in BOUNDARY])
+def test_boundary_refuses_an_invalid_complex_by_name(name, dim, call):
+    c = INVALID[dim]
+    assert not c.is_valid
+    with pytest.raises(InvalidComplexError):
+        call(c, np.ones(c.vertex_count))

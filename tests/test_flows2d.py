@@ -647,14 +647,19 @@ def test_spec_rejects_non_finite_target():
 
 
 def test_run_rejects_target_of_wrong_shape(tetra):
-    # a one-entry target would broadcast against the four radii
+    # a one-entry target would broadcast against the four radii; step and
+    # vector_field once let it through
     spec = FlowSpec(family="alpha_prescribed", alpha=0.0, target=[np.pi])
     with pytest.raises(ValueError, match="shape"):
         run(spec, tetra, np.ones(4))
+    with pytest.raises(ValueError, match="shape"):
+        step(spec, tetra, FlowState(0.0, np.ones(4), 0.01))
+    with pytest.raises(ValueError, match="shape"):
+        vector_field(spec, tetra, np.ones(4))
 
 
 def test_run_rejects_the_3d_family(tetra):
-    with pytest.raises(ValueError, match="2-d"):
+    with pytest.raises(ValueError, match="stated for 3-manifolds"):
         run(FlowSpec(family="yamabe"), tetra, np.ones(4))
 
 
@@ -725,7 +730,7 @@ def test_each_accepted_point_is_evaluated_once(monkeypatch, torus7, torus3):
     r2 = rng.uniform(0.8, 1.3, torus7.vertex_count)
     r3 = rng.uniform(0.9, 1.1, torus3.vertex_count)
     for driver in (lambda: run(FlowSpec("calabi", t_max=5.0), torus7, r2),
-                   lambda: packing3d.yamabe_flow(torus3, r3)):
+                   lambda: run(FlowSpec("yamabe", t_max=20.0), torus3, r3)):
         calls.clear()
         trace = driver()
         assert trace.termination in ("max_time", "converged")

@@ -1,20 +1,19 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import defect_jacobian_fd_oracle
-from packflows import data, packing3d
+from packflows import data, flows2d, packing3d
 from packflows.errors import (DegenerateTetrahedronError, NearDegenerateError)
+from packflows.flows2d import FlowSpec, run
 from packflows.packing3d import (_embed_lengths, curvature3,
-                                 curvature_norm_bound, default_yamabe_spec,
-                                 defect_jacobian, laplacian3, q_factor,
-                                 solid_angle_at_origin, solid_angle_defect,
-                                 solid_angles, tet_geometry, tet_q_factors,
-                                 yamabe_flow, yamabe_invariant_estimate,
-                                 yamabe_residual, yamabe_state)
+                                 curvature_norm_bound, defect_jacobian,
+                                 laplacian3, q_factor, solid_angle_at_origin,
+                                 solid_angle_defect, solid_angles,
+                                 tet_geometry, tet_q_factors,
+                                 yamabe_invariant_estimate, yamabe_residual,
+                                 yamabe_state)
 
 REGULAR_SOLID_ANGLE = 3 * np.arccos(1.0 / 3.0) - np.pi
 
@@ -337,16 +336,32 @@ def test_curvature_evolution_identity_3d(cell16):
 
 
 def test_flow_fixed_point(cell5):
-    tr = yamabe_flow(cell5, np.ones(5))
+    tr = run(FlowSpec("yamabe", t_max=20.0), cell5, np.ones(5))
     assert tr.converged
     assert tr.residuals[0] < 1e-12
+
+
+def test_vector_field_is_the_yamabe_field(cell16):
+    r = 1.0 + 0.02 * np.random.default_rng(16).standard_normal(8)
+    st = yamabe_state(cell16, r)
+    v = flows2d.vector_field(FlowSpec("yamabe"), cell16, r)
+    assert np.array_equal(v, 0.5 * (st.average - st.curvature))
+
+
+def test_step_is_the_first_step_of_run(cell16):
+    r0 = 1.0 + 0.02 * np.random.default_rng(17).standard_normal(8)
+    spec = FlowSpec("yamabe", t_max=20.0, renormalize=False)
+    tr = run(spec, cell16, r0)
+    state = flows2d.step(spec, cell16, flows2d.FlowState(0.0, r0,
+                                                         spec.initial_step))
+    assert state.t == tr.times[1]
+    assert np.array_equal(state.r, tr.radii[1])
 
 
 def test_flow_monitors_on_perturbation(cell5):
     rng = np.random.default_rng(11)
     r0 = 1.0 + 0.01 * rng.standard_normal(5)
-    spec = default_yamabe_spec(t_max=5.0)
-    tr = yamabe_flow(cell5, r0, spec)
+    tr = run(FlowSpec("yamabe", t_max=5.0), cell5, r0)
     # volume conserved, total curvature nonincreasing up to termination
     assert np.abs(tr.conserved / tr.conserved[0] - 1.0).max() < 1e-7
     assert np.all(np.diff(tr.potential) <= 1e-9)
@@ -358,8 +373,7 @@ def test_flow_total_curvature_derivative_matches_closed_form(torus3):
     from packflows._rk import rk4_step
     rng = np.random.default_rng(12)
     r0 = 1.0 + 0.02 * rng.standard_normal(27)
-    spec = default_yamabe_spec(t_max=1.0, eps=1e-14)
-    tr = yamabe_flow(torus3, r0, spec)
+    tr = run(FlowSpec("yamabe", t_max=1.0, eps=1e-14), torus3, r0)
 
     def fld(t, u):
         st = yamabe_state(torus3, np.exp(u))
@@ -377,7 +391,7 @@ def test_flow_total_curvature_derivative_matches_closed_form(torus3):
 
 def test_flow_removable_singularity(cell5):
     r0 = np.array([1.383, 0.759, 0.37, 0.328, 1.683])
-    tr = yamabe_flow(cell5, r0)
+    tr = run(FlowSpec("yamabe", t_max=20.0), cell5, r0)
     assert tr.termination == "singularity_removable"
     assert tr.singularity["type"] == "removable"
     assert "witness" in tr.singularity
@@ -388,10 +402,9 @@ def test_flow_removable_singularity(cell5):
 
 
 def singularity_watch(c):
-    """The classify of the flow yamabe_flow hands to the driver."""
-    with mock.patch.object(packing3d, "_integrate",
-                           lambda spec, c, r0, flow: flow):
-        return yamabe_flow(c, np.ones(c.vertex_count)).classify
+    """The classify of the flow run hands to the driver for yamabe."""
+    _, flow = flows2d._flow(FlowSpec("yamabe"), c, np.ones(c.vertex_count))
+    return flow.classify
 
 
 @pytest.mark.parametrize("k", [-8, -3, 1, 4, 8])
@@ -419,7 +432,7 @@ def test_flow_essential_classification_threshold(cell5, monkeypatch):
     # as essential first, exercising the other branch
     r0 = np.array([1.383, 0.759, 0.37, 0.328, 1.683])
     monkeypatch.setattr(packing3d, "SING_RADIUS", 0.12)
-    tr = yamabe_flow(cell5, r0)
+    tr = run(FlowSpec("yamabe", t_max=20.0), cell5, r0)
     assert tr.termination == "singularity_essential"
     assert tr.singularity["witness"] in (2, 3)
 
@@ -429,8 +442,7 @@ def test_torus3_constant_metric_is_attracting(torus3):
     assert yamabe_residual(torus3, np.ones(27)) < 1e-12
     rng = np.random.default_rng(13)
     r0 = 1.0 + 0.01 * rng.standard_normal(27)
-    spec = default_yamabe_spec(eps=1e-10)
-    tr = yamabe_flow(torus3, r0, spec)
+    tr = run(FlowSpec("yamabe", t_max=20.0, eps=1e-10), torus3, r0)
     assert tr.converged
     slope, _, r2 = tr.fit_rate()
     assert slope < 0
@@ -465,7 +477,7 @@ def test_yamabe_invariant_estimate_rejects_bad_n_starts(cell5, n_starts):
 def test_flow_max_steps(cell5):
     rng = np.random.default_rng(14)
     r0 = 1.0 + 0.05 * rng.standard_normal(5)
-    tr = yamabe_flow(cell5, r0, default_yamabe_spec(max_steps=3))
+    tr = run(FlowSpec("yamabe", t_max=20.0, max_steps=3), cell5, r0)
     assert tr.termination == "max_steps"
     assert tr.n_steps == 3
     assert tr.singularity is None
@@ -475,13 +487,14 @@ def test_flow_stepped_out_of_domain(cell5):
     # no step at or above min_step is possible, and no singularity is near
     rng = np.random.default_rng(15)
     r0 = 1.0 + 0.05 * rng.standard_normal(5)
-    tr = yamabe_flow(cell5, r0, default_yamabe_spec(min_step=0.5))
+    tr = run(FlowSpec("yamabe", t_max=20.0, min_step=0.5), cell5, r0)
     assert tr.termination == "stepped_out_of_domain"
     assert tr.singularity is None
 
 
 def test_flow_rejects_alpha_and_target(cell5):
     with pytest.raises(ValueError, match="alpha"):
-        yamabe_flow(cell5, np.ones(5), default_yamabe_spec(alpha=0.5))
+        run(FlowSpec("yamabe", t_max=20.0, alpha=0.5), cell5, np.ones(5))
     with pytest.raises(ValueError, match="target"):
-        yamabe_flow(cell5, np.ones(5), default_yamabe_spec(target=np.ones(5)))
+        run(FlowSpec("yamabe", t_max=20.0, target=np.ones(5)), cell5,
+            np.ones(5))

@@ -33,9 +33,11 @@ Freudenthal 3-torus (2058 tetrahedra, written to OUTDIR/meshes); the cell5
 flow into a removable singularity; and the four
 admissibility conditions on octahedron, icosahedron, torus_7 and genus2_11,
 plus one run with the full per-subset table and one with a subsets file;
-and two regression runs: an icosahedron Newton solve whose line search
+two regression runs: an icosahedron Newton solve whose line search
 meets an overflowing trial point, and the metric condition at alpha = NaN
-(invalid input, exit 2).
+(invalid input, exit 2); and three refusals of a complex of the other
+dimension (exit 2): a surface family on cell16, the Yamabe flow on
+torus_7, and the y condition on cell5.
 """
 
 import argparse
@@ -144,6 +146,14 @@ def corpus(outdir):
     runs.append(("check-octahedron-metric-nan-alpha",
                  ["check", "--mesh", "octahedron", "--condition", "metric",
                   "--alpha", "nan", "--random", RANDOM_CHECK]))
+    runs.append(("flow-cell16-calabi-refused",
+                 ["flow", "--mesh", "cell16", "--family", "calabi",
+                  "--random", RANDOM_3D]))
+    runs.append(("flow-torus_7-yamabe-refused",
+                 ["flow", "--mesh", "torus_7", "--family", "yamabe",
+                  "--random", RANDOM]))
+    runs.append(("check-cell5-y-refused",
+                 ["check", "--mesh", "cell5", "--condition", "y"]))
     return runs
 
 
