@@ -224,10 +224,14 @@ def ricci_potential(c, u0, u1, alpha=2.0, target=None, tol=1e-10):
     The integrand's Jacobian is symmetric, so the value does not depend on
     the path; the straight segment is integrated by adaptive 16-point
     Gauss-Legendre panels. Flow runs integrate the potential with their
-    stepper instead; this quadrature is the independent check.
+    stepper instead; this quadrature is the independent check. Both end
+    points are checked, as radii e^u of the surface c, before anything else.
     """
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
+    with np.errstate(over="ignore"):  # e^u = inf fails the check by name
+        check_metric(c, np.exp(u0))
+        check_metric(c, np.exp(u1))
     d = u1 - u0
     if not np.any(d):
         return 0.0

@@ -19,7 +19,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import DegenerateTriangleError
-from .mesh import _check_complex, euler_characteristic
+from .mesh import _check_complex
 
 # Tolerated excursion of an inner-angle cosine beyond [-1, 1]. Thurston's
 # lemma rules out genuine degeneracy for weights in [0, pi/2], so anything
@@ -132,7 +132,7 @@ CurvatureAverages = namedtuple("CurvatureAverages",
 
 def average_curvature(c, r, alpha=2.0):
     """2 pi chi(M) / ||r||_alpha^alpha."""
-    return _average_curvature(_check_complex(c, 2), r, alpha)
+    return _average_curvature(c, check_metric(c, r), alpha)
 
 
 def _average_curvature(c, r, alpha):
@@ -142,7 +142,8 @@ def _average_curvature(c, r, alpha):
 
 def curvature_averages(c, r, alpha=2.0):
     """The three average curvatures (classical, alpha=2, and given alpha)."""
-    gb = 2.0 * np.pi * euler_characteristic(c)
+    r = check_metric(c, r)
+    gb = 2.0 * np.pi * c.chi
     return CurvatureAverages(gb / c.vertex_count,
                              gb / total_measure(r, 2.0),
                              gb / total_measure(r, alpha))

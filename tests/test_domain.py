@@ -169,6 +169,8 @@ BOUNDARY = [
     ("operators2d.potential_gradient", 2, operators2d.potential_gradient),
     ("operators2d.ricci_potential", 2,
      lambda c, r: operators2d.ricci_potential(c, np.log(r), np.log(r) + 0.1)),
+    ("operators2d.ricci_potential(u0 == u1)", 2,
+     lambda c, r: operators2d.ricci_potential(c, np.log(r), np.log(r))),
     ("operators2d.potential_hessian", 2, operators2d.potential_hessian),
     ("operators2d.calabi_energy", 2, operators2d.calabi_energy),
     ("operators2d.calabi_energy_gradient", 2,
@@ -240,3 +242,29 @@ def test_boundary_refuses_an_invalid_complex_by_name(name, dim, call):
     assert not c.is_valid
     with pytest.raises(InvalidComplexError):
         call(c, np.ones(c.vertex_count))
+
+
+# radii of the tetrahedron that are not a metric of it: NaN, a shape of one
+# vertex (which once gave the average of a one-vertex measure, 4 pi), a
+# non-positive radius
+BAD_RADII = [[np.nan, 1.0, 1.0, 1.0], [1.0], [1.0, 1.0, 0.0, 1.0],
+             [1.0, 1.0, 1.0, np.inf]]
+
+
+@pytest.mark.parametrize("radii", BAD_RADII, ids=["nan", "one", "zero", "inf"])
+@pytest.mark.parametrize("call", [
+    packing2d.average_curvature, packing2d.curvature_averages,
+    lambda c, r: operators2d.ricci_potential(c, np.log(np.ones(4)), np.log(r)),
+    lambda c, r: operators2d.ricci_potential(c, np.log(r), np.log(r))],
+    ids=["average_curvature", "curvature_averages", "ricci_potential(u1)",
+         "ricci_potential(u0 == u1)"])
+def test_averages_and_the_potential_check_the_radii(call, radii):
+    with pytest.raises(ValueError, match="radii|shape"), \
+            np.errstate(divide="ignore"):
+        call(COMPLEXES["tetrahedron"], np.array(radii))
+
+
+def test_ricci_potential_checks_an_overflowing_end_point():
+    with pytest.raises(ValueError, match="radii"):
+        operators2d.ricci_potential(COMPLEXES["tetrahedron"], np.zeros(4),
+                                    np.full(4, 800.0))

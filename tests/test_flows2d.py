@@ -12,7 +12,8 @@ from conftest import (calabi_families, grid_torus, newton_direction_oracle,
 from packflows import data, flows2d, operators2d, packing2d, packing3d
 from packflows._rk import DomainError
 from packflows.cli import main
-from packflows.errors import (DegenerateTriangleError, NoConvergenceError,
+from packflows.errors import (DegenerateTetrahedronError,
+                              DegenerateTriangleError, NoConvergenceError,
                               NotApplicableError)
 from packflows.flows2d import (FlowSpec, FlowState, constant_curvature_residual,
                                find_constant_curvature, max_principle_bounds,
@@ -646,6 +647,12 @@ def test_spec_rejects_non_finite_target():
         FlowSpec(family="alpha_prescribed", target=[1.0, np.nan, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("method", ["dopri5", "RK45", "", None])
+def test_spec_rejects_an_unknown_method_at_construction(method):
+    with pytest.raises(ValueError, match="dop853, euler, rk4"):
+        FlowSpec(family="ricci_normalized", method=method)
+
+
 def test_run_rejects_target_of_wrong_shape(tetra):
     # a one-entry target would broadcast against the four radii; step and
     # vector_field once let it through
@@ -710,8 +717,11 @@ def test_calabi_runs_form_no_dense_matrix(monkeypatch, torus7):
 
 def test_each_accepted_point_is_evaluated_once(monkeypatch, torus7, torus3):
     """The sample of an accepted point and the first stage of the next step
-    share one evaluation, and every trial from that point reuses it: a run
-    makes 1 + 7 accepted + 6 rejected angle or solid-angle evaluations."""
+    share one evaluation, and every trial from that point reuses it. A
+    DOP853 trial evaluates no stage at its new point, so a run makes
+    1 + 12 accepted + 11 rejected angle or solid-angle evaluations. Both runs
+    reject a trial: the 2-d one on its own, the 3-d one from a first step
+    too long for the tolerance."""
     calls = Counter()
     state, angles = packing3d._state, packing2d._angles
 
@@ -729,20 +739,22 @@ def test_each_accepted_point_is_evaluated_once(monkeypatch, torus7, torus3):
     rng = np.random.default_rng(0)
     r2 = rng.uniform(0.8, 1.3, torus7.vertex_count)
     r3 = rng.uniform(0.9, 1.1, torus3.vertex_count)
-    for driver in (lambda: run(FlowSpec("calabi", t_max=5.0), torus7, r2),
-                   lambda: run(FlowSpec("yamabe", t_max=20.0), torus3, r3)):
+    specs = [(FlowSpec("alpha_calabi", alpha=2.0, t_max=5.0), torus7, r2),
+             (FlowSpec("yamabe", t_max=20.0, initial_step=0.5), torus3, r3)]
+    for spec, c, r0 in specs:
         calls.clear()
-        trace = driver()
+        trace = run(spec, c, r0)
         assert trace.termination in ("max_time", "converged")
         assert trace.n_rejected > 0
-        assert calls["evaluations"] == 1 + 7 * trace.n_steps + 6 * trace.n_rejected
+        assert calls["evaluations"] == (1 + 12 * trace.n_steps
+                                        + 11 * trace.n_rejected)
 
 
 def test_a_field_that_is_not_finite_ends_the_run_or_the_trial(tetra):
     """A non-finite field at an accepted point ends the run
     stepped_out_of_domain for every method: it is the first stage of every
     step, so no step leaves the point. In a later stage it is a failed trial
-    to dopri5, which retries smaller, and an error to the fixed-step methods.
+    to dop853, which retries smaller, and an error to the fixed-step methods.
     """
     r0 = np.ones(4)
 
@@ -758,12 +770,39 @@ def test_a_field_that_is_not_finite_ends_the_run_or_the_trial(tetra):
         spec = FlowSpec("ricci", method=method, t_max=1.0)
         return flows2d._integrate(spec, tetra, r0, flow)
 
-    for method in ("dopri5", "rk4", "euler"):
+    for method in ("dop853", "rk4", "euler"):
         trace = integrate(method, False)
         assert (trace.termination, trace.n_steps) == ("stepped_out_of_domain", 0)
-    trace = integrate("dopri5", True)
+    trace = integrate("dop853", True)
     assert (trace.termination, trace.n_steps) == ("stepped_out_of_domain", 0)
     with pytest.raises(DomainError):
         integrate("rk4", True)
     trace = integrate("euler", True)
     assert (trace.termination, trace.n_steps) == ("stepped_out_of_domain", 1)
+
+
+@pytest.mark.parametrize("error", [DegenerateTriangleError,
+                                   DegenerateTetrahedronError])
+def test_an_accepted_point_outside_the_domain_ends_the_run(tetra, error):
+    """No stage of a DOP853 trial sits at the point it accepts: when the
+    evaluation of that point fails by name, the run ends
+    stepped_out_of_domain at the last point inside, as when no step leaves
+    it. The first accepted point is the 13th evaluation: the start and 11
+    stages come before it."""
+    calls = Counter()
+
+    def evaluate(r):
+        calls["evaluations"] += 1
+        if calls["evaluations"] == 13:
+            raise error("degenerate")
+        return flows2d._point(tetra, r)
+
+    def sample(t, point, F):
+        return t, point[0], 0.0, 0.0, F, 0.0, 1.0
+    r0 = np.array([0.7, 0.9, 1.1, 1.3])
+    flow = flows2d._Flow(evaluate, lambda point: (-point[3], 0.0), sample,
+                         True, None)
+    trace = flows2d._integrate(FlowSpec("ricci"), tetra, r0, flow)
+    assert (trace.termination, trace.n_steps) == ("stepped_out_of_domain", 0)
+    assert calls["evaluations"] == 13
+    assert np.array_equal(trace.radii, [r0])

@@ -34,7 +34,7 @@ def test_dopri_potential_matches_quadrature(surfaces, mesh_name, family, alpha):
     target = None
     if FAMILIES[family].prescribed:
         target = curvature(c, rng.uniform(0.9, 1.1, c.vertex_count), alpha)
-    tr = run(FlowSpec(family, alpha=alpha, target=target, t_max=1.5), c, r0)
+    tr = run(FlowSpec(family, alpha=alpha, target=target, t_max=3.0), c, r0)
     assert tr.n_steps > 20
     ref = oracle_potential(c, tr)
     assert np.max(np.abs(tr.potential - ref)) <= 1e-8 * max(1.0, np.abs(ref).max())

@@ -15,6 +15,13 @@ For each run it prints one of
     within R        same files, exit code, termination and step count, and
                     every numeric CSV and JSON field within R (the largest
                     relative difference is printed)
+    ends within R   same files, exit code and termination, but another
+                    step sequence: the final trace rows agree within R,
+                    their time aside (the largest relative difference and
+                    both step counts are printed), as when the stepper
+                    changes; a run that stops on a test of its state stops
+                    at the first accepted point that passes it, and when
+                    that is depends on the steps
     different       anything else (the first cause is printed, then each
                     side's exit code, termination and step count)
 
@@ -222,9 +229,12 @@ def compare_run(dir_a, dir_b, rtol):
             x.strip() for x in blobs["exit"])
     if "flow_summary.json" in blobs:
         doc_a, doc_b = (json.loads(x) for x in blobs["flow_summary.json"])
-        for key in ("termination", "steps"):
-            if doc_a[key] != doc_b[key]:
-                return "different", f"{key} {doc_a[key]} != {doc_b[key]}"
+        if doc_a["termination"] != doc_b["termination"]:
+            return "different", (f"termination {doc_a['termination']} != "
+                                 f"{doc_b['termination']}")
+        if doc_a["steps"] != doc_b["steps"]:
+            return _compare_ends(blobs["trace.csv"], doc_a["steps"],
+                                 doc_b["steps"], rtol)
     worst = 0.0
     for name, (x, y) in blobs.items():
         try:
@@ -239,6 +249,25 @@ def compare_run(dir_a, dir_b, rtol):
     if worst > rtol:
         return "different", f"largest relative difference {worst:.3g} > {rtol:g}"
     return "within", f"{worst:.3g}"
+
+
+def _compare_ends(traces, steps_a, steps_b, rtol):
+    """(verdict, detail) for two runs whose step sequences differ: their
+    final trace rows, under the trace header and without the time column,
+    within rtol."""
+    ends = []
+    for text in traces:
+        lines = text.splitlines()
+        ends.append("\n".join(line.split(",", 1)[1]
+                              for line in (lines[0], lines[-1])))
+    try:
+        worst = _csv_diff(*ends)
+    except ValueError as exc:
+        return "different", f"final trace row: {exc}"
+    if worst > rtol:
+        return "different", (f"final trace rows differ by {worst:.3g} > "
+                             f"{rtol:g} (steps {steps_a} != {steps_b})")
+    return "ends", f"{worst:.3g}; steps {steps_a} -> {steps_b}"
 
 
 def _outcome(rundir):
@@ -263,7 +292,7 @@ def compare(dir_a, dir_b, rtol):
         os.path.join(dir_a, n, "exit"))}
     names_b = {n for n in os.listdir(dir_b) if os.path.isfile(
         os.path.join(dir_b, n, "exit"))}
-    counts = {"identical": 0, "within": 0, "different": 0}
+    counts = {"identical": 0, "within": 0, "ends": 0, "different": 0}
     for name in sorted(names_a | names_b):
         if name not in names_a or name not in names_b:
             verdict, detail = "different", "run missing on one side"
@@ -271,7 +300,8 @@ def compare(dir_a, dir_b, rtol):
             verdict, detail = compare_run(os.path.join(dir_a, name),
                                           os.path.join(dir_b, name), rtol)
         counts[verdict] += 1
-        label = f"within {rtol:g}" if verdict == "within" else verdict
+        label = {"within": f"within {rtol:g}",
+                 "ends": f"ends within {rtol:g}"}.get(verdict, verdict)
         print(f"{name}: {label}" + (f" ({detail})" if detail else ""))
         if verdict == "different":
             for side in (dir_a, dir_b):
