@@ -50,7 +50,7 @@ class StepFailureError(PackflowsError):
 
 
 class EnumerationTooLargeError(PackflowsError):
-    """Subset enumeration would exceed the configured vertex cap."""
+    """Subset enumeration past admissibility.SUBSET_ENUMERATION_CAP."""
 
 
 class NoConvergenceError(PackflowsError):

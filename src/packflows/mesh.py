@@ -13,13 +13,37 @@ from collections.abc import Iterable, Mapping
 
 import numpy as np
 
-from .errors import EnumerationTooLargeError, InvalidComplexError
-
-SUBSET_ENUMERATION_CAP = 22
+from .errors import InvalidComplexError
 
 
 def _canon_simplices(simplices):
     return [tuple(sorted(int(v) for v in s)) for s in simplices]
+
+
+def _disconnected(n, simplices):
+    """[a violation] if the (nonempty) simplices leave a vertex unreachable
+    from vertex 0: a breadth-first search with one vectorised step per level,
+    over the sorted lists of the pairs (s[0], s[k]) in both directions."""
+    s = np.asarray(simplices, dtype=np.intp)
+    hub, rest = np.repeat(s[:, 0], s.shape[1] - 1), s[:, 1:].ravel()
+    heads, tails = np.r_[hub, rest], np.r_[rest, hub]
+    order = np.argsort(heads, kind="stable")
+    nbrs, first = tails[order], np.searchsorted(heads[order], np.arange(n + 1))
+    seen, frontier = np.zeros(n, dtype=bool), np.zeros(1, dtype=np.intp)
+    slot = np.empty(n, dtype=np.intp)
+    while frontier.size:
+        seen[frontier] = True
+        size = first[frontier + 1] - first[frontier]
+        at = np.repeat(first[frontier] - np.cumsum(size) + size, size)
+        reach = nbrs[at + np.arange(size.sum())]  # the frontier's neighbours
+        reach = reach[~seen[reach]]
+        # each vertex once: the entries that hold their vertex's last slot
+        # (O(k), where np.unique would sort and import numpy.ma, ~1 MB)
+        slot[reach] = np.arange(len(reach))
+        frontier = reach[slot[reach] == np.arange(len(reach))]
+    missed = n - int(seen.sum())
+    return [f"complex is disconnected: {missed} of {n} vertices are not "
+            f"joined to vertex 0"] if missed else []
 
 
 class _Complex:
@@ -128,7 +152,7 @@ class Surface2Complex(_Complex):
                  if not (0.0 <= w <= math.pi / 2 + 1e-15)]
         for e in bad_w:
             report.append(f"edge {e} weight outside [0, pi/2]")
-        return report
+        return report or _disconnected(n, self.faces)
 
     # -- derived indices ---------------------------------------------------
 
@@ -143,10 +167,6 @@ class Surface2Complex(_Complex):
             for m in range(3):
                 pq = tuple(v for k, v in enumerate(f) if k != m)
                 self.face_edge[fi, m] = self._edge_index[pq]
-        self.vertex_faces = [[] for _ in range(self.vertex_count)]
-        for fi, f in enumerate(self.faces):
-            for v in f:
-                self.vertex_faces[v].append(fi)
         self.cos_weights = np.cos(self.weights)
         self.chi = self.vertex_count - len(self.edges) + len(self.faces)
         for arr in (self.weights, self.cos_weights, self.edge_array,
@@ -234,7 +254,7 @@ class Manifold3Complex(_Complex):
         for v in range(n):
             if v not in covered:
                 report.append(f"vertex {v} not in any tetrahedron")
-        return report
+        return report or _disconnected(n, self.tetrahedra)
 
     def _build_index(self):
         self.tet_array = np.array(self.tetrahedra, dtype=int).reshape(-1, 4)
@@ -297,19 +317,6 @@ def check_subset(c, subset):
         if not 0 <= v < c.vertex_count:
             raise ValueError(f"vertex {v} outside [0, {c.vertex_count})")
     return I
-
-
-def proper_subsets(n, cap=SUBSET_ENUMERATION_CAP):
-    """Yield the nonempty proper subsets of range(n) in (size, lex) order.
-
-    Guarded by a hard cap since there are 2^n - 2 of them; callers with larger
-    complexes must supply explicit subsets instead.
-    """
-    if n > cap:
-        raise EnumerationTooLargeError(
-            f"enumeration of 2^{n}-2 subsets exceeds cap n <= {cap}")
-    for size in range(1, n):
-        yield from itertools.combinations(range(n), size)
 
 
 # -- JSON I/O ---------------------------------------------------------------

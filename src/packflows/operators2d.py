@@ -39,12 +39,6 @@ class JacobianMatrix:
     def shape(self):
         return self.matrix.shape
 
-    def write_csv(self, path):
-        with open(path, "w") as fp:
-            fp.write(f"# coord={self.coord}\n")
-            for row in self.matrix:
-                fp.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
 
 def _edge_weights(c, r, theta, L):
     """The curvature Jacobian as one weight per edge: w_e = dK_i/d(log r_j)
@@ -204,8 +198,8 @@ def _gl_panel(g, a, b):
     return half * np.sum(_GL_WEIGHTS * g(mid + half * _GL_NODES))
 
 
-def _adaptive_gl(g, a, b, tol, depth=0):
-    whole = _gl_panel(g, a, b)
+def _adaptive_gl(g, a, b, whole, tol, depth=0):
+    """The integral of g over [a, b] from its one-panel value whole."""
     mid = 0.5 * (a + b)
     left = _gl_panel(g, a, mid)
     right = _gl_panel(g, mid, b)
@@ -214,8 +208,8 @@ def _adaptive_gl(g, a, b, tol, depth=0):
     if depth >= 30:
         raise QuadratureFailureError(
             f"no convergence on [{a}, {b}] after {depth} refinements")
-    return (_adaptive_gl(g, a, mid, 0.5 * tol, depth + 1)
-            + _adaptive_gl(g, mid, b, 0.5 * tol, depth + 1))
+    return (_adaptive_gl(g, a, mid, left, 0.5 * tol, depth + 1)
+            + _adaptive_gl(g, mid, b, right, 0.5 * tol, depth + 1))
 
 
 def ricci_potential(c, u0, u1, alpha=2.0, target=None, tol=1e-10):
@@ -243,7 +237,11 @@ def ricci_potential(c, u0, u1, alpha=2.0, target=None, tol=1e-10):
             vals[k] = g @ d
         return vals
 
-    return float(_adaptive_gl(integrand, 0.0, 1.0, tol))
+    # tol is relative to the size of the integral (at least 1): a leg of
+    # |F| ~ 1e8 cannot be resolved to an absolute 1e-10 in double precision
+    whole = _gl_panel(integrand, 0.0, 1.0)
+    return float(_adaptive_gl(integrand, 0.0, 1.0, whole,
+                              tol * max(1.0, abs(whole))))
 
 
 def potential_hessian(c, r, alpha=2.0, target=None, coord="log_r"):

@@ -1,14 +1,20 @@
 import itertools
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from packflows import data
 from packflows.flows2d import FAMILIES
-from packflows.mesh import Surface2Complex
+from packflows.mesh import Surface2Complex, mesh_from_dict
 from packflows.operators2d import potential_gradient, potential_hessian
 from packflows.packing2d import edge_lengths, inner_angles
 from packflows.packing3d import solid_angle_defect
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tools"))
+import gen_meshes  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -63,15 +69,12 @@ def random_metric(rng, n, lo=0.5, hi=2.0):
 
 def grid_torus(n, m):
     """Standard diagonal triangulation of an n x m torus grid (degree 6)."""
-    def vid(i, j):
-        return (i % n) * m + (j % m)
+    return mesh_from_dict(gen_meshes.grid_torus(n, m))
 
-    faces = []
-    for i in range(n):
-        for j in range(m):
-            faces.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
-            faces.append((vid(i, j), vid(i, j + 1), vid(i + 1, j + 1)))
-    return Surface2Complex(n * m, faces)
+
+def two_copies(simplices, n):
+    """The simplices on range(n) and a disjoint copy on range(n, 2n)."""
+    return list(simplices) + [tuple(v + n for v in s) for s in simplices]
 
 
 def calabi_families():

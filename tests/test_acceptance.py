@@ -321,7 +321,7 @@ def test_criterion_12_admissibility(tetra, octa, icosa, torus7):
         trials = 1000
         per = trials // len(complexes)
         for c in complexes:
-            subsets, rhs, ind = rhs_table(c)
+            ind, rhs = rhs_table(c)
             gb = 2 * np.pi * euler_characteristic(c)
             for _ in range(per):
                 K = angle_defect(c, random_metric(rng, c.vertex_count, 0.2, 5.0))

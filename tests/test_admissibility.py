@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_subsets, random_metric, reweighted, subset_rhs_oracle
+from conftest import (all_subsets, grid_torus, random_metric, reweighted,
+                      subset_rhs_oracle)
 from packflows import data
 from packflows.admissibility import (metric_condition, rhs_table,
                                      sphere_condition, subset_rhs,
@@ -14,6 +15,11 @@ from packflows.errors import EnumerationTooLargeError
 from packflows.flows2d import find_constant_curvature
 from packflows.mesh import Surface2Complex, euler_characteristic
 from packflows.packing2d import angle_defect
+
+
+def rows_of(ind):
+    """The subsets of an indicator's rows, as sorted tuples."""
+    return [tuple(np.flatnonzero(row).tolist()) for row in ind]
 
 
 def test_subset_rhs_tetrahedron(tetra):
@@ -48,16 +54,17 @@ def test_table_matches_oracle_bit_for_bit_with_random_weights(octa, icosa):
     rng = np.random.default_rng(46)
     for c in (octa, icosa):
         c = reweighted(c, rng.uniform(0, np.pi / 2, len(c.edges)))
-        subsets, rhs, _ = rhs_table(c)
-        assert len(subsets) == 2 ** c.vertex_count - 2
-        for I, value in zip(subsets, rhs.tolist()):
+        ind, rhs = rhs_table(c)
+        assert len(ind) == 2 ** c.vertex_count - 2
+        for I, value in zip(rows_of(ind), rhs.tolist()):
             assert value == subset_rhs_oracle(c, I)
 
 
 def test_table_rows_are_the_report_rows(octa):
     rng = np.random.default_rng(47)
     r = random_metric(rng, 6)
-    subsets, rhs, ind = rhs_table(octa)
+    ind, rhs = rhs_table(octa)
+    subsets = rows_of(ind)
     assert subsets == sorted(subsets, key=lambda I: (len(I), I))
     assert ind.tolist() == [[v in I for v in range(6)] for I in subsets]
     reports = (thurston_condition(octa), sphere_condition(octa),
@@ -66,9 +73,12 @@ def test_table_rows_are_the_report_rows(octa):
     for rep in reports:
         assert [rec.subset for rec in rep.records] == subsets
         assert [rec.rhs for rec in rep.records] == rhs.tolist()
+        assert rep.ind.tolist() == ind.tolist()
+        assert rep.rhs.tolist() == rhs.tolist()
     # explicit subsets are canonicalized and sorted; repeats keep both rows
     explicit = [[3, 1, 2], {4}, (2, 1, 3), [0, 5]]
-    subsets, rhs, _ = rhs_table(octa, subsets=explicit)
+    ind, rhs = rhs_table(octa, subsets=explicit)
+    subsets = rows_of(ind)
     assert subsets == [(4,), (0, 5), (1, 2, 3), (1, 2, 3)]
     rep = sphere_condition(octa, subsets=explicit)
     assert [rec.subset for rec in rep.records] == subsets
@@ -132,8 +142,9 @@ def test_thurston_icosahedron(icosa):
 def test_thurston_witness_reporting(torus7):
     # chi = 0 makes the left side vanish; subsets with rhs >= 0 are reported
     report = thurston_condition(torus7)
-    for rec in report.witnesses():
-        assert rec.rhs >= -1e-12
+    for rec in report.records:
+        if not rec.satisfied:
+            assert rec.rhs >= -1e-12
     assert report.worst.margin == min(r.margin for r in report.records)
 
 
@@ -174,7 +185,7 @@ def test_sphere_condition_single_vertex_arithmetic(surfaces):
     for c in surfaces.values():
         if np.any(c.weights != 0):
             continue
-        deg_faces = [len(c.vertex_faces[v]) for v in range(c.vertex_count)]
+        deg_faces = np.bincount(c.face_array.ravel()).tolist()
         rep = sphere_condition(c, subsets=[{v} for v in range(c.vertex_count)])
         for rec, d in zip(rep.records, deg_faces):
             assert abs(rec.rhs - (2.0 - d) * np.pi) < 1e-12
@@ -216,7 +227,7 @@ def test_y_membership_batch_table(icosa):
     # the precomputed table agrees with the per-call reports and lets a large
     # batch of curvature vectors be checked at once
     rng = np.random.default_rng(43)
-    subsets, rhs, ind = rhs_table(icosa)
+    ind, rhs = rhs_table(icosa)
     gb = 2 * np.pi * euler_characteristic(icosa)
     for _ in range(200):
         K = angle_defect(icosa, random_metric(rng, 12, 0.3, 3.0))
@@ -291,13 +302,30 @@ def test_rhs_is_degeneration_limit_of_subset_curvature(tetra, octa):
         assert gaps[-1] < 20 * np.sqrt(1e-8)
 
 
-def test_enumeration_cap(icosa):
-    with pytest.raises(EnumerationTooLargeError):
-        thurston_condition(icosa, cap=10)
-    # explicit subsets bypass the cap
-    rep = thurston_condition(icosa, subsets=[{0}, {1, 2}], cap=10)
-    assert len(rep.records) == 2
-    assert not rep.exhaustive
+def test_full_table_on_a_grid_torus_is_in_size_lex_order_and_exact():
+    c = grid_torus(4, 4)
+    ind, rhs = rhs_table(c)
+    subsets = rows_of(ind)
+    assert len(subsets) == 2 ** 16 - 2
+    assert subsets == sorted(set(subsets), key=lambda I: (len(I), I))
+    assert all(value == subset_rhs_oracle(c, I)
+               for I, value in zip(subsets, rhs.tolist()))
+
+
+def test_enumeration_cap():
+    # full enumeration (2^V - 2 rows) is refused above V = 22: a 23-vertex
+    # circulant torus and a 24-vertex grid torus
+    circulant = Surface2Complex(23, [(i, (i + a) % 23, (i + 3) % 23)
+                                     for i in range(23) for a in (1, 2)])
+    for c in (circulant, grid_torus(4, 6)):
+        assert c.is_valid
+        for condition in (thurston_condition, sphere_condition, rhs_table):
+            with pytest.raises(EnumerationTooLargeError, match="cap n <= 22"):
+                condition(c)
+        # explicit subsets bypass the cap
+        rep = thurston_condition(c, subsets=[{0}, {1, 2}])
+        assert len(rep.records) == 2
+        assert not rep.exhaustive
 
 
 def test_report_json_shape(tetra):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import grid_torus
+from conftest import grid_torus, two_copies
 from packflows import data
 from packflows.cli import main
 from packflows.mesh import save_mesh
@@ -49,6 +49,20 @@ def test_curvature_invalid_complex(tmp_path):
     p = tmp_path / "open.json"
     p.write_text(json.dumps(doc))
     assert main(["curvature", "--mesh", str(p), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("mesh, key", [("tetrahedron", "faces"),
+                                       ("cell5", "tetrahedra")])
+@pytest.mark.parametrize("command", ["curvature", "flow"])
+def test_disconnected_complex_exit2(tmp_path, capsys, mesh, key, command):
+    c = data.load(mesh)
+    n = c.vertex_count
+    doc = {"dim": c.dim, "vertex_count": 2 * n,
+           key: two_copies(getattr(c, key), n)}
+    p = tmp_path / "two.json"
+    p.write_text(json.dumps(doc))
+    assert main([command, "--mesh", str(p), "--out", str(tmp_path)]) == 2
+    assert "disconnected" in capsys.readouterr().err
 
 
 def test_curvature_degenerate_metric_exit3(tmp_path):

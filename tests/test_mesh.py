@@ -4,12 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import grid_torus
+from conftest import grid_torus, two_copies
 from packflows.admissibility import subset_rhs
-from packflows.errors import EnumerationTooLargeError, InvalidComplexError
+from packflows.errors import InvalidComplexError
+from packflows.flows2d import FlowSpec, run
 from packflows.mesh import (Manifold3Complex, Surface2Complex,
                             euler_characteristic, load_mesh, mesh_from_dict,
-                            mesh_to_dict, proper_subsets, save_mesh)
+                            mesh_to_dict, save_mesh)
 
 
 def test_euler_characteristic(tetra, octa, icosa, torus7, genus2):
@@ -109,15 +110,19 @@ def test_validate_3d_missing_subsimplex(cell5):
     assert any("not listed" in m for m in c.validate())
 
 
-def test_proper_subsets_cap():
-    subs = list(proper_subsets(4))
-    assert len(subs) == 2 ** 4 - 2
-    assert len(set(subs)) == len(subs)
-    assert subs == sorted(subs, key=lambda I: (len(I), I))
-    with pytest.raises(EnumerationTooLargeError):
-        list(proper_subsets(25))
-    # overridable
-    assert sum(1 for _ in proper_subsets(8, cap=8)) == 254
+def test_validate_disconnected(tetra, cell5):
+    # two disjoint spheres once passed validation, and the normalized Ricci
+    # flow from unit radii then reported convergence after 0 steps
+    surface = Surface2Complex(8, two_copies(tetra.faces, 4))
+    solid = Manifold3Complex(10, two_copies(cell5.tetrahedra, 5))
+    for c, half in ((surface, 4), (solid, 5)):
+        assert c.validate() == [f"complex is disconnected: {half} of "
+                                f"{2 * half} vertices are not joined to "
+                                f"vertex 0"]
+        with pytest.raises(InvalidComplexError, match="disconnected"):
+            c.require_valid()
+    with pytest.raises(InvalidComplexError, match="disconnected"):
+        run(FlowSpec("ricci_normalized"), surface, np.ones(8))
 
 
 def test_mesh_json_roundtrip(tmp_path, genus2, cell16):

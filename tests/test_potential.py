@@ -1,6 +1,8 @@
 """The Ricci potential integrated by the stepper: against the quadrature
 oracle, at the order of each method, and without effect on the run."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,26 @@ def test_dopri_potential_matches_quadrature(surfaces, mesh_name, family, alpha):
     tr = run(FlowSpec(family, alpha=alpha, target=target, t_max=3.0), c, r0)
     assert tr.n_steps > 20
     ref = oracle_potential(c, tr)
+    assert np.max(np.abs(tr.potential - ref)) <= 1e-8 * max(1.0, np.abs(ref).max())
+
+
+def test_quadrature_tolerance_is_relative_to_the_integral(tetra):
+    # the CLI corpus run `flow --mesh tetrahedron --family alpha-prescribed
+    # --alpha 2 --random 0.8,1.3,1 --t-max 3` reaches radii ~9e3 and
+    # |F| ~ 1.7e8, where an absolute panel tolerance cannot be met in double
+    # precision: two of its legs raised QuadratureFailureError
+    target = curvature(tetra, np.random.default_rng(101).uniform(0.9, 1.1, 4),
+                       2.0)
+    r0 = np.random.default_rng(1).uniform(0.8, 1.3, 4)
+    spec = FlowSpec("alpha_prescribed", alpha=2.0, target=target, t_max=3.0)
+    tr = run(spec, tetra, r0)
+    assert tr.radii.max() > 9e3
+    assert np.all(np.isfinite(oracle_potential(tetra, tr)))
+    # the stepper's potential is not in its error norm, so at the default
+    # rtol 1e-9 it is ~4e-6 relative off on the last legs; at rtol 1e-13 it
+    # meets the bound of the test above on every leg
+    tr = run(dataclasses.replace(spec, rtol=1e-13), tetra, r0)
+    ref = oracle_potential(tetra, tr)
     assert np.max(np.abs(tr.potential - ref)) <= 1e-8 * max(1.0, np.abs(ref).max())
 
 

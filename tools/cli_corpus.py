@@ -39,7 +39,9 @@ each of the three; flow, solve, spectrum and curvature on the three bundled
 Freudenthal 3-torus (2058 tetrahedra, written to OUTDIR/meshes); the cell5
 flow into a removable singularity; and the four
 admissibility conditions on octahedron, icosahedron, torus_7 and genus2_11,
-plus one run with the full per-subset table and one with a subsets file;
+plus one run with the full per-subset table and one with a subsets file,
+and the Thurston condition and the metric condition with its full table
+(65 534 rows) on the 4 x 4 grid torus (written to OUTDIR/meshes);
 two regression runs: an icosahedron Newton solve whose line search
 meets an overflowing trial point, and the metric condition at alpha = NaN
 (invalid input, exit 2); and three refusals of a complex of the other
@@ -63,7 +65,7 @@ import numpy as np  # noqa: E402
 from packflows import data  # noqa: E402
 from packflows.flows2d import FAMILIES  # noqa: E402
 from packflows.packing2d import curvature  # noqa: E402
-from gen_meshes import torus3_freudenthal  # noqa: E402
+from gen_meshes import grid_torus, torus3_freudenthal  # noqa: E402
 
 SURFACES = ("tetrahedron", "torus_7", "genus2_11")
 SOLIDS = ("cell5", "cell16", "torus3_27")
@@ -73,6 +75,7 @@ RANDOM_3D = "0.95,1.05,1"
 REMOVABLE_RADII = "1.383,0.759,0.37,0.328,1.683"
 LARGE_TORUS3 = 7  # the Freudenthal 3-torus of 7^3 vertices, 2058 tetrahedra
 CHECKED = ("octahedron", "icosahedron", "torus_7", "genus2_11")
+GRID_CHECKED = (4, 4)  # the grid torus of 16 vertices, 2^16 - 2 subsets
 CONDITIONS = ("thurston", "y", "metric", "sphere")
 RANDOM_CHECK = "0.5,2,1"
 # unsorted, repeated and overlapping subsets of the icosahedron
@@ -148,6 +151,14 @@ def corpus(outdir):
     runs.append(("check-icosahedron-metric-subsets",
                  ["check", "--mesh", "icosahedron", "--condition", "metric",
                   "--random", RANDOM_CHECK, "--subsets", subsets, "--full"]))
+    grid = os.path.join(outdir, "meshes", "grid_torus_16.json")
+    with open(grid, "w") as fp:
+        json.dump(grid_torus(*GRID_CHECKED), fp)
+    runs.append(("check-grid16-thurston",
+                 ["check", "--mesh", grid, "--condition", "thurston"]))
+    runs.append(("check-grid16-metric-full",
+                 ["check", "--mesh", grid, "--condition", "metric",
+                  "--random", RANDOM_CHECK, "--full"]))
     runs.append(("solve-icosahedron-overflowing-trial",
                  ["solve", "--mesh", "icosahedron", "--radii", OVERFLOW_START]))
     runs.append(("check-octahedron-metric-nan-alpha",

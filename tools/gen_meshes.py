@@ -92,6 +92,21 @@ def torus3_freudenthal(n=3):
             "tetrahedra": [list(t) for t in sorted(tets)]}
 
 
+def grid_torus(n, m):
+    """Diagonal triangulation of the n x m periodic grid (every vertex of
+    degree 6); vertex (i, j) is i * m + j. Not shipped: the tests and the CLI
+    corpus build it at the size they need."""
+    def vid(i, j):
+        return (i % n) * m + (j % m)
+
+    faces = []
+    for i in range(n):
+        for j in range(m):
+            faces.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)])
+            faces.append([vid(i, j), vid(i, j + 1), vid(i + 1, j + 1)])
+    return {"dim": 2, "vertex_count": n * m, "faces": faces}
+
+
 MESHES = {
     "tetrahedron": tetrahedron,
     "octahedron": octahedron,
