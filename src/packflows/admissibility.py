@@ -187,10 +187,12 @@ def metric_condition(c, r, alpha=2.0, subsets=None):
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     r = check_metric(c, r)
-    nrm = total_measure(r, alpha)
+    with np.errstate(over="ignore"):
+        w, nrm = r ** alpha, total_measure(r, alpha)
+    if not (np.all(np.isfinite(w)) and np.isfinite(nrm) and nrm > 0):
+        raise ValueError(f"r ** alpha leaves the float range at alpha {alpha:g}")
     return _report(c, f"metric_alpha_{alpha:g}",
-                   lambda ind, gb: gb * _masked_sum(ind, r ** alpha) / nrm,
-                   subsets)
+                   lambda ind, gb: gb * _masked_sum(ind, w) / nrm, subsets)
 
 
 def sphere_condition(c, subsets=None):

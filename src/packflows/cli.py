@@ -41,10 +41,11 @@ def _write_json(doc, path):
 
 
 def _load_mesh(args):
-    """The complex named by --mesh; the library checks it on first use."""
-    if args.mesh in data.available():
-        return data.load(args.mesh)
-    return mesh.load_mesh(args.mesh)
+    """The complex named by --mesh, checked before its vertex_count is read."""
+    c = (data.load(args.mesh) if args.mesh in data.available()
+         else mesh.load_mesh(args.mesh))
+    c.require_valid()
+    return c
 
 
 def _metric_for(args, c):
@@ -172,8 +173,6 @@ def cmd_check(args):
         r = _metric_for(args, c)
         x = packing2d.angle_defect(c, r)
         report = admissibility.y_membership(c, x, subsets=subsets)
-    else:
-        raise ValueError(f"unknown condition {args.condition!r}")
 
     _write_json(report.to_dict(full=args.full),
                 os.path.join(args.out, "check.json"))

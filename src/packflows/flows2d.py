@@ -156,7 +156,9 @@ class FlowTrace:
     curvatures: np.ndarray   # (samples, N) alpha-curvature along the run
     conserved: np.ndarray    # (samples,) family's conserved quantity
     potential: np.ndarray    # (samples,) Ricci potential from 0, integrated
-                             # by the stepper (3-d: total curvature)
+                             # by the stepper (3-d: total curvature); not in
+                             # its error control, so on a diverging run only
+                             # good to ~1e-6 relative at rtol 1e-9
     calabi: np.ndarray       # (samples,) Calabi energy (3-d: dissipation form)
     residuals: np.ndarray    # (samples,) scale-normalized curvature residual
     termination: str

@@ -3,6 +3,16 @@
 Simplices are stored as sorted vertex tuples so that set comparisons are
 canonical and hashable. Orientation is not tracked; nothing downstream needs
 it. Complexes are immutable after construction and safe to share.
+
+One rule set makes a complex of either dimension valid. vertex_count is a
+positive integer. Every simplex is distinct integral vertices in
+[0, vertex_count), listed once: 2 and 2.0 are vertices, while 2.5, True and
+"2" are refused, never truncated. Every sub-simplex of a top simplex (a face
+or a tetrahedron) is listed, or inferred for a kind that is not given. Every
+ridge (an edge of a surface, a triangle of a 3-manifold) lies in exactly two
+top simplices, and every other listed simplex in at least one. The top
+simplices cover and join all vertices, and surface edge weights lie in
+[0, pi/2]. Vertex links are not checked.
 """
 
 import itertools
@@ -16,8 +26,61 @@ import numpy as np
 from .errors import InvalidComplexError
 
 
-def _canon_simplices(simplices):
-    return [tuple(sorted(int(v) for v in s)) for s in simplices]
+def _integral(v):
+    """True for an integral real number that is not a bool: 2, 2.0 and numpy
+    integers, not 2.5, True, nan or "2"."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and (isinstance(v, numbers.Integral) or float(v).is_integer()))
+
+
+def _simplices(kind, rows, size, n):
+    """(array, report) for a list of vertex tuples: their (k, size) array,
+    each row sorted, or None and a violation for each tuple that is not size
+    distinct integral vertices in [0, n) or that is listed twice."""
+    # the usual input, Python ints, skips the check of each entry
+    if not ({type(v) for s in rows for v in s} <= {int}
+            and {len(s) for s in rows} <= {size}):
+        bad = [s for s in rows if len(s) != size or not all(map(_integral, s))]
+        if bad:
+            return None, [f"{kind} {s} is not {size} integral vertices"
+                          for s in bad]
+        rows = [tuple(map(int, s)) for s in rows]
+    if (min(map(min, rows), default=0) < 0
+            or max(map(max, rows), default=0) >= n):
+        return None, [f"{kind} {s} has a vertex index outside [0, {n})"
+                      for s in rows if min(s) < 0 or max(s) >= n]
+    a = np.array(rows, dtype=int).reshape(-1, size)
+    a.sort(axis=1)
+    repeats = a[(a[:, 1:] == a[:, :-1]).any(axis=1)]
+    by_row = a[np.lexsort(a.T[::-1])]
+    twice = by_row[1:][(by_row[1:] == by_row[:-1]).all(axis=1)]
+    report = ([f"{kind} {tuple(s)} repeats a vertex" for s in repeats.tolist()]
+              + [f"duplicate {kind} {tuple(s)}" for s in twice.tolist()])
+    return (None, report) if report else (a, [])
+
+
+def _incidence(top, size, n, listed=None):
+    """(listed, index): for each top row, the index in listed of each of its
+    size-vertex sub-simplices, in itertools.combinations column order, or -1
+    where one is not listed. listed None is inferred: the sub-simplices, each
+    once, in lexicographic order. A simplex is found by its mixed-radix key,
+    whose order is the lexicographic order of the sorted rows: one sort of
+    the listed keys and one searchsorted."""
+    sub = top[:, list(itertools.combinations(range(top.shape[1]), size))]
+    radix = n ** np.arange(size - 1, -1, -1)
+    want = sub @ radix
+    if listed is None:  # the distinct keys, decoded
+        keys = np.sort(want, axis=None)
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        listed = keys[:, None] // radix % n
+    else:
+        keys = listed @ radix
+    order = keys.argsort(kind="stable")
+    # a last key above every simplex's keeps each search inside the array
+    keys = np.concatenate((keys[order], [n ** size]))
+    order = np.concatenate((order, [-1]))
+    at = keys.searchsorted(want)
+    return listed, np.where(keys[at] == want, order[at], -1)
 
 
 def _disconnected(n, simplices):
@@ -26,7 +89,7 @@ def _disconnected(n, simplices):
     over the sorted lists of the pairs (s[0], s[k]) in both directions."""
     s = np.asarray(simplices, dtype=np.intp)
     hub, rest = np.repeat(s[:, 0], s.shape[1] - 1), s[:, 1:].ravel()
-    heads, tails = np.r_[hub, rest], np.r_[rest, hub]
+    heads, tails = np.concatenate((hub, rest)), np.concatenate((rest, hub))
     order = np.argsort(heads, kind="stable")
     nbrs, first = tails[order], np.searchsorted(heads[order], np.arange(n + 1))
     seen, frontier = np.zeros(n, dtype=bool), np.zeros(1, dtype=np.intp)
@@ -47,13 +110,62 @@ def _disconnected(n, simplices):
 
 
 class _Complex:
-    """Structural validation shared by both complexes; the subclass supplies
-    _validate (the violation report) and _build_index (derived arrays)."""
+    """Validation and indexing shared by both complexes, driven by the
+    subclass's SIMPLICES table: the top simplices, then each listed lower
+    kind from the ridge (dim vertices) down to the edges, as (list
+    attribute, singular name, array attribute or None)."""
 
-    def _finish(self):
-        self.violations = self._validate()
-        if not self.violations:
-            self._build_index()
+    def _validate(self, vertex_count, given, report=()):
+        """Check the complex, and set vertex_count, the simplex lists, the
+        violations and, when it is valid, the arrays. given holds the
+        simplices of each kind of SIMPLICES (None: inferred from the top
+        ones); report holds the violations the subclass found. Return the
+        index of the edges of each top simplex, in itertools.combinations
+        column order, or None if the complex is invalid."""
+        n = self.vertex_count = (int(vertex_count) if _integral(vertex_count)
+                                 else vertex_count)
+        given = [None if g is None else [tuple(s) for s in g] for g in given]
+        for (attr, _, _), rows in zip(self.SIMPLICES, given):
+            setattr(self, attr, rows or [])  # until they are checked
+        # the keys of _incidence are int64
+        if type(n) is not int or not (0 < n and n ** self.dim < 2 ** 63):
+            self.violations = [f"vertex_count must be a positive integer "
+                               f"below 2 ** (63 / {self.dim}), got {n!r}"]
+            return None
+        sizes = range(self.dim + 1, 1, -1)
+        checked = [_simplices(kind, rows, size, n) if rows is not None
+                   else (None, []) for (_, kind, _), size, rows
+                   in zip(self.SIMPLICES, sizes, given)]
+        self.violations = [m for _, faults in checked for m in faults]
+        if self.violations:
+            return None
+
+        arrays, violations = [a for a, _ in checked], []
+        top, (top_attr, top_kind, _) = arrays[0], self.SIMPLICES[0]
+        # the ridges (k = 1) lie in exactly two top simplices, the other
+        # listed kinds in at least one
+        for k, (_, kind, _) in enumerate(self.SIMPLICES[1:], 1):
+            arrays[k], index = _incidence(top, sizes[k], n, arrays[k])
+            for t, col in zip(*(index < 0).nonzero()):
+                s = tuple(top[t].tolist())
+                sub = list(itertools.combinations(s, sizes[k]))[col]
+                violations.append(f"{top_kind} {s} {kind} {sub} not listed")
+            count = np.bincount(index[index >= 0], minlength=len(arrays[k]))
+            for i in (count != 2 if k == 1 else count == 0).nonzero()[0]:
+                s = tuple(arrays[k][i].tolist())
+                violations.append(f"{kind} {s} in {count[i]} {top_attr} != 2"
+                                  if k == 1 else f"{kind} {s} in no {top_kind}")
+        for v in (np.bincount(top.ravel(), minlength=n) == 0).nonzero()[0]:
+            violations.append(f"vertex {v} not in any {top_kind}")
+        self.violations = [*violations, *report] or _disconnected(n, top)
+        # the tuples share one int object per vertex, not one per entry
+        verts = np.arange(n).astype(object)
+        for (attr, _, array_attr), a in zip(self.SIMPLICES, arrays):
+            setattr(self, attr, list(zip(*verts[a.T].tolist())))
+            if array_attr and not self.violations:
+                a.setflags(write=False)
+                setattr(self, array_attr, a)
+        return None if self.violations else index
 
     def validate(self):
         """Return the list of violated structural invariants (empty iff valid)."""
@@ -66,6 +178,12 @@ class _Complex:
     def require_valid(self):
         if self.violations:
             raise InvalidComplexError(self.violations)
+
+    def degrees(self):
+        """Number of top simplices at each vertex. On a valid surface each
+        vertex link is 2-regular, so this is also the number of edges."""
+        top = getattr(self, self.SIMPLICES[0][2])
+        return np.bincount(top.ravel(), minlength=self.vertex_count)
 
 
 class Surface2Complex(_Complex):
@@ -81,96 +199,30 @@ class Surface2Complex(_Complex):
     """
 
     dim = 2
+    SIMPLICES = (("faces", "face", "face_array"),
+                 ("edges", "edge", "edge_array"))
 
     def __init__(self, vertex_count, faces, edges=None):
-        self.vertex_count = int(vertex_count)
-        self.faces = _canon_simplices(faces)
-
-        inferred = sorted({e for f in self.faces if len(f) == 3
-                           for e in itertools.combinations(f, 2)})
-        if edges is None:
-            self.edges = inferred
-            self.weights = np.zeros(len(inferred))
-        else:
-            es, ws = [], []
-            for item in edges:
-                item = tuple(item)
-                if len(item) == 3:
-                    i, j, phi = item
-                else:
-                    (i, j), phi = item, 0.0
-                es.append(tuple(sorted((int(i), int(j)))))
-                ws.append(float(phi))
-            self.edges = es
-            self.weights = np.asarray(ws, dtype=float)
-        self._finish()
-
-    # -- validation -------------------------------------------------------
-
-    def _validate(self):
-        report = []
-        n = self.vertex_count
-        if n <= 0:
-            report.append("vertex_count must be positive")
-            return report
-        for f in self.faces:
-            if len(f) != 3 or len(set(f)) != 3:
-                report.append(f"face {f} is not a proper vertex triple")
-            elif not all(0 <= v < n for v in f):
-                report.append(f"face {f} has a vertex index outside [0, {n})")
-        for e in self.edges:
-            if len(set(e)) != 2:
-                report.append(f"edge {e} is degenerate")
-            elif not all(0 <= v < n for v in e):
-                report.append(f"edge {e} has a vertex index outside [0, {n})")
-        if report:
-            return report
-
-        if len(set(self.faces)) != len(self.faces):
-            report.append("duplicate faces present")
-        if len(set(self.edges)) != len(self.edges):
-            report.append("duplicate edges present")
-
-        edge_set = set(self.edges)
-        count = {e: 0 for e in self.edges}
-        for f in self.faces:
-            for e in itertools.combinations(f, 2):
-                if e not in edge_set:
-                    report.append(f"face {f} uses edge {e} not in the complex")
-                else:
-                    count[e] += 1
-        for e, k in count.items():
-            if k != 2:
-                report.append(f"edge {e} in {k} faces != 2")
-
-        covered = {v for f in self.faces for v in f}
-        for v in range(n):
-            if v not in covered:
-                report.append(f"vertex {v} not incident to any face")
-
-        bad_w = [e for e, w in zip(self.edges, self.weights)
-                 if not (0.0 <= w <= math.pi / 2 + 1e-15)]
-        for e in bad_w:
-            report.append(f"edge {e} weight outside [0, pi/2]")
-        return report or _disconnected(n, self.faces)
-
-    # -- derived indices ---------------------------------------------------
-
-    def _build_index(self):
+        weights, report = None, []
+        if edges is not None:
+            edges = [tuple(e) for e in edges]
+            weights = np.array([float(e[2]) if len(e) == 3 else 0.0
+                                for e in edges])
+            edges = [e[:2] if len(e) == 3 else e for e in edges]
+            report = [f"edge {e} weight outside [0, pi/2]"
+                      for e, w in zip(edges, weights)
+                      if not (0.0 <= w <= math.pi / 2 + 1e-15)]
+        edge_of = self._validate(vertex_count, (faces, edges), report)
+        self.weights = (np.zeros(len(self.edges)) if weights is None
+                        else weights)
+        if edge_of is None:
+            return
         self._edge_index = {e: k for k, e in enumerate(self.edges)}
-        self.edge_array = np.array(self.edges, dtype=int).reshape(-1, 2)
-        self.face_array = np.array(self.faces, dtype=int).reshape(-1, 3)
-        nf = len(self.faces)
         # face_edge[f, m] = index of the edge opposite vertex column m
-        self.face_edge = np.zeros((nf, 3), dtype=int)
-        for fi, f in enumerate(self.faces):
-            for m in range(3):
-                pq = tuple(v for k, v in enumerate(f) if k != m)
-                self.face_edge[fi, m] = self._edge_index[pq]
+        self.face_edge = edge_of[:, ::-1].copy()
         self.cos_weights = np.cos(self.weights)
         self.chi = self.vertex_count - len(self.edges) + len(self.faces)
-        for arr in (self.weights, self.cos_weights, self.edge_array,
-                    self.face_array, self.face_edge):
+        for arr in (self.weights, self.cos_weights, self.face_edge):
             arr.setflags(write=False)
 
     def edge_index(self, i, j):
@@ -178,13 +230,6 @@ class Surface2Complex(_Complex):
 
     def weight(self, i, j):
         return float(self.weights[self.edge_index(i, j)])
-
-    def degrees(self):
-        deg = np.zeros(self.vertex_count, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
 
     def __repr__(self):
         return (f"Surface2Complex(V={self.vertex_count}, E={len(self.edges)}, "
@@ -195,86 +240,17 @@ class Manifold3Complex(_Complex):
     """Closed triangulated 3-manifold (vertices, edges, triangles, tetrahedra)."""
 
     dim = 3
+    SIMPLICES = (("tetrahedra", "tetrahedron", "tet_array"),
+                 ("triangles", "triangle", None),
+                 ("edges", "edge", "edge_array"))
 
     def __init__(self, vertex_count, tetrahedra, triangles=None, edges=None):
-        self.vertex_count = int(vertex_count)
-        self.tetrahedra = _canon_simplices(tetrahedra)
-        if triangles is None:
-            triangles = sorted({t for tet in self.tetrahedra if len(tet) == 4
-                                for t in itertools.combinations(tet, 3)})
-        self.triangles = _canon_simplices(triangles)
-        if edges is None:
-            edges = sorted({e for tet in self.tetrahedra if len(tet) == 4
-                            for e in itertools.combinations(tet, 2)})
-        self.edges = _canon_simplices(edges)
-        self._finish()
-
-    def _validate(self):
-        report = []
-        n = self.vertex_count
-        if n <= 0:
-            return ["vertex_count must be positive"]
-        for name, simplices, size in (("tetrahedron", self.tetrahedra, 4),
-                                      ("triangle", self.triangles, 3),
-                                      ("edge", self.edges, 2)):
-            for s in simplices:
-                if len(s) != size or len(set(s)) != size:
-                    report.append(f"{name} {s} is not a proper {size}-tuple")
-                elif not all(0 <= v < n for v in s):
-                    report.append(f"{name} {s} has an index outside [0, {n})")
-        if report:
-            return report
-
-        for name, simplices in (("tetrahedra", self.tetrahedra),
-                                ("triangles", self.triangles),
-                                ("edges", self.edges)):
-            if len(set(simplices)) != len(simplices):
-                report.append(f"duplicate {name} present")
-
-        tri_set = set(self.triangles)
-        edge_set = set(self.edges)
-        tri_count = {t: 0 for t in self.triangles}
-        for tet in self.tetrahedra:
-            for t in itertools.combinations(tet, 3):
-                if t not in tri_set:
-                    report.append(f"tetrahedron {tet} face {t} not listed")
-                else:
-                    tri_count[t] += 1
-            for e in itertools.combinations(tet, 2):
-                if e not in edge_set:
-                    report.append(f"tetrahedron {tet} edge {e} not listed")
-        for t, k in tri_count.items():
-            if k != 2:
-                report.append(f"triangle {t} in {k} tetrahedra != 2")
-        for tri in self.triangles:
-            for e in itertools.combinations(tri, 2):
-                if e not in edge_set:
-                    report.append(f"triangle {tri} edge {e} not listed")
-        covered = {v for tet in self.tetrahedra for v in tet}
-        for v in range(n):
-            if v not in covered:
-                report.append(f"vertex {v} not in any tetrahedron")
-        return report or _disconnected(n, self.tetrahedra)
-
-    def _build_index(self):
-        self.tet_array = np.array(self.tetrahedra, dtype=int).reshape(-1, 4)
-        self.edge_array = np.array(self.edges, dtype=int).reshape(-1, 2)
-        self._edge_index = {e: k for k, e in enumerate(self.edges)}
-        # tet_edge[t, k] = index of the edge of the k-th column pair, in the
-        # order (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
-        self.tet_edge = np.array(
-            [[self._edge_index[e] for e in itertools.combinations(tet, 2)]
-             for tet in self.tetrahedra], dtype=int).reshape(-1, 6)
-        for arr in (self.tet_array, self.edge_array, self.tet_edge):
-            arr.setflags(write=False)
-
-    def degrees(self):
-        """Number of tetrahedra incident to each vertex."""
-        deg = np.zeros(self.vertex_count, dtype=int)
-        for tet in self.tetrahedra:
-            for v in tet:
-                deg[v] += 1
-        return deg
+        tet_edge = self._validate(vertex_count, (tetrahedra, triangles, edges))
+        if tet_edge is not None:
+            # tet_edge[t, k] = index of the edge of the k-th column pair, in
+            # the order (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+            self.tet_edge = tet_edge
+            tet_edge.setflags(write=False)
 
     def __repr__(self):
         return (f"Manifold3Complex(V={self.vertex_count}, E={len(self.edges)}, "
@@ -306,8 +282,7 @@ def check_subset(c, subset):
             or not isinstance(subset, Iterable)):
         raise ValueError(f"subset {subset!r} is not a collection of vertices")
     verts = list(subset)
-    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-               and float(v).is_integer() for v in verts):
+    if not all(map(_integral, verts)):
         raise ValueError(f"subset {verts} has a non-integer vertex")
     I = tuple(sorted({int(v) for v in verts}))
     if not I or len(I) >= c.vertex_count:
@@ -323,15 +298,15 @@ def check_subset(c, subset):
 
 
 def mesh_from_dict(doc):
-    dim = int(doc.get("dim", 2))
-    n = int(doc["vertex_count"])
+    dim = doc.get("dim", 2)
+    n = doc["vertex_count"]
     edges = doc.get("edges")
     if dim == 2:
         return Surface2Complex(n, doc["faces"], edges=edges)
     if dim == 3:
         return Manifold3Complex(n, doc["tetrahedra"],
                                 triangles=doc.get("faces"), edges=edges)
-    raise ValueError(f"unsupported dim {dim}")
+    raise ValueError(f"unsupported dim {dim!r}")
 
 
 def mesh_to_dict(c):

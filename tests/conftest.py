@@ -72,6 +72,30 @@ def grid_torus(n, m):
     return mesh_from_dict(gen_meshes.grid_torus(n, m))
 
 
+def index_oracle(dim, top, edges=None):
+    """The edge list, and the triangles, face_edge or tet_edge, by dict
+    lookups over sorted vertex tuples: the construction the key-based
+    incidence of mesh replaced, kept as its reference. edges are listed
+    (i, j) or (i, j, phi) rows, or None to infer them."""
+    top = [tuple(sorted(s)) for s in top]
+    if edges is None:
+        edges = sorted({e for s in top for e in itertools.combinations(s, 2)})
+    else:
+        edges = [tuple(sorted(e[:2])) for e in edges]
+    edge_index = {e: k for k, e in enumerate(edges)}
+    if dim == 2:
+        face_edge = [[edge_index[tuple(v for k, v in enumerate(f) if k != m)]
+                      for m in range(3)] for f in top]
+        return {"edges": edges,
+                "face_edge": np.array(face_edge, dtype=int).reshape(-1, 3)}
+    tet_edge = [[edge_index[e] for e in itertools.combinations(tet, 2)]
+                for tet in top]
+    return {"edges": edges,
+            "triangles": sorted({t for tet in top
+                                 for t in itertools.combinations(tet, 3)}),
+            "tet_edge": np.array(tet_edge, dtype=int).reshape(-1, 6)}
+
+
 def two_copies(simplices, n):
     """The simplices on range(n) and a disjoint copy on range(n, 2n)."""
     return list(simplices) + [tuple(v + n for v in s) for s in simplices]

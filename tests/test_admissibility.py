@@ -283,6 +283,15 @@ def test_metric_condition_tetrahedron_pair(tetra):
     assert rec.satisfied
 
 
+@pytest.mark.parametrize("alpha", [2000.0, -2000.0])
+def test_metric_condition_refuses_an_overflowing_metric(octa, alpha):
+    # r ** alpha past the float range once gave inf / inf = NaN margins,
+    # a "worst_margin": NaN that is not JSON, and RuntimeWarnings
+    r = np.array([0.5, 2.0, 1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="float range"):
+        metric_condition(octa, r, alpha)
+
+
 def test_rhs_is_degeneration_limit_of_subset_curvature(tetra, octa):
     # as the radii over a subset shrink to zero, the total defect over the
     # subset approaches the link-boundary sum; this is the geometric content

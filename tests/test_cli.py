@@ -51,6 +51,23 @@ def test_curvature_invalid_complex(tmp_path):
     assert main(["curvature", "--mesh", str(p), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("faces", [[0.5, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+    ("faces", [[True, 2, 3], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+    ("vertex_count", 4.7),
+])
+def test_curvature_non_integral_entry_exit2(tmp_path, capsys, key, value):
+    # a non-integral entry was once truncated: face (0.5, 1, 2) became
+    # (0, 1, 2) and vertex_count 4.7 became 4
+    doc = {"dim": 2, "vertex_count": 4,
+           "faces": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], key: value}
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(doc))
+    assert main(["curvature", "--mesh", str(p), "--out", str(tmp_path)]) == 2
+    assert "invalid complex" in capsys.readouterr().err
+    assert not (tmp_path / "curvature.csv").exists()
+
+
 @pytest.mark.parametrize("mesh, key", [("tetrahedron", "faces"),
                                        ("cell5", "tetrahedra")])
 @pytest.mark.parametrize("command", ["curvature", "flow"])
@@ -376,6 +393,20 @@ def test_non_finite_alpha_exit2(tmp_path, argv):
     code = main(argv + ["--alpha", "nan", "--random", "0.5,2,1",
                         "--out", str(tmp_path)])
     assert code == 2
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("alpha, metric", [
+    ("2000", ["--random", "0.5,2,1"]),
+    ("-2000", ["--radii", "0.5,2,1,1,1,1"]),
+])
+def test_check_metric_overflowing_alpha_exit2(tmp_path, capsys, alpha,
+                                              metric):
+    # once exit 6 with "worst_margin": NaN in check.json
+    code = main(["check", "--mesh", "octahedron", "--condition", "metric",
+                 "--alpha", alpha, *metric, "--out", str(tmp_path)])
+    assert code == 2
+    assert "float range" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

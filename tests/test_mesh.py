@@ -1,10 +1,12 @@
 import itertools
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from conftest import grid_torus, two_copies
+from conftest import gen_meshes, grid_torus, index_oracle, two_copies
+from packflows import data
 from packflows.admissibility import subset_rhs
 from packflows.errors import InvalidComplexError
 from packflows.flows2d import FlowSpec, run
@@ -108,6 +110,95 @@ def test_validate_3d_missing_subsimplex(cell5):
     tris = [t for t in cell5.triangles if t != (0, 1, 2)]
     c = Manifold3Complex(5, cell5.tetrahedra, triangles=tris)
     assert any("not listed" in m for m in c.validate())
+
+
+def test_validate_3d_stray_listed_edge(cell16):
+    # an edge in no tetrahedron (between antipodal vertices) once passed,
+    # giving E = 25, while the 2-d check refused the same case
+    edges = list(cell16.edges) + [(0, 1)]
+    c = Manifold3Complex(8, cell16.tetrahedra, edges=edges)
+    assert c.validate() == ["edge (0, 1) in no tetrahedron"]
+    with pytest.raises(InvalidComplexError, match="no tetrahedron"):
+        c.require_valid()
+    tris = list(cell16.triangles) + [(0, 1, 2)]
+    c2 = Manifold3Complex(8, cell16.tetrahedra, triangles=tris, edges=edges)
+    assert "triangle (0, 1, 2) in 0 tetrahedra != 2" in c2.validate()
+
+
+@pytest.mark.parametrize("vertex_count, faces, fault", [
+    (4, [(0.5, 1, 2)], "face (0.5, 1, 2) is not 3 integral vertices"),
+    (4, [(True, 2, 3)], "face (True, 2, 3) is not 3 integral vertices"),
+    (4, [("0", 1, 2)], "face ('0', 1, 2) is not 3 integral vertices"),
+    (4, [(0, 1)], "face (0, 1) is not 3 integral vertices"),
+    (4, [(1, 0, 1)], "face (0, 1, 1) repeats a vertex"),
+    (4, [(0, 1, 7)], "face (0, 1, 7) has a vertex index outside [0, 4)"),
+    (4.7, [], "vertex_count must be a positive integer below 2 ** (63 / 2), "
+              "got 4.7"),
+    (True, [], "vertex_count must be a positive integer below"),
+    (-4, [], "vertex_count must be a positive integer below"),
+    # a surface's int64 keys reach vertex_count ** 2
+    (2 ** 32, [], "vertex_count must be a positive integer below"),
+])
+def test_validate_refuses_malformed_entries(tetra, vertex_count, faces,
+                                           fault):
+    # entries were once cast with int(): the face (0.5, 1, 2) became a valid
+    # (0, 1, 2) and vertex_count 4.7 became 4
+    c = Surface2Complex(vertex_count, faces + list(tetra.faces)[len(faces):])
+    assert any(m.startswith(fault) for m in c.validate()), c.validate()
+    with pytest.raises(InvalidComplexError):
+        c.require_valid()
+    doc = {"dim": 2, "vertex_count": vertex_count,
+           "faces": [list(f) for f in c.faces]}
+    assert not mesh_from_dict(doc).is_valid
+
+
+def test_integral_floats_and_numpy_integers_are_vertices(tetra, cell5):
+    faces = [tuple(float(v) for v in f) for f in tetra.faces]
+    c = Surface2Complex(4.0, faces)
+    assert c.is_valid and c.vertex_count == 4 and c.faces == tetra.faces
+    assert type(c.vertex_count) is int
+    assert all(type(v) is int for f in c.faces for v in f)
+    c3 = Manifold3Complex(np.int64(5), cell5.tet_array)
+    assert c3.is_valid and c3.tetrahedra == cell5.tetrahedra
+    assert np.array_equal(c3.tet_edge, cell5.tet_edge)
+
+
+def _bundled_doc(name):
+    path = resources.files("packflows").joinpath(f"data/{name}.json")
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("doc", [
+    *(pytest.param(_bundled_doc(name), id=name) for name in data.available()),
+    pytest.param(gen_meshes.grid_torus(4, 7), id="grid_torus_4x7"),
+    pytest.param(gen_meshes.grid_torus(20, 20), id="grid_torus_20x20"),
+    pytest.param(gen_meshes.torus3_freudenthal(7), id="torus3_freudenthal_7"),
+    pytest.param({"dim": 2, "vertex_count": 4,
+                  "faces": [[2, 1, 0], [0, 1, 3], [3, 2, 0], [1, 2, 3]],
+                  "edges": [[3, 2, 0.3], [1, 0, 0.5], [1, 3], [0, 2, 0.1],
+                            [2, 1, 1.0], [0, 3]]}, id="listed_weighted"),
+])
+def test_index_matches_the_dict_oracle(doc):
+    c = mesh_from_dict(doc)
+    assert c.is_valid
+    top = doc["faces"] if c.dim == 2 else doc["tetrahedra"]
+    want = index_oracle(c.dim, top, doc.get("edges"))
+    assert c.edges == want["edges"]
+    assert np.array_equal(c.edge_array, np.array(want["edges"]))
+    if c.dim == 2:
+        assert c.face_edge.dtype == want["face_edge"].dtype
+        assert np.array_equal(c.face_edge, want["face_edge"])
+        assert not c.face_edge.flags.writeable
+        # degrees() counts faces; on a closed surface that is the edge degree
+        assert c.degrees().tolist() == np.bincount(
+            np.ravel(want["edges"]), minlength=c.vertex_count).tolist()
+        for e, w in zip(doc.get("edges", []), c.weights):
+            assert c.weight(e[0], e[1]) == w == (e[2] if len(e) == 3 else 0)
+    else:
+        assert c.triangles == want["triangles"]
+        assert np.array_equal(c.tet_edge, want["tet_edge"])
+        assert c.degrees().tolist() == np.bincount(
+            np.ravel(top), minlength=c.vertex_count).tolist()
 
 
 def test_validate_disconnected(tetra, cell5):

@@ -44,9 +44,12 @@ and the Thurston condition and the metric condition with its full table
 (65 534 rows) on the 4 x 4 grid torus (written to OUTDIR/meshes);
 two regression runs: an icosahedron Newton solve whose line search
 meets an overflowing trial point, and the metric condition at alpha = NaN
-(invalid input, exit 2); and three refusals of a complex of the other
+(invalid input, exit 2); three refusals of a complex of the other
 dimension (exit 2): a surface family on cell16, the Yamabe flow on
-torus_7, and the y condition on cell5.
+torus_7, and the y condition on cell5; and two refusals of an invalid
+complex (exit 2, written to OUTDIR/meshes): a tetrahedron with the
+non-integral vertex entry 0.5, and cell16 with a listed edge (0, 1) that
+lies in no tetrahedron.
 """
 
 import argparse
@@ -65,7 +68,8 @@ import numpy as np  # noqa: E402
 from packflows import data  # noqa: E402
 from packflows.flows2d import FAMILIES  # noqa: E402
 from packflows.packing2d import curvature  # noqa: E402
-from gen_meshes import grid_torus, torus3_freudenthal  # noqa: E402
+from gen_meshes import (cell16, grid_torus, tetrahedron,  # noqa: E402
+                        torus3_freudenthal)
 
 SURFACES = ("tetrahedron", "torus_7", "genus2_11")
 SOLIDS = ("cell5", "cell16", "torus3_27")
@@ -172,6 +176,18 @@ def corpus(outdir):
                   "--random", RANDOM]))
     runs.append(("check-cell5-y-refused",
                  ["check", "--mesh", "cell5", "--condition", "y"]))
+    non_integral = tetrahedron()
+    non_integral["faces"][0] = [0.5, 1, 2]
+    stray_edge = cell16()
+    stray_edge["edges"] = [list(e) for e in data.load("cell16").edges]
+    stray_edge["edges"].append([0, 1])
+    for name, doc, radii in (("non-integral-vertex", non_integral, RANDOM),
+                             ("cell16-stray-edge", stray_edge, RANDOM_3D)):
+        path = os.path.join(outdir, "meshes", f"{name}.json")
+        with open(path, "w") as fp:
+            json.dump(doc, fp)
+        runs.append((f"curvature-{name}-refused",
+                     ["curvature", "--mesh", path, "--random", radii]))
     return runs
 
 
