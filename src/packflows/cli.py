@@ -10,6 +10,7 @@ Exit codes: 0 success; 2 invalid input; 3 degenerate geometry;
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -270,8 +271,15 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser of build_parser, built once per process: parsing leaves it
+    unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if not math.isfinite(args.alpha):
         print(f"error: --alpha must be finite, got {args.alpha}", file=sys.stderr)
         return EXIT_INVALID

@@ -227,18 +227,18 @@ class FlowTrace:
         return out
 
     def write_csv(self, path):
+        """One row per sample, every value with 17 significant digits."""
         n = self.radii.shape[1]
         cols = (["t"] + [f"r_{i+1}" for i in range(n)]
                 + [f"R_{i+1}" for i in range(n)]
                 + ["conserved", "F", "C", "residual"])
+        table = np.column_stack((self.times, self.radii, self.curvatures,
+                                 self.conserved, self.potential, self.calabi,
+                                 self.residuals))
+        row = ",".join(["%.17g"] * len(cols)) + "\n"
         with open(path, "w") as fp:
             fp.write(",".join(cols) + "\n")
-            for k in range(len(self.times)):
-                row = ([self.times[k]] + list(self.radii[k])
-                       + list(self.curvatures[k])
-                       + [self.conserved[k], self.potential[k],
-                          self.calabi[k], self.residuals[k]])
-                fp.write(",".join(f"{x:.17g}" for x in row) + "\n")
+            fp.writelines(row % tuple(values) for values in table.tolist())
 
 
 # -- vector fields ------------------------------------------------------------
@@ -357,8 +357,8 @@ def step(spec, c, state):
 # evaluate(r): the point of radii r, all the field and the sample read;
 # field(point): base field and potential rate (v, q); sample(t, point, F):
 # trace row (t, r, R, conserved, F, C, residual) given the integral F of q;
-# guard: a run leaving the radius bounds diverged; classify(r, t, relax):
-# singularity
+# guard: a run leaving the radius bounds diverged; classify(point, t, relax):
+# singularity at an evaluated accepted point
 _Flow = namedtuple("_Flow", "evaluate field sample guard classify")
 R_MIN_GUARD, R_MAX_GUARD = 1e-8, 1e8
 
@@ -372,9 +372,9 @@ def _integrate(spec, c, r0, flow):
     converged (residual below spec.eps), a classified singularity, max_time,
     max_steps, stepped_out_of_domain (no step above min_step, or an accepted
     point that leaves the domain), diverged. Each accepted point is evaluated
-    once: its sample and the first stage of the next step share it, so a
-    dop853 run makes 1 + 12 accepted + 11 rejected evaluations when no trial
-    leaves the domain.
+    once: its sample, the singularity watch and the first stage of the next
+    step share it, so a dop853 run makes 1 + 12 accepted + 11 rejected
+    evaluations when no trial leaves the domain.
     """
     fn, land, first = _stage(spec, flow.evaluate, flow.field)
     p = _exponent(spec)
@@ -391,7 +391,7 @@ def _integrate(spec, c, r0, flow):
             termination = "converged"
             break
         if flow.classify is not None:
-            singularity = flow.classify(np.exp(u), t)
+            singularity = flow.classify(point, t)
             if singularity is not None:
                 break
         if t >= spec.t_max - spec.min_step:
@@ -415,7 +415,7 @@ def _integrate(spec, c, r0, flow):
             point = land(u2)
         except StepFailureError:
             if flow.classify is not None:
-                singularity = flow.classify(np.exp(u), t, relax=1e3)
+                singularity = flow.classify(point, t, relax=1e3)
             termination = "stepped_out_of_domain"
             break
         t, u = t2, u2
@@ -448,7 +448,7 @@ def _flow(spec, c, r):
         return check_metric(c, r, 3), _Flow(
             lambda r: packing3d._state(c, r),
             lambda st: (st.average - st.curvature, 0.0), packing3d._sample,
-            False, lambda r, t, relax=1.0: packing3d._classify(c, r, t, relax))
+            False, packing3d._classify)
     r = check_metric(c, r)
     base, p = _BASE[FAMILIES[spec.family].field], _exponent(spec)
     alpha, target = spec.alpha, spec.target

@@ -298,15 +298,32 @@ def check_subset(c, subset):
 
 
 def mesh_from_dict(doc):
+    """The complex of a mesh document: an object with vertex_count, dim (2
+    by default, or 3) and the simplex lists of that dimension (faces; or
+    tetrahedra and optional faces), with optional edges, each a list of
+    rows of vertices. A document of another shape raises
+    InvalidComplexError, an unsupported dim ValueError."""
+    if not isinstance(doc, Mapping):
+        raise InvalidComplexError(
+            [f"a mesh document is an object, got {type(doc).__name__}"])
     dim = doc.get("dim", 2)
-    n = doc["vertex_count"]
-    edges = doc.get("edges")
+    if dim not in (2, 3):
+        raise ValueError(f"unsupported dim {dim!r}")
+    top = "faces" if dim == 2 else "tetrahedra"
+    faults = [f"{key} is missing" for key in ("vertex_count", top)
+              if key not in doc]
+    faults += [f"{key} is not a list of lists of vertices"
+               for key in ("faces", "tetrahedra", "edges")
+               if doc.get(key) is not None
+               and not (isinstance(doc[key], list)
+                        and all(isinstance(s, list) for s in doc[key]))]
+    if faults:
+        raise InvalidComplexError(faults)
+    n, edges = doc["vertex_count"], doc.get("edges")
     if dim == 2:
         return Surface2Complex(n, doc["faces"], edges=edges)
-    if dim == 3:
-        return Manifold3Complex(n, doc["tetrahedra"],
-                                triangles=doc.get("faces"), edges=edges)
-    raise ValueError(f"unsupported dim {dim!r}")
+    return Manifold3Complex(n, doc["tetrahedra"], triangles=doc.get("faces"),
+                            edges=edges)
 
 
 def mesh_to_dict(c):
@@ -334,9 +351,13 @@ def save_mesh(c, path):
 
 
 def load_metric(path):
-    """Read a metric JSON {"radii": [...]} into an unchecked array."""
+    """Read a metric JSON {"radii": [...]} into an array whose values are
+    unchecked; a document of another shape raises ValueError."""
     with open(path) as fp:
         doc = json.load(fp)
+    if not (isinstance(doc, dict) and isinstance(doc.get("radii"), list)):
+        raise ValueError(f"{path}: a metric document is an object with a "
+                         f"list of radii, {{\"radii\": [...]}}")
     return np.asarray(doc["radii"], dtype=float)
 
 

@@ -20,11 +20,21 @@ radii does Q overflow or lose its digits to underflow. The same triple
 product on embedded coordinates is available through tet_geometry for
 cross-checking.
 
+One solid-angle pass (_solid_angle_pass, on _tet_terms) evaluates the
+formula for one metric or for a stack of S metrics (radii of shape
+(S, V)), each row's arithmetic that of its metric alone. _state runs it on
+one metric and raises on a degenerate tetrahedron by name; the multistart
+quotient descent runs it on every live start at once and reads a
+degenerate row as +inf; the Jacobian's edge weights run _tet_terms on one
+metric.
+
 The Jacobian dK/dr is in closed form too: one symmetric weight per edge, as
 in two dimensions, from the same variables (_edge_weights3).
 
 The normalized Yamabe flow is flows2d's yamabe row: it drives _state with
 the sample and singularity classifier below (this module never imports it).
+The classifier reads the volume and the factors Q r_min^2 from the state of
+the accepted point, so an accepted point is evaluated once.
 """
 
 import math
@@ -39,7 +49,7 @@ from .operators2d import (JacobianMatrix, _dense_jacobian, _edge_apply,
 from .packing2d import _check_positive_int, check_metric
 
 # Q_SAFETY_MARGIN and SING_Q bound the scale-free factor Q r_min^2 of
-# _scale_free_q, which the kernel tests too: the Jacobian refuses a metric
+# _tet_terms, which the kernel tests too: the Jacobian refuses a metric
 # within the margin. Yamabe flow singularities: a volume-normalized radius
 # below SING_RADIUS is essential, a factor below SING_Q removable
 Q_SAFETY_MARGIN = 1e-6
@@ -72,50 +82,67 @@ def tet_q_factors(c, r):
     return q_factor(r[c.tet_array])
 
 
-def _scale_free_q(rt):
-    """Q r_min^2 per row of per-tet radii rt, r_min the row's smallest
-    radius: unchanged when the radii are scaled, and at most 16."""
-    return q_factor(rt / rt.min(axis=1, keepdims=True))
-
-
-def _tet_terms(rt):
-    """(rho, q, t, N, D) of per-tet radii rt (T, 4), unchecked: the columns
-    rho of rt / r_min, q = Q r_min^2, t[p, k] = t_o for o = _OTHERS[p, k],
-    and Omega = 2 atan2(N, D)."""
-    rho = rt / rt.min(axis=1, keepdims=True)
-    q = q_factor(rho)  # Q r_min^2 <= 16: the inverse radii lie in (0, 1]
-    cols = rho.T
-    ro = cols[_OTHERS]
-    t = ro / (cols[:, np.newaxis] + ro)
+def _tet_terms(cr):
+    """(rho, q, t, N, D) of the radii cr of each tet column, unchecked:
+    rho = cr / r_min, q = Q r_min^2, t[p, k] = t_o for o = _OTHERS[p, k],
+    and Omega = 2 atan2(N, D). cr is r[c.tet_array.T], shape (4, T), for
+    one metric, and r.T[c.tet_array.T], shape (4, T, S), for S metrics r of
+    shape (S, V): the stack axis trails, so every array is contiguous; q
+    has shape (T, ...), t (4, 3, T, ...), the others that of cr."""
+    rho = cr / cr.min(axis=0)
+    # Q r_min^2 <= 16: the inverse radii lie in (0, 1]
+    q = q_factor(rho.T).T
+    ro = rho[_OTHERS]
+    t = ro / (rho[:, np.newaxis] + ro)
     ta, tb, tc = t[:, 0], t[:, 1], t[:, 2]
     tab = ta * tb
-    return (cols, q, t, cols * (tab * tc) * np.sqrt(q),
+    return (rho, q, t, rho * (tab * tc) * np.sqrt(q),
             2.0 - (tab + tc * (ta + tb)))
 
 
 @np.errstate(all="ignore")
-def _solid_angles_from_radii(rt):
-    """Solid angles, shape (T, 4), for per-tet radii rt of shape (T, 4);
-    raises DegenerateTetrahedronError unless every Q is positive, naming the
-    row of least scale-free factor Q r_min^2 (r_min the row's smallest
-    radius), and when a solid angle is not finite."""
-    _, q, _, num, den = _tet_terms(rt)
+def _solid_angle_pass(cr):
+    """(Omega, q) of the tet column radii cr of _tet_terms, unchecked: the
+    solid angles, shape (T, 4) or (S, T, 4), and q = Q r_min^2, shape (T,)
+    or (S, T)."""
+    _, q, _, num, den = _tet_terms(cr)
+    return (2.0 * np.arctan2(num, den)).T, q.T
+
+
+def _solid_angles_from_radii(cr):
+    """(Omega, q) of _solid_angle_pass for one metric's tet column radii
+    cr = r[c.tet_array.T]; raises DegenerateTetrahedronError unless every
+    Q is positive, naming the row of least scale-free factor q = Q r_min^2
+    (r_min the row's smallest radius), and when a solid angle is not
+    finite."""
+    ang, q = _solid_angle_pass(cr)
     if not q.min() > 0.0:  # NaN-safe
         bad = int(np.argmin(q))
         raise DegenerateTetrahedronError(
             f"tetrahedron {bad} is not realizable: Q r_min^2 = {q[bad]:.6g}",
             tet_index=bad)
-    ang = 2.0 * np.arctan2(num, den)
     if not math.isfinite(ang.sum()):  # a radius ratio past the float range
         raise DegenerateTetrahedronError("a solid angle is not finite")
-    return ang.T
+    return ang, q
+
+
+def _defect(c, ang):
+    """4 pi minus the sum of the incident solid angles ang, shape (T, 4) or
+    (S, T, 4), at each vertex: shape (V,) or (S, V). Each vertex sums its
+    angles in tetrahedron order, in a stack as alone."""
+    n, idx = c.vertex_count, c.tet_array.ravel()
+    if ang.ndim == 2:
+        return 4.0 * np.pi - np.bincount(idx, ang.ravel(), n)
+    s = len(ang)  # one bin per vertex of each row
+    idx = (idx + n * np.arange(s)[:, np.newaxis]).ravel()
+    return 4.0 * np.pi - np.bincount(idx, ang.ravel(), s * n).reshape(s, n)
 
 
 def solid_angles(c, r):
     """Solid angle at each vertex of each tetrahedron, aligned with
     c.tet_array columns."""
     r = check_metric(c, r, 3)
-    return _solid_angles_from_radii(r[c.tet_array])
+    return _solid_angles_from_radii(r[c.tet_array.T])[0]
 
 
 def solid_angle_defect(c, r):
@@ -200,7 +227,7 @@ class TetGeometry:
         if cayley_menger(l) <= 0:
             raise DegenerateTetrahedronError("Cayley-Menger determinant <= 0")
         coords = _embed_lengths(l)
-        angles = _solid_angles_from_radii(radii[np.newaxis, :])[0]
+        angles = _solid_angles_from_radii(radii[:, np.newaxis])[0][0]
         for v in range(4):
             others = [coords[w] - coords[v] for w in range(4) if w != v]
             oracle = solid_angle_at_origin(*others)
@@ -229,6 +256,7 @@ class YamabeState:
     volume: float             # sum r_i^3
     average: float            # total / volume
     quotient: float           # total / volume^(1/3)
+    factors: np.ndarray       # Q r_min^2 per tetrahedron
 
 
 def yamabe_state(c, r):
@@ -237,14 +265,12 @@ def yamabe_state(c, r):
 
 def _state(c, r):
     """The YamabeState of radii r that passed check_metric."""
-    ang = _solid_angles_from_radii(r[c.tet_array])
-    K = 4.0 * np.pi - np.bincount(c.tet_array.ravel(), ang.ravel(),
-                                  c.vertex_count)
-    R = K / r ** 2
+    ang, q = _solid_angles_from_radii(r[c.tet_array.T])
+    K = _defect(c, ang)
     total = float(K @ r)
-    vol = np.sum(r ** 3)  # numpy: 0 gives inf, not ZeroDivisionError
-    return YamabeState(r, K, R, total, vol, total / vol,
-                       total / vol ** (1.0 / 3.0))
+    vol = (r ** 3).sum()  # numpy: 0 gives inf, not ZeroDivisionError
+    return YamabeState(r, K, K / r ** 2, total, vol, total / vol,
+                       total / vol ** (1.0 / 3.0), q)
 
 
 def curvature_norm_bound(c, r):
@@ -266,8 +292,8 @@ def _edge_weights3(c, r):
         x = rho_o dlog N/drho_o = 1 - t_o + (2/rho_o - sum 1/rho) / (q rho_o),
         y = rho_o dD/drho_o = -(t_o' + t_o'') t_o (1 - t_o).
     """
-    rt = r[c.tet_array]
-    cols, q, t, num, den = _tet_terms(rt)
+    cr = r[c.tet_array.T]
+    cols, q, t, num, den = _tet_terms(cr)
     if q.min() <= Q_SAFETY_MARGIN:
         raise NearDegenerateError(
             f"min Q r_min^2 = {q.min():.6g} within safety margin "
@@ -278,7 +304,7 @@ def _edge_weights3(c, r):
     y = -(t.sum(axis=1, keepdims=True) - t) * t * (1.0 - t)
     num, den = num[:, np.newaxis], den[:, np.newaxis]
     d_ang = 2.0 * num * (den * x - y) / (num * num + den * den)
-    terms = (rt.T[:, np.newaxis] * d_ang)[_PAIRS]
+    terms = (cr[:, np.newaxis] * d_ang)[_PAIRS]
     g = -np.bincount(c.tet_edge.ravel(), terms.T.ravel(), len(c.edges))
     if not math.isfinite(g.sum()):  # a radius ratio past the float range
         raise DegenerateTetrahedronError("a solid angle derivative is not finite")
@@ -309,37 +335,35 @@ def laplacian3(c, r, f):
 # -- the normalized Yamabe flow -------------------------------------------------
 
 
-def _residual(st):
-    return float(np.max(np.abs(st.defect - st.average * st.radii ** 2)))
+def _deviation(st):
+    """K - R_av r^2, which vanishes at a constant-curvature metric."""
+    return st.defect - st.average * st.radii ** 2
 
 
 def yamabe_residual(c, r):
     """max |K_i - R_av r_i^2| (scale invariant, radians)."""
-    return _residual(yamabe_state(c, r))
-
-
-def _dissipation(st):
-    """Closed form of -2 dS/dt along the flow."""
-    return float(np.sum((st.defect - st.average * st.radii ** 2) ** 2 / st.radii))
+    return float(np.max(np.abs(_deviation(yamabe_state(c, r)))))
 
 
 def _sample(t, st, _):
     """The flow's trace row at the YamabeState st: the potential column is
-    the closed-form total curvature, the Calabi column the dissipation."""
-    return (t, st.radii, st.curvature, st.volume, st.total, _dissipation(st),
-            _residual(st))
+    the closed-form total curvature, the Calabi column the dissipation
+    -2 dS/dt, and the residual max |K - R_av r^2|."""
+    dev = _deviation(st)
+    return (t, st.radii, st.curvature, st.volume, st.total,
+            float(np.sum(dev ** 2 / st.radii)), float(np.max(np.abs(dev))))
 
 
-def _classify(c, r, t_now, relax=1.0):
-    """The flow's singularity at radii r, or None: essential when a
-    volume-normalized radius collapses, removable when a factor Q r_min^2
-    (reported as q) collapses first; relax loosens both thresholds."""
-    scale = float(np.sum(r ** 3)) ** (1.0 / 3.0)
-    rhat = r / scale
+def _classify(st, t_now, relax=1.0):
+    """The flow's singularity at the evaluated point st, or None: essential
+    when a volume-normalized radius collapses, removable when a factor
+    Q r_min^2 (reported as q) collapses first; relax loosens both
+    thresholds."""
+    rhat = st.radii / float(st.volume) ** (1.0 / 3.0)
     if np.min(rhat) < SING_RADIUS * relax:
         return {"type": "essential", "witness": int(np.argmin(rhat)),
                 "time": float(t_now)}
-    q = _scale_free_q(r[c.tet_array])
+    q = st.factors
     if np.min(q) < SING_Q * relax:
         return {"type": "removable", "witness": int(np.argmin(q)),
                 "q": float(np.min(q)), "time": float(t_now)}
@@ -358,66 +382,91 @@ class YamabeEstimate:
     converged_starts: int
 
 
-def _quotient_and_grad(c, u):
+def _quotients(c, u):
+    """(Q, g) at each row of the log radii u, shape (S, V): the Yamabe
+    quotient and its gradient in log r, from one stacked solid-angle pass.
+    Q is +inf on a row that is not realizable (a factor Q r_min^2 <= 0, or
+    a solid angle that is not finite, which makes K . r NaN). K . r is a
+    1-D product and the cube root of the volume a scalar power per row, as
+    in _state, so each row is bit for bit the quotient of its own metric."""
     r = np.exp(u)
-    st = _state(c, r)
-    g = r * (st.defect - st.average * r ** 2) / st.volume ** (1.0 / 3.0)
-    return st.quotient, g
+    ang, q = _solid_angle_pass(r.T[c.tet_array.T])
+    K = _defect(c, ang)
+    vol = np.sum(r ** 3, axis=1)
+    total, cube = np.array([(k @ x, v ** (1.0 / 3.0))
+                            for k, x, v in zip(K, r, vol)]).T
+    g = r * (K - (total / vol)[:, np.newaxis] * r ** 2) / cube[:, np.newaxis]
+    quotient = total / cube
+    ok = (q.min(axis=1) > 0.0) & np.isfinite(quotient)
+    return np.where(ok, quotient, np.inf), g
 
 
-def _descend_quotient(c, r0, gtol, max_iter=500):
+def _descend(c, r0, gtol, max_iter=500):
+    """Gradient descent of the Yamabe quotient in log r from each row of r0,
+    shape (S, V), all starts in lock step: (r, Q, converged) per start.
+
+    An iteration stops a start when its gradient norm is below
+    gtol max(|Q|, 1), or after max_iter accepted steps; otherwise it tries
+    steps s along -g from s = 0.5 (the first iteration) or twice the last
+    accepted step, at most 4, halving s until the Armijo test passes or 40
+    trials fail (the start stops). Each start keeps its own step, halvings
+    and iteration count; a round evaluates the trial point of every live
+    start in one stacked pass, so a start makes the trials, and ends at the
+    point, it would reach alone."""
     u = np.log(r0)
-    q, g = _quotient_and_grad(c, u)
-    lr = 0.5
-    for _ in range(max_iter):
-        scale = max(abs(q), 1.0)
-        if np.linalg.norm(g) < gtol * scale:
-            return np.exp(u), q, True
-        d = -g
-        s = lr
-        for _ in range(40):
-            u_try = u + s * d
-            try:
-                q_try, g_try = _quotient_and_grad(c, u_try)
-            except DegenerateTetrahedronError:
-                q_try = math.inf  # an unrealizable trial is no decrease
-            if q_try <= q + 1e-4 * s * (g @ d):
-                u, q, g = u_try, q_try, g_try
-                lr = min(2.0 * s, 4.0)
-                break
-            s *= 0.5
-        else:
-            return np.exp(u), q, False
-    return np.exp(u), q, False
+    n = len(u)
+    u_end, q_end, converged = np.empty_like(u), np.empty(n), np.zeros(n, bool)
+    q, g = _quotients(c, u)
+    start = np.arange(n)  # the start of each live row
+    step = np.full(n, 0.5)
+    iters, halvings = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    while True:
+        # g . d = -g . g, bit for bit. g and Q change only with a step, so a
+        # row passes the gradient test when it has just stepped or never
+        gg = np.array([x @ x for x in g])
+        small = ((np.sqrt(gg) < gtol * np.maximum(np.abs(q), 1.0))
+                 & (iters < max_iter))
+        done = small | (iters == max_iter) | (halvings == 40)
+        if done.any():
+            at = start[done]
+            u_end[at], q_end[at], converged[at] = u[done], q[done], small[done]
+            keep = ~done
+            if not keep.any():
+                return np.exp(u_end), q_end, converged
+            start, u, q, g, gg, step, iters, halvings = (
+                a[keep] for a in (start, u, q, g, gg, step, iters, halvings))
+        trial = u - step[:, np.newaxis] * g
+        q_try, g_try = _quotients(c, trial)
+        took = q_try <= q - 1e-4 * step * gg
+        np.copyto(u, trial, where=took[:, np.newaxis])
+        np.copyto(q, q_try, where=took)
+        np.copyto(g, g_try, where=took[:, np.newaxis])
+        step = np.where(took, np.minimum(2.0 * step, 4.0), 0.5 * step)
+        iters += took
+        halvings += 1
+        halvings[took] = 0
 
 
 def yamabe_invariant_estimate(c, n_starts=20, seed=0, gtol=1e-8):
     """Heuristic upper bound for the Yamabe invariant of the triangulation.
 
-    Runs multistart descent of the Yamabe quotient on the volume slice and
-    reports the lowest value found. This is an upper bound for the infimum,
-    never a certification of it.
+    Runs multistart descent of the Yamabe quotient (_descend, every start in
+    one stacked pass a round) and reports the lowest value found. This is
+    an upper bound for the infimum, never a certification of it.
     """
     _check_complex(c, 3)
     _check_positive_int("n_starts", n_starts)
     rng = np.random.default_rng(seed)
     n = c.vertex_count
 
-    best = None
-    n_conv = 0
     starts = [np.ones(n)]
     while len(starts) < n_starts:
         cand = rng.uniform(0.4, 1.8, n)
         if np.all(q_factor(cand[c.tet_array]) > 0.0):
             starts.append(cand)
 
-    for r0 in starts:
-        r_min, q_min, converged = _descend_quotient(c, r0, gtol)
-        n_conv += bool(converged)
-        if best is None or q_min < best[1]:
-            best = (r_min, q_min, converged)
-
-    r_best, q_best, crit = best
-    r_best = r_best / np.sum(r_best ** 3) ** (1.0 / 3.0)
-    return YamabeEstimate(float(q_best), r_best, bool(crit),
-                          len(starts), n_conv)
+    r, q, converged = _descend(c, np.array(starts), gtol)
+    best = int(np.argmin(q))  # the first start of least value
+    r_best = r[best] / np.sum(r[best] ** 3) ** (1.0 / 3.0)
+    return YamabeEstimate(float(q[best]), r_best, bool(converged[best]),
+                          len(starts), int(converged.sum()))

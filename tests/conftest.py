@@ -10,7 +10,8 @@ from packflows.flows2d import FAMILIES
 from packflows.mesh import Surface2Complex, mesh_from_dict
 from packflows.operators2d import potential_gradient, potential_hessian
 from packflows.packing2d import edge_lengths, inner_angles
-from packflows.packing3d import solid_angle_defect
+from packflows.errors import DegenerateTetrahedronError
+from packflows.packing3d import _state, solid_angle_defect
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tools"))
@@ -212,3 +213,42 @@ def newton_direction_oracle(c, r, alpha):
     H = potential_hessian(c, r, alpha).matrix
     g = potential_gradient(c, r, alpha)
     return B @ np.linalg.solve(B.T @ H @ B, -(B.T @ g))
+
+
+def descend_quotient_oracle(c, r0, gtol, max_iter=500):
+    """Gradient descent of the Yamabe quotient in log r from one start, one
+    _state evaluation at a time: the sequential route the lock-step
+    multistart replaced, kept as its reference. Returns (r, Q, converged,
+    trials), trials the evaluated log radii in order (the start first)."""
+    trials = []
+
+    def quotient_and_grad(u):
+        trials.append(u)
+        r = np.exp(u)
+        st = _state(c, r)
+        g = r * (st.defect - st.average * r ** 2) / st.volume ** (1.0 / 3.0)
+        return st.quotient, g
+
+    u = np.log(r0)
+    q, g = quotient_and_grad(u)
+    lr = 0.5
+    for _ in range(max_iter):
+        scale = max(abs(q), 1.0)
+        if np.linalg.norm(g) < gtol * scale:
+            return np.exp(u), q, True, trials
+        d = -g
+        s = lr
+        for _ in range(40):
+            u_try = u + s * d
+            try:
+                q_try, g_try = quotient_and_grad(u_try)
+            except DegenerateTetrahedronError:
+                q_try = np.inf  # an unrealizable trial is no decrease
+            if q_try <= q + 1e-4 * s * (g @ d):
+                u, q, g = u_try, q_try, g_try
+                lr = min(2.0 * s, 4.0)
+                break
+            s *= 0.5
+        else:
+            return np.exp(u), q, False, trials
+    return np.exp(u), q, False, trials

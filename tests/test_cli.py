@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_torus, two_copies
-from packflows import data
+from packflows import cli, data
 from packflows.cli import main
 from packflows.mesh import save_mesh
 from packflows.packing2d import curvature
@@ -41,6 +41,39 @@ def test_curvature_malformed_mesh(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
     assert main(["curvature", "--mesh", str(bad), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("option, doc, error", [
+    ("--mesh", {"dim": 2, "vertex_count": 4, "faces": [1, 2, 3]},
+     "faces is not a list of lists"),
+    ("--mesh", [1, 2], "a mesh document is an object"),
+    ("--mesh", {"dim": 3, "faces": [[0, 1, 2]]},
+     "vertex_count is missing; tetrahedra is missing"),
+    ("--metric", [1, 2], "a metric document is an object"),
+])
+def test_malformed_document_exit2(tmp_path, capsys, option, doc, error):
+    # the first two and the last once ended in a traceback and exit 1
+    # (TypeError, AttributeError, TypeError); a missing key was refused by
+    # its bare name
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    args = {"--mesh": "tetrahedron", option: str(p)}
+    argv = ["curvature", "--out", str(tmp_path)]
+    assert main(argv + [x for pair in args.items() for x in pair]) == 2
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "curvature.csv").exists()
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    argv = ["curvature", "--mesh", "tetrahedron", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    first = (tmp_path / "curvature.csv").read_bytes()
+
+    def rebuilt():
+        raise AssertionError("the parser was built again")
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    assert main(argv) == 0
+    assert (tmp_path / "curvature.csv").read_bytes() == first
 
 
 def test_curvature_invalid_complex(tmp_path):

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -622,6 +623,33 @@ def test_trace_invariants_and_csv(tmp_path, genus2):
     s = tr.summary()
     assert s["termination"] in ("converged", "max_time")
     assert "conserved_drift" in s
+
+
+def test_csv_is_the_row_by_row_format(tmp_path):
+    """The trace CSV, written one format per row, is byte for byte the
+    value-by-value %.17g rows, at the floats whose text is special: nan,
+    +-inf, -0.0, 1e-300 and a value that needs all 17 digits."""
+    special = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1 + 0.2, 3.0]
+    radii = np.array([special[k:] + special[:k] for k in range(3)])
+    tr = flows2d.FlowTrace("ricci", 2.0, np.array([0.0, 1e-300, 2.5]),
+                           radii, -radii, np.array([math.nan, 1.0, -0.0]),
+                           np.array([math.inf, -1e-300, 0.0]),
+                           np.array([-0.0, math.nan, 7.0]),
+                           np.array([1e-300, 2.0, math.inf]), "max_time", 2)
+    path = tmp_path / "trace.csv"
+    tr.write_csv(path)
+    n = radii.shape[1]
+    rows = [",".join(["t"] + [f"r_{i+1}" for i in range(n)]
+                     + [f"R_{i+1}" for i in range(n)]
+                     + ["conserved", "F", "C", "residual"])]
+    for k in range(len(tr.times)):
+        row = ([tr.times[k]] + list(tr.radii[k]) + list(tr.curvatures[k])
+               + [tr.conserved[k], tr.potential[k], tr.calabi[k],
+                  tr.residuals[k]])
+        rows.append(",".join(f"{x:.17g}" for x in row))
+    assert path.read_text() == "\n".join(rows) + "\n"
+    row0 = "0,nan,inf,-inf,-0,1e-300,0.30000000000000004,3,"
+    assert row0 in path.read_text()
 
 
 FLOAT_SETTINGS = ["alpha", "initial_step", "min_step", "max_step", "rtol",

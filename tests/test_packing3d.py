@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import defect_jacobian_fd_oracle
+from conftest import defect_jacobian_fd_oracle, descend_quotient_oracle
 from packflows import data, flows2d, packing3d
 from packflows.errors import (DegenerateTetrahedronError, NearDegenerateError)
 from packflows.flows2d import FlowSpec, run
@@ -402,21 +402,25 @@ def test_flow_removable_singularity(cell5):
 
 
 def singularity_watch(c):
-    """The classify of the flow run hands to the driver for yamabe."""
+    """The classify of the flow run hands to the driver for yamabe, as a
+    verdict on radii: the driver classifies the point it evaluated."""
     _, flow = flows2d._flow(FlowSpec("yamabe"), c, np.ones(c.vertex_count))
-    return flow.classify
+    return lambda r, t, relax=1.0: flow.classify(flow.evaluate(r), t, relax)
 
 
 @pytest.mark.parametrize("k", [-8, -3, 1, 4, 8])
 def test_singularity_watch_is_scale_free(cell5, k):
     """The watch compares the scale-free Q r_min^2 and the volume-normalized
     radii, so a metric and its multiple by 10^k get the same verdict: none,
-    removable (with the same reported factor) or essential."""
+    removable (with the same reported factor) or essential. Every metric is
+    realizable, as every point the flow accepts is: one sphere of radius
+    1e-8 among unit ones is not (Q < 0), four of them with one unit sphere
+    are."""
     classify = singularity_watch(cell5)
     eps_boundary = (2 * np.sqrt(3) - 3) / 3
     metrics = [np.array([1.0, 1.1, 0.9, 1.0, 1.05]),
                np.array([1.0, 1.0, 1.0, 1.0, eps_boundary * (1 + 1e-9)]),
-               np.array([1.0, 1.0, 1.0, 1.0, 1e-8])]
+               np.array([1.0, 1e-8, 1e-8, 1e-8, 1e-8])]
     verdicts = [classify(r, 0.5) for r in metrics]
     assert [v and v["type"] for v in verdicts] == [None, "removable",
                                                    "essential"]
@@ -465,6 +469,103 @@ def test_yamabe_invariant_estimate(torus3, cell5):
     est5 = yamabe_invariant_estimate(cell5, n_starts=6, seed=1)
     assert est5.value <= yamabe_state(cell5, np.ones(5)).quotient + 1e-12
     assert abs(est5.value) <= curvature_norm_bound(cell5, est5.metric) + 1e-9
+
+
+def lock_step_matches_oracle(c, starts, monkeypatch, max_iter, gtol=1e-8):
+    """Run the lock-step descent and the sequential oracle from the same
+    starts; assert that round k evaluates, bit for bit and in start order,
+    the k-th trial point of every start the oracle evaluates k times or
+    more (so each start makes as many evaluations), and that every start
+    ends at the oracle's point, value and verdict. Returns the oracle's
+    (r, Q, converged, trials) per start."""
+    ref = [descend_quotient_oracle(c, r0, gtol, max_iter) for r0 in starts]
+    rounds = []
+    quotients = packing3d._quotients
+
+    def recorded(c, u):
+        rounds.append(u.copy())
+        return quotients(c, u)
+    monkeypatch.setattr(packing3d, "_quotients", recorded)
+    r, q, converged = packing3d._descend(c, np.array(starts), gtol, max_iter)
+    trials = [t for *_, t in ref]
+    assert len(rounds) == max(map(len, trials))
+    for k, rows in enumerate(rounds):
+        assert np.array_equal(rows, [t[k] for t in trials if k < len(t)])
+    for i, (r_i, q_i, conv_i, _) in enumerate(ref):
+        assert np.array_equal(r[i], r_i)
+        assert q[i] == q_i
+        assert converged[i] == conv_i
+    return ref
+
+
+def realizable_starts(c, rng, n, lo=0.2, hi=3.0):
+    starts = []
+    for _ in range(100 * n):
+        r0 = rng.uniform(lo, hi, c.vertex_count)
+        if np.min(tet_q_factors(c, r0)) > 0.0:
+            starts.append(r0)
+            if len(starts) == n:
+                return starts
+    raise AssertionError("could not sample realizable starts")
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(mesh_name=st.sampled_from(["cell5", "cell16", "torus3_27"]),
+       n_starts=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_lock_step_descent_is_the_sequential_descent(mesh_name, n_starts,
+                                                      seed):
+    c = data.load(mesh_name)
+    starts = realizable_starts(c, np.random.default_rng(seed), n_starts)
+    with pytest.MonkeyPatch.context() as mp:
+        lock_step_matches_oracle(c, starts, mp, max_iter=20)
+
+
+@pytest.mark.parametrize("mesh_name, seed", [("cell5", 1), ("cell16", 0),
+                                             ("torus3_27", 0)])
+def test_lock_step_descent_through_degenerate_trials(mesh_name, seed,
+                                                     monkeypatch):
+    """Wide starts whose line search tries an unrealizable metric: the trial
+    reads +inf, is refused, and the start halves on as it would alone."""
+    c = data.load(mesh_name)
+    starts = realizable_starts(c, np.random.default_rng(seed), 4)
+    ref = lock_step_matches_oracle(c, starts, monkeypatch, max_iter=20)
+    assert any(np.min(tet_q_factors(c, np.exp(u))) <= 0.0
+               for *_, t in ref for u in t)
+
+
+def test_lock_step_descent_through_a_failed_line_search(torus3, monkeypatch):
+    """With gtol 0 the descent from the uniform metric, a critical point up
+    to rounding, finds no decrease within 40 halvings and stops unconverged
+    before max_iter, beside a start that runs on, as it would alone."""
+    r0 = np.random.default_rng(7).uniform(0.9, 1.1, 27)
+    ref = lock_step_matches_oracle(torus3, [np.ones(27), r0], monkeypatch,
+                                   max_iter=200, gtol=0.0)
+    *_, converged, trials = ref[0]
+    assert not converged and 41 <= len(trials) < 200
+
+
+def test_yamabe_invariant_estimate_is_the_sequential_multistart(
+        cell16, monkeypatch):
+    """The estimate at the CLI's solve settings: the best start (the first
+    of least value), its metric, verdict and the converged count are the
+    sequential oracle's, with 1 evaluation from the uniform start (a
+    critical point) and 501-502 from each other."""
+    rng = np.random.default_rng(1)
+    starts = [np.ones(8)]
+    while len(starts) < 6:
+        cand = rng.uniform(0.4, 1.8, 8)
+        if np.all(q_factor(cand[cell16.tet_array]) > 0.0):
+            starts.append(cand)
+    ref = lock_step_matches_oracle(cell16, starts, monkeypatch, max_iter=500)
+    counts = [len(t) for *_, t in ref]
+    assert counts[0] == 1 and all(501 <= k <= 502 for k in counts[1:])
+    est = yamabe_invariant_estimate(cell16, n_starts=6, seed=1)
+    best = min(range(6), key=lambda i: (ref[i][1], i))
+    r_best = ref[best][0]
+    assert est.value == ref[best][1]
+    assert np.array_equal(est.metric, r_best / np.sum(r_best ** 3) ** (1 / 3))
+    assert est.critical == ref[best][2]
+    assert est.converged_starts == sum(conv for _, _, conv, _ in ref)
 
 
 @pytest.mark.parametrize("n_starts", [0, -3, 2.5, True, None])

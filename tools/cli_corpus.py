@@ -49,7 +49,10 @@ dimension (exit 2): a surface family on cell16, the Yamabe flow on
 torus_7, and the y condition on cell5; and two refusals of an invalid
 complex (exit 2, written to OUTDIR/meshes): a tetrahedron with the
 non-integral vertex entry 0.5, and cell16 with a listed edge (0, 1) that
-lies in no tetrahedron.
+lies in no tetrahedron; two refusals of a malformed document (exit 2): a
+mesh whose faces are the numbers [1, 2, 3] (OUTDIR/meshes) and a metric
+document that is the list [1, 2] (OUTDIR/metrics); and the cell16 solve at
+the CLI's default of 20 starts.
 """
 
 import argparse
@@ -188,6 +191,19 @@ def corpus(outdir):
             json.dump(doc, fp)
         runs.append((f"curvature-{name}-refused",
                      ["curvature", "--mesh", path, "--random", radii]))
+    numbers = os.path.join(outdir, "meshes", "faces-of-numbers.json")
+    with open(numbers, "w") as fp:
+        json.dump({"dim": 2, "vertex_count": 4, "faces": [1, 2, 3]}, fp)
+    runs.append(("curvature-faces-of-numbers-refused",
+                 ["curvature", "--mesh", numbers]))
+    metric = os.path.join(outdir, "metrics", "list.json")
+    os.makedirs(os.path.dirname(metric), exist_ok=True)
+    with open(metric, "w") as fp:
+        json.dump([1, 2], fp)
+    runs.append(("curvature-metric-list-refused",
+                 ["curvature", "--mesh", "tetrahedron", "--metric", metric]))
+    runs.append(("solve-cell16-starts20",
+                 ["solve", "--mesh", "cell16", "--starts", "20"]))
     return runs
 
 
