@@ -1,16 +1,16 @@
-"""Explicit ODE steppers used by the flow drivers.
+"""The explicit ODE stepper of the flow drivers.
 
 Provides the Dormand-Prince 8(5,3) pair DOP853 (Hairer, Norsett, Wanner,
-Solving ODEs I, II.10) with standard step-size control, plus fixed-step
-rk4/euler for oracle-style comparisons. The flows run at tolerances near
-1e-9, where an eighth-order method takes far fewer field evaluations than a
-fifth-order one. The flow drivers need to project the state and probe
-domain boundaries between accepted steps, which is why stepping is exposed
-one step at a time instead of wrapping a whole-interval integrator.
+Solving ODEs I, II.10) with standard step-size control, the one method of
+every flow. The flows run at tolerances near 1e-9, where an eighth-order
+method takes far fewer field evaluations than a fifth-order one. The flow
+drivers need to project the state and probe domain boundaries between
+accepted steps, which is why stepping is exposed one step at a time
+instead of wrapping a whole-interval integrator.
 
 The field of ``advance`` and ``dopri_step`` maps (t, y) to (dy/dt, q) with q
 a scalar rate. Each step also returns the integral of q over the step under
-the method's own weights: a quadrature carried along with the ODE (Hairer,
+the eighth-order weights: a quadrature carried along with the ODE (Hairer,
 Norsett, Wanner, Solving ODEs I, II.4-5). q never enters the error norm, so
 it does not change the steps taken.
 
@@ -176,36 +176,10 @@ def dopri_step(field, t, y, h, rtol, atol, first):
     return err <= 1.0, t + h, y8, err, h * float(_B8 @ q)
 
 
-def _rk4(field, t, y, h, first=None):
-    k1, q1 = field(t, y) if first is None else first
-    k2, q2 = field(t + 0.5 * h, y + 0.5 * h * k1)
-    k3, q3 = field(t + 0.5 * h, y + 0.5 * h * k2)
-    k4, q4 = field(t + h, y + h * k3)
-    return (t + h, y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4),
-            (h / 6.0) * (q1 + 2 * q2 + 2 * q3 + q4))
-
-
-def _euler(field, t, y, h, first=None):
-    k, q = field(t, y) if first is None else first
-    return t + h, y + h * k, h * q
-
-
-def rk4_step(field, t, y, h):
-    """One classical Runge-Kutta step of a plain field (t, y) -> dy/dt."""
-    return _rk4(lambda t, y: (field(t, y), 0.0), t, y, h)[:2]
-
-
-_FIXED = {"euler": _euler, "rk4": _rk4}
-# the stepping methods advance takes: the adaptive DOP853 and the fixed ones
-METHODS = ("dop853", *_FIXED)
-
-
-def advance(field, t, y, h, method, rtol, atol, min_step, max_step,
-            first=None):
-    """Advance one accepted step of a field (t, y) -> (dy/dt, q) by a method
-    of METHODS, which the caller has checked; dop853 retries with smaller h.
-    The first stage, the field at (t, y), is evaluated once and shared by
-    every trial; a caller that already has it passes it as first.
+def advance(field, t, y, h, rtol, atol, min_step, max_step, first):
+    """Advance one accepted DOP853 step of a field (t, y) -> (dy/dt, q),
+    retrying with smaller h. first is the field's value at (t, y), the first
+    stage, which every trial shares.
 
     Returns (t_new, y_new, quad, h_next, rejected) where quad is the
     integral of q over the accepted step and rejected counts the failed
@@ -213,17 +187,11 @@ def advance(field, t, y, h, method, rtol, atol, min_step, max_step,
     halve and retry. StepFailureError when no acceptable step at or above
     min_step exists.
     """
-    if method in _FIXED:
-        t2, y2, quad = _FIXED[method](field, t, y, h, first)
-        return t2, y2, quad, h, 0
-
     rejected = 0
     while True:
         if h < min_step:
             raise StepFailureError(f"step size {h:.3g} fell below {min_step:.3g}")
         try:
-            if first is None:
-                first = field(t, y)
             ok, t2, y2, err, quad = dopri_step(field, t, y, h, rtol, atol,
                                                first)
         except DomainError:

@@ -24,9 +24,9 @@ is the log r^2 versus log r time convention. Every flow runs through one
 driver, ``_integrate``, on the ``_Flow`` of its row (``_flow``): run, step
 and vector_field take a surface for the 2-d rows and a 3-manifold for
 yamabe, whose state, sample and singularity classifier are packing3d's.
-The driver steps with _rk's DOP853 by default: at the default rtol of 1e-9
-the eighth-order pair takes far fewer steps than a fifth-order one, and
-fewer field evaluations despite its twelve stages. The geometry modules
+The driver steps with _rk's DOP853, its one method: at the default rtol of
+1e-9 the eighth-order pair takes far fewer steps than a fifth-order one,
+and fewer field evaluations despite its twelve stages. The geometry modules
 (packing2d, packing3d, operators2d) import nothing from this driver.
 """
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import packing3d
-from ._rk import METHODS, DomainError, advance
+from ._rk import DomainError, advance
 from .errors import (DegenerateTetrahedronError, DegenerateTriangleError,
                      NoConvergenceError, NotApplicableError, StepFailureError)
 from .mesh import euler_characteristic
@@ -87,14 +87,11 @@ FAMILIES = {
 
 @dataclass
 class FlowSpec:
-    """Flow family plus integrator and stopping configuration; method is
-    one of _rk.METHODS: the adaptive "dop853" or the fixed-step "rk4" and
-    "euler"."""
+    """Flow family plus DOP853 step control and stopping configuration."""
 
     family: str
     alpha: float = 2.0
     target: np.ndarray | None = None
-    method: str = "dop853"
     initial_step: float = 1e-2
     min_step: float = 1e-12
     max_step: float | None = None
@@ -113,9 +110,6 @@ class FlowSpec:
         if row.alpha is not None and self.alpha != row.alpha:
             raise ValueError(f"family {self.family!r} fixes alpha = {row.alpha:g}, "
                              f"got {self.alpha}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one "
-                             f"of {', '.join(METHODS)}")
         if row.prescribed and self.target is None:
             raise ValueError(f"family {self.family!r} requires a target")
         if not row.prescribed and self.target is not None:
@@ -131,6 +125,7 @@ class FlowSpec:
                      "t_max", "eps"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        _check_positive_int("max_steps", self.max_steps)
 
     def resolved_max_step(self):
         if self.max_step is not None:
@@ -313,8 +308,8 @@ def _stage(spec, evaluate, base):
     stage that leaves the admissible region (|u| > 700, a named degeneracy
     or a non-finite field) raises DomainError, so the stepper retries
     smaller. At an accepted point the same failures raise StepFailureError
-    instead: no step of any size or method leaves the point, and no stage of
-    a DOP853 trial sits at the point it accepts.
+    instead: no step of any size leaves the point, and no stage of a DOP853
+    trial sits at the point it accepts.
     """
     scale = FAMILIES[spec.family].scale
 
@@ -344,13 +339,15 @@ def _stage(spec, evaluate, base):
 
 
 def step(spec, c, state):
-    """One integrator step from a FlowState; adaptive methods retry until the
-    local error estimate passes. Raises StepFailureError below min_step."""
+    """One DOP853 step from a FlowState, retried smaller until the local
+    error estimate passes. Raises StepFailureError below min_step, and at
+    once when the start point is outside the domain."""
     r, flow = _flow(spec, c, state.r)
-    fn = _stage(spec, flow.evaluate, flow.field)[0]
-    t2, u2, _, h_next, _ = advance(fn, state.t, np.log(r), state.h,
-                                   spec.method, spec.rtol, spec.atol,
-                                   spec.min_step, spec.resolved_max_step())
+    fn, land, first = _stage(spec, flow.evaluate, flow.field)
+    u = np.log(r)
+    t2, u2, _, h_next, _ = advance(fn, state.t, u, state.h, spec.rtol,
+                                   spec.atol, spec.min_step,
+                                   spec.resolved_max_step(), first(land(u)))
     return FlowState(t2, np.exp(u2), h_next)
 
 
@@ -373,7 +370,7 @@ def _integrate(spec, c, r0, flow):
     max_steps, stepped_out_of_domain (no step above min_step, or an accepted
     point that leaves the domain), diverged. Each accepted point is evaluated
     once: its sample, the singularity watch and the first stage of the next
-    step share it, so a dop853 run makes 1 + 12 accepted + 11 rejected
+    step share it, so a run makes 1 + 12 accepted + 11 rejected
     evaluations when no trial leaves the domain.
     """
     fn, land, first = _stage(spec, flow.evaluate, flow.field)
@@ -402,8 +399,7 @@ def _integrate(spec, c, r0, flow):
             break
         try:
             t2, u2, df, h, rej = advance(fn, t, u, min(h, spec.t_max - t),
-                                         spec.method, spec.rtol, spec.atol,
-                                         spec.min_step,
+                                         spec.rtol, spec.atol, spec.min_step,
                                          spec.resolved_max_step(),
                                          first(point))
             if p is not None and spec.renormalize:

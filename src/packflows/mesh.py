@@ -217,7 +217,6 @@ class Surface2Complex(_Complex):
                         else weights)
         if edge_of is None:
             return
-        self._edge_index = {e: k for k, e in enumerate(self.edges)}
         # face_edge[f, m] = index of the edge opposite vertex column m
         self.face_edge = edge_of[:, ::-1].copy()
         self.cos_weights = np.cos(self.weights)
@@ -226,7 +225,12 @@ class Surface2Complex(_Complex):
             arr.setflags(write=False)
 
     def edge_index(self, i, j):
-        return self._edge_index[tuple(sorted((int(i), int(j))))]
+        """The index of the edge {i, j}; KeyError if it is not an edge."""
+        e = tuple(sorted((int(i), int(j))))
+        hit = (self.edge_array == e).all(axis=1).nonzero()[0]
+        if not hit.size:
+            raise KeyError(e)
+        return int(hit[0])
 
     def weight(self, i, j):
         return float(self.weights[self.edge_index(i, j)])

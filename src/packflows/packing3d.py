@@ -62,17 +62,12 @@ _OTHERS = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
 _PAIRS = _OTHERS > np.arange(4)[:, np.newaxis]
 
 
-def q_factor(r_i, r_j=None, r_k=None, r_l=None):
-    """Nondegeneracy factor of a tetrahedron's four radii.
-
-    Accepts four scalars or an array whose last axis has length 4; the
-    tetrahedron embeds in Euclidean space iff the result is positive.
+def q_factor(radii):
+    """Nondegeneracy factor of the tetrahedra of radii, an array whose last
+    axis has length 4; a tetrahedron embeds in Euclidean space iff its
+    factor is positive.
     """
-    if r_j is not None:
-        rr = np.array([r_i, r_j, r_k, r_l], dtype=float)
-        inv = 1.0 / rr
-        return float(inv.sum() ** 2 - 2.0 * (inv ** 2).sum())
-    inv = 1.0 / np.asarray(r_i, dtype=float)
+    inv = 1.0 / np.asarray(radii, dtype=float)
     return inv.sum(axis=-1) ** 2 - 2.0 * (inv ** 2).sum(axis=-1)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from packflows import data
-from packflows.flows2d import FAMILIES
+from packflows.flows2d import FAMILIES, FlowSpec, run
 from packflows.mesh import Surface2Complex, mesh_from_dict
 from packflows.operators2d import potential_gradient, potential_hessian
 from packflows.packing2d import edge_lengths, inner_angles
@@ -66,6 +66,27 @@ def surfaces(tetra, octa, icosa, torus7, genus2):
 
 def random_metric(rng, n, lo=0.5, hi=2.0):
     return rng.uniform(lo, hi, n)
+
+
+def assert_time_scaled_runs(c, r0, fam_a, fam_c, factor, t_max=1.0):
+    """The alpha = 2 run of fam_a and the run of its classic family fam_c
+    with every time setting multiplied by factor (2 for Ricci, 4 for
+    Calabi) are one DOP853 run: the classic field is the alpha field over
+    the power of two factor, so every stage, error norm and step agrees bit
+    for bit, rejections included, and only the times carry the factor.
+    Returns the alpha run."""
+    sa = FlowSpec(fam_a, alpha=2.0, t_max=t_max)
+    sc = FlowSpec(fam_c, initial_step=factor * sa.initial_step,
+                  min_step=factor * sa.min_step,
+                  max_step=factor * sa.resolved_max_step(),
+                  t_max=factor * t_max)
+    ta, tc = run(sa, c, r0), run(sc, c, r0)
+    assert ta.termination == tc.termination
+    assert (ta.n_steps, ta.n_rejected) == (tc.n_steps, tc.n_rejected)
+    assert np.array_equal(ta.radii, tc.radii)
+    assert np.array_equal(ta.potential, tc.potential)
+    assert np.array_equal(tc.times, factor * ta.times)
+    return ta
 
 
 def grid_torus(n, m):

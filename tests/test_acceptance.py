@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import random_metric
+from conftest import assert_time_scaled_runs, random_metric
 from packflows.admissibility import rhs_table, sphere_condition
-from packflows.flows2d import (FlowSpec, FlowState, find_constant_curvature,
-                               max_principle_bounds, run, step, vector_field)
+from packflows.flows2d import (FlowSpec, find_constant_curvature,
+                               max_principle_bounds, run, vector_field)
 from packflows.mesh import euler_characteristic
 from packflows.operators2d import curvature_jacobian, potential_hessian
 from packflows.packing2d import angle_defect, curvature
@@ -227,18 +227,13 @@ def test_criterion_09_conservation_and_monotonicity(genus2, torus7, torus3):
         tr3 = run(FlowSpec("yamabe", t_max=2.0, eps=1e-14), torus3, r0)
         assert np.abs(tr3.conserved / tr3.conserved[0] - 1.0).max() <= 1e-7
         assert np.all(np.diff(tr3.potential) <= 1e-9)
-        from packflows._rk import rk4_step
-
-        def fld(t, u):
-            st = yamabe_state(torus3, np.exp(u))
-            return 0.5 * (st.average - st.curvature)
-
+        # a centered difference along the field: log r +- delta v
         for k in np.linspace(0, len(tr3.times) - 1, 4).astype(int):
-            u = np.log(tr3.radii[k])
-            _, up = rk4_step(fld, 0.0, u, 1e-5)
-            _, um = rk4_step(fld, 0.0, u, -1e-5)
-            ds = (yamabe_state(torus3, np.exp(up)).total
-                  - yamabe_state(torus3, np.exp(um)).total) / 2e-5
+            r = tr3.radii[k]
+            st = yamabe_state(torus3, r)
+            v = 0.5 * (st.average - st.curvature)
+            ds = (yamabe_state(torus3, r * np.exp(1e-5 * v)).total
+                  - yamabe_state(torus3, r * np.exp(-1e-5 * v)).total) / 2e-5
             assert abs(ds + 0.5 * tr3.calabi[k]) <= 1e-6 * max(1.0, tr3.calabi[k])
 
 
@@ -253,8 +248,8 @@ def test_criterion_10_family_equivalences(genus2):
         k_av = 2 * np.pi * euler_characteristic(genus2) / 11
         assert np.abs(v0 - (k_av - K)).max() < 1e-14
 
-        # alpha = 2: same curves at twice / four times the speed; with a
-        # fixed-step integrator the correspondence holds step for step
+        # alpha = 2: same curves at twice / four times the speed; with the
+        # time settings scaled alike, DOP853 takes the same steps bit for bit
         pairs = [("alpha_ricci_normalized", "ricci_normalized", 2.0),
                  ("alpha_calabi", "calabi", 4.0),
                  ("alpha_calabi_modified", "calabi_modified", 4.0)]
@@ -263,14 +258,7 @@ def test_criterion_10_family_equivalences(genus2):
             vc = vector_field(FlowSpec(family=fam_c), genus2, r)
             assert np.abs(va - factor * vc).max() <= 1e-12 * max(
                 1.0, np.abs(va).max())
-            sa = FlowSpec(family=fam_a, alpha=2.0, method="rk4")
-            sc = FlowSpec(family=fam_c, method="rk4")
-            h = 0.01
-            ra, rc = r, r
-            for _ in range(20):
-                ra = step(sa, genus2, FlowState(0.0, ra, h)).r
-                rc = step(sc, genus2, FlowState(0.0, rc, factor * h)).r
-                assert np.abs(np.log(ra) - np.log(rc)).max() < 1e-12
+            assert_time_scaled_runs(genus2, r, fam_a, fam_c, factor)
 
 
 def test_criterion_11_three_dimensional_geometry(cell5, cell16):

@@ -227,6 +227,17 @@ def test_mesh_json_roundtrip(tmp_path, genus2, cell16):
     assert c3.tetrahedra == cell16.tetrahedra
 
 
+def test_edge_index_takes_either_order_and_refuses_a_non_edge(octa):
+    edges = set(octa.edges)
+    for i, j in itertools.combinations(range(octa.vertex_count), 2):
+        if (i, j) in edges:
+            k = octa.edge_index(j, i)
+            assert octa.edge_index(i, j) == k and octa.edges[k] == (i, j)
+        else:
+            with pytest.raises(KeyError):
+                octa.edge_index(i, j)
+
+
 def test_mesh_json_weights_and_inference(tmp_path):
     doc = {"dim": 2, "vertex_count": 4,
            "faces": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
