@@ -170,7 +170,8 @@ def dopri_step(field, t, y, h, rtol, atol, first):
                                initial=0.0)
     y8 = y + h * dy
     scale = atol + rtol * np.maximum(np.abs(y), np.abs(y8))
-    n5, n3 = np.sum((e5 / scale) ** 2), np.sum((e3 / scale) ** 2)
+    n5 = np.add.reduce((e5 / scale) ** 2)
+    n3 = np.add.reduce((e3 / scale) ** 2)
     err = 0.0 if n5 == 0.0 else float(
         abs(h) * n5 / np.sqrt((n5 + 0.01 * n3) * len(y)))
     return err <= 1.0, t + h, y8, err, h * float(_B8 @ q)

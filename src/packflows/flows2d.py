@@ -23,11 +23,17 @@ alpha = 2 curves at half (Ricci) or a quarter (Calabi) of the speed; this
 is the log r^2 versus log r time convention. Every flow runs through one
 driver, ``_integrate``, on the ``_Flow`` of its row (``_flow``): run, step
 and vector_field take a surface for the 2-d rows and a 3-manifold for
-yamabe, whose state, sample and singularity classifier are packing3d's.
-The driver steps with _rk's DOP853, its one method: at the default rtol of
-1e-9 the eighth-order pair takes far fewer steps than a fifth-order one,
-and fewer field evaluations despite its twelve stages. The geometry modules
-(packing2d, packing3d, operators2d) import nothing from this driver.
+yamabe, whose evaluated point, sample and singularity classifier are
+packing3d's. Each evaluation forms one record of its point, once: for a
+2-d row packing2d._point, which holds the angles, the defects K, r^alpha
+and its sum, Rbar, R = K / r^alpha and the potential gradient g. The
+_BASE rows, the potential rate g . v, the sample, the residual and
+Newton's iterate read it, and compute none of these again. A stage runs
+under one np.errstate. The driver steps with _rk's DOP853, its one method:
+at the default rtol of 1e-9 the eighth-order pair takes far fewer steps
+than a fifth-order one, and fewer field evaluations despite its twelve
+stages. The geometry modules (packing2d, packing3d, operators2d) import
+nothing from this driver.
 """
 
 import math
@@ -43,26 +49,25 @@ from .errors import (DegenerateTetrahedronError, DegenerateTriangleError,
                      NoConvergenceError, NotApplicableError, StepFailureError)
 from .mesh import euler_characteristic
 from .operators2d import (_edge_apply, _edge_weights, _hessian_apply,
-                          _jacobian_diagonal, _potential_gradient)
-from .packing2d import (_angles, _average_curvature, _check_positive_int,
-                        _defect_from_angles, check_metric, total_measure)
+                          _jacobian_diagonal)
+from .packing2d import (_average_curvature, _check_positive_int, _evaluate,
+                        _point, check_metric, total_measure)
 
 # -- the family table ---------------------------------------------------------
 
-# base fields of the alpha families from the inner angles theta of r, their
-# squared sides L and their angle defects K,
-# (c, r, alpha, target, K, theta, L) -> d(log r)/dt; the Calabi rows apply
-# the edge-weight Jacobian of theta and L, an O(E) matvec
+# base fields of the alpha families at the evaluated point p of r
+# (packing2d._Point), (c, p, alpha, target) -> d(log r)/dt: each reads the
+# curvatures R = K / r^alpha, Rbar (the average or the target), the measure
+# r^alpha and the potential gradient g from p, formed once per evaluation.
+# The Calabi rows apply the edge-weight Jacobian of p's angles and squared
+# edge lengths, an O(E) matvec
 _BASE = {
-    "ricci": lambda c, r, a, target, K, theta, L: -(K / r ** a),
-    "ricci_normalized": lambda c, r, a, target, K, theta, L: (
-        _average_curvature(c, r, a) - K / r ** a),
-    "prescribed": lambda c, r, a, target, K, theta, L: target - K / r ** a,
-    "calabi": lambda c, r, a, target, K, theta, L: -_edge_apply(
-        c, _edge_weights(c, r, theta, L), K / r ** a) / r ** a,
-    "calabi_modified": lambda c, r, a, target, K, theta, L: -_hessian_apply(
-        c, r, _edge_weights(c, r, theta, L), a, target,
-        _potential_gradient(c, r, K, a, target)),
+    "ricci": lambda c, p, a, target: -p.R,
+    "normalized": lambda c, p, a, target: p.rbar - p.R,
+    "calabi": lambda c, p, a, target: -_edge_apply(
+        c, _edge_weights(c, p.r, p.theta, p.L), p.R) / p.ra,
+    "calabi_modified": lambda c, p, a, target: -_hessian_apply(
+        c, p, _edge_weights(c, p.r, p.theta, p.L), a, target, p.g),
 }
 
 # field: key of _BASE, None for the 3-d flow (packing3d); alpha: the fixed
@@ -72,13 +77,13 @@ Family = namedtuple("Family", "field scale alpha conserved prescribed max_step")
 
 FAMILIES = {
     "ricci": Family("ricci", 0.5, 2.0, None, False, 5.0),
-    "ricci_normalized": Family("ricci_normalized", 0.5, 2.0, "alpha", False, 5.0),
-    "ricci_prescribed": Family("prescribed", 0.5, 2.0, None, True, 5.0),
+    "ricci_normalized": Family("normalized", 0.5, 2.0, "alpha", False, 5.0),
+    "ricci_prescribed": Family("normalized", 0.5, 2.0, None, True, 5.0),
     "calabi": Family("calabi", 0.25, 2.0, "alpha", False, 0.5),
     "calabi_modified": Family("calabi_modified", 0.25, 2.0, 0.0, False, 0.5),
     "alpha_ricci": Family("ricci", 1.0, None, None, False, 5.0),
-    "alpha_ricci_normalized": Family("ricci_normalized", 1.0, None, "alpha", False, 5.0),
-    "alpha_prescribed": Family("prescribed", 1.0, None, None, True, 5.0),
+    "alpha_ricci_normalized": Family("normalized", 1.0, None, "alpha", False, 5.0),
+    "alpha_prescribed": Family("normalized", 1.0, None, None, True, 5.0),
     "alpha_calabi": Family("calabi", 1.0, None, "alpha", False, 0.5),
     "alpha_calabi_modified": Family("calabi_modified", 1.0, None, 0.0, False, 0.5),
     "yamabe": Family(None, 0.5, 2.0, 3.0, False, 5.0),
@@ -239,43 +244,37 @@ class FlowTrace:
 # -- vector fields ------------------------------------------------------------
 
 
-def _point(c, r):
-    """A 2-d flow's evaluated point at checked radii r: (r, theta, L, K), the
-    radii with their inner angles, squared sides and angle defects."""
-    theta, L = _angles(c, r)
-    return r, theta, L, _defect_from_angles(c, theta)
-
-
 def vector_field(spec, c, r):
     """Right-hand side of the selected family as d(log r)/dt per vertex."""
     r, flow = _flow(spec, c, r)
-    return FAMILIES[spec.family].scale * flow.field(flow.evaluate(r))[0]
+    with np.errstate(all="ignore"):
+        point = flow.evaluate(r)
+    return FAMILIES[spec.family].scale * flow.field(point)[0]
 
 
 # -- residuals and conserved quantities ---------------------------------------
 
 
-def _residual(c, r, alpha, target, K):
-    """The convergence residual of a run from the angle defects K: with no
-    target max |R_a - R_av| * ||r||_a^a / (2 pi |chi| + 1), else
+def _residual(c, p, target):
+    """The convergence residual of a run at the evaluated point p
+    (packing2d._point) of the target: with no target
+    max |R_a - R_av| * ||r||_a^a / (2 pi |chi| + 1), else
     max |K - Rbar r^alpha|."""
     if target is not None:
-        return float(np.max(np.abs(_potential_gradient(c, r, K, alpha, target))))
-    dev = np.max(np.abs(K / r ** alpha - _average_curvature(c, r, alpha)))
-    return float(dev * total_measure(r, alpha) / (2.0 * np.pi * abs(c.chi) + 1.0))
+        return float(np.maximum.reduce(np.abs(p.g)))
+    dev = np.maximum.reduce(np.abs(p.R - p.rbar))
+    return float(dev * p.total / (2.0 * np.pi * abs(c.chi) + 1.0))
 
 
 def constant_curvature_residual(c, r, alpha=2.0):
     """Scale-free deviation from constant alpha-curvature:
     max |R_a - R_av| * ||r||_a^a / (2 pi |chi| + 1)."""
-    r = check_metric(c, r)
-    return _residual(c, r, alpha, None, _point(c, r)[3])
+    return _residual(c, _evaluate(c, r, alpha), None)
 
 
 def prescribed_residual(c, r, alpha, target):
     """max |K - Rbar r^alpha| in radians (scale invariant)."""
-    r = check_metric(c, r)
-    return _residual(c, r, alpha, target, _point(c, r)[3])
+    return _residual(c, _evaluate(c, r, alpha, target), target)
 
 
 def _exponent(spec):
@@ -287,7 +286,7 @@ def _exponent(spec):
 
 def _log_measure(p, u):
     """The conserved quantity in the form the projection restores."""
-    return np.sum(np.exp(p * u)) if p else np.sum(u)
+    return np.add.reduce(np.exp(p * u)) if p else np.add.reduce(u)
 
 
 # -- stepping -----------------------------------------------------------------
@@ -295,33 +294,39 @@ def _log_measure(p, u):
 
 def _radii(u):
     """e^u, or DomainError past the exp overflow guard."""
-    if np.max(np.abs(u)) > 700.0:
+    if np.maximum.reduce(np.abs(u)) > 700.0:
         raise DomainError("log radius out of range")
     return np.exp(u)
 
 
 def _stage(spec, evaluate, base):
     """The stepper's field u -> scale * base(evaluate(e^u)); the evaluation
-    of an accepted point u; and the field at an evaluated accepted point,
-    the first stage of the next step. evaluate maps radii to a point, base
-    maps a point to the field and the potential's rate along it, (v, q). A
-    stage that leaves the admissible region (|u| > 700, a named degeneracy
-    or a non-finite field) raises DomainError, so the stepper retries
-    smaller. At an accepted point the same failures raise StepFailureError
-    instead: no step of any size leaves the point, and no stage of a DOP853
-    trial sits at the point it accepts.
+    of an accepted point u; the field at an evaluated accepted point, the
+    first stage of the next step; and the evaluation of the start point u.
+    evaluate maps radii to a point, base maps a point to the field and the
+    potential's rate along it, (v, q); a stage evaluates both under one
+    np.errstate. A stage that leaves the admissible region (|u| > 700, a
+    named degeneracy or a non-finite field) raises DomainError, so the
+    stepper retries smaller. At an accepted point the same failures raise
+    StepFailureError instead: no step of any size leaves the point, and no
+    stage of a DOP853 trial sits at the point it accepts. At the start
+    point |u| > 700 raises StepFailureError naming the start, while a
+    named degeneracy of the start stays the caller's error.
     """
     scale = FAMILIES[spec.family].scale
 
     def at(point):
         v, q = base(point)
-        if not (np.isfinite(q) and np.isfinite(v).all()):
+        if not (math.isfinite(q) and np.logical_and.reduce(np.isfinite(v))):
             raise DomainError("the field is not finite")
         return scale * v, scale * q
 
+    def start(u):
+        return evaluate(_radii(u))
+
     def reach(u):
         try:
-            return evaluate(_radii(u))
+            return start(u)
         except (DegenerateTriangleError, DegenerateTetrahedronError) as exc:
             raise DomainError(str(exc)) from exc
 
@@ -330,12 +335,14 @@ def _stage(spec, evaluate, base):
         return at(reach(u))
 
     @np.errstate(all="ignore")
-    def accepted(f, x):
+    def accepted(f, x, where="an accepted point"):
         try:
             return f(x)
         except DomainError as exc:
-            raise StepFailureError(f"{exc} at an accepted point") from exc
-    return fn, lambda u: accepted(reach, u), lambda point: accepted(at, point)
+            raise StepFailureError(f"{exc} at {where}") from exc
+    return (fn, lambda u: accepted(reach, u),
+            lambda point: accepted(at, point),
+            lambda u: accepted(start, u, "the start point"))
 
 
 def step(spec, c, state):
@@ -343,7 +350,7 @@ def step(spec, c, state):
     error estimate passes. Raises StepFailureError below min_step, and at
     once when the start point is outside the domain."""
     r, flow = _flow(spec, c, state.r)
-    fn, land, first = _stage(spec, flow.evaluate, flow.field)
+    fn, land, first, _ = _stage(spec, flow.evaluate, flow.field)
     u = np.log(r)
     t2, u2, _, h_next, _ = advance(fn, state.t, u, state.h, spec.rtol,
                                    spec.atol, spec.min_step,
@@ -371,15 +378,17 @@ def _integrate(spec, c, r0, flow):
     point that leaves the domain), diverged. Each accepted point is evaluated
     once: its sample, the singularity watch and the first stage of the next
     step share it, so a run makes 1 + 12 accepted + 11 rejected
-    evaluations when no trial leaves the domain.
+    evaluations when no trial leaves the domain. A start point past the
+    log-radius guard raises StepFailureError, and a degenerate one its
+    named error, before anything is sampled.
     """
-    fn, land, first = _stage(spec, flow.evaluate, flow.field)
+    fn, land, first, start = _stage(spec, flow.evaluate, flow.field)
     p = _exponent(spec)
     u = np.log(r0)
     ref = _log_measure(p, u)
     t, h = 0.0, min(spec.initial_step, spec.resolved_max_step())
     f = 0.0
-    point = flow.evaluate(np.exp(u))
+    point = start(u)
     rows = [flow.sample(t, point, f)]
     termination = singularity = None
     n_steps = n_rejected = 0
@@ -420,8 +429,8 @@ def _integrate(spec, c, r0, flow):
         f += df
         rows.append(flow.sample(t, point, f))
         r_now = rows[-1][1]
-        if flow.guard and (np.min(r_now) < R_MIN_GUARD
-                           or np.max(r_now) > R_MAX_GUARD):
+        if flow.guard and (np.minimum.reduce(r_now) < R_MIN_GUARD
+                           or np.maximum.reduce(r_now) > R_MAX_GUARD):
             termination = "diverged"
             break
     if singularity is not None:
@@ -435,15 +444,17 @@ def _flow(spec, c, r):
     """(r, flow): the radii r, checked on c, a complex of the family's
     dimension, and against the target's shape; and the family's _Flow on c.
     The 3-d row, yamabe (the one with no base field), evaluates
-    packing3d._state and takes its sample and singularity classifier from
-    packing3d. A 2-d row evaluates _point; its field gives q = g . v, the
-    rate of the Ricci potential along the base field v (g = K - Rbar
-    r^alpha), which the stepper integrates into the trace's potential when
-    energies are recorded (else q = 0 and no energy is sampled)."""
+    packing3d._point and takes its sample and singularity classifier from
+    packing3d. A 2-d row evaluates packing2d._point, one record per
+    evaluation that the field and the sample read; its field gives
+    q = g . v, the rate of the Ricci potential along the base field v
+    (g = K - Rbar r^alpha), which the stepper integrates into the trace's
+    potential when energies are recorded (else q = 0 and no energy is
+    sampled)."""
     if FAMILIES[spec.family].field is None:
         return check_metric(c, r, 3), _Flow(
-            lambda r: packing3d._state(c, r),
-            lambda st: (st.average - st.curvature, 0.0), packing3d._sample,
+            lambda r: packing3d._point(c, r),
+            lambda p: (p.average - p.R, 0.0), packing3d._sample,
             False, packing3d._classify)
     r = check_metric(c, r)
     base, p = _BASE[FAMILIES[spec.family].field], _exponent(spec)
@@ -452,29 +463,29 @@ def _flow(spec, c, r):
         raise ValueError(f"target has shape {target.shape}, expected {r.shape}")
 
     def field(point):
-        r, theta, L, K = point
-        v = base(c, r, alpha, target, K, theta, L)
+        v = base(c, point, alpha, target)
         if not spec.record_energies:
             return v, 0.0
-        return v, float(_potential_gradient(c, r, K, alpha, target) @ v)
+        return v, float(point.g @ v)
 
     def sample(t, point, F):
-        r, _, _, K = point
+        # a 2-d row that conserves a sum r^p conserves the flow's own measure
+        # (p = alpha), whose total the point holds
         if p is None:
             conserved = math.nan
         elif p:
-            conserved = total_measure(r, p)
+            conserved = point.total
         else:
-            conserved = float(np.exp(np.sum(np.log(r))))
+            conserved = float(np.exp(np.sum(np.log(point.r))))
         if spec.record_energies:
-            g = _potential_gradient(c, r, K, alpha, target)
-            C = float(g @ g)
+            C = float(point.g @ point.g)
         else:
             F = C = math.nan
-        return (t, r, K / r ** alpha, conserved, F, C,
-                _residual(c, r, alpha, target, K))
+        return (t, point.r, point.R, conserved, F, C,
+                _residual(c, point, target))
 
-    return r, _Flow(lambda r: _point(c, r), field, sample, True, None)
+    return r, _Flow(lambda r: _point(c, r, alpha, target), field, sample,
+                    True, None)
 
 
 def run(spec, c, r0):
@@ -551,7 +562,7 @@ def max_principle_bounds(c, trace, alpha=None, tol=1e-6):
     chi = euler_characteristic(c)
     t = trace.times
     R = trace.curvatures
-    cav = _average_curvature(c, trace.radii[0], a)
+    cav = _average_curvature(c, total_measure(trace.radii[0], a))
     smin = float(R[0].min())
     smax = float(R[0].max())
     rmin = R.min(axis=1)
@@ -645,22 +656,21 @@ def _projected_cg(apply, b, m_inv, max_iter):
         diagnostics={"cg_iterations": max_iter, "relative_residual": float(rel)})
 
 
+@np.errstate(all="ignore")
 def _newton_point(c, u, alpha):
-    """(r, theta, L, K, g) at u = log r: the radii, their inner angles,
-    squared sides, angle defects and potential gradient, from one angle
-    evaluation."""
-    r, theta, L, K = _point(c, _radii(u))
-    return r, theta, L, K, _potential_gradient(c, r, K, alpha, None)
+    """The evaluated point (packing2d._point, no target) at u = log r, from
+    one angle evaluation under one np.errstate, as a flow stage."""
+    return _point(c, _radii(u), alpha, None)
 
 
-def _newton_direction(c, r, theta, L, alpha, g):
-    """The Newton step on the slice: -P g solved against the projected
-    potential Hessian, applied through the edge weights of the inner angles
-    theta and squared sides L of r and preconditioned with the Jacobian's
-    diagonal."""
-    w = _edge_weights(c, r, theta, L)
-    return _projected_cg(lambda v: _hessian_apply(c, r, w, alpha, None, v),
-                         -g, 1.0 / _jacobian_diagonal(c, w),
+def _newton_direction(c, p, alpha):
+    """The Newton step on the slice at the evaluated point p: -P g solved
+    against the projected potential Hessian, applied through the edge
+    weights of p's inner angles and squared edge lengths and preconditioned
+    with the Jacobian's diagonal."""
+    w = _edge_weights(c, p.r, p.theta, p.L)
+    return _projected_cg(lambda v: _hessian_apply(c, p, w, alpha, None, v),
+                         -p.g, 1.0 / _jacobian_diagonal(c, w),
                          10 * c.vertex_count)
 
 
@@ -691,26 +701,25 @@ def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
     if method != "newton":
         raise ValueError(f"unknown method {method!r}")
     u = np.log(check_metric(c, r0))
-    r, theta, L, K, g = _newton_point(c, u, alpha)
+    point = _newton_point(c, u, alpha)
     for _ in range(max_iter):
-        residual = _residual(c, r, alpha, None, K)
+        residual = _residual(c, point, None)
         if residual < eps:
-            return r
-        d = _newton_direction(c, r, theta, L, alpha, g)
+            return point.r
+        d = _newton_direction(c, point, alpha)
         # backtracking on the gradient norm, with a floor so Newton can still
         # crawl through mildly indefinite regions
         lam = 1.0
-        g_norm = np.linalg.norm(g)
+        g_norm = np.linalg.norm(point.g)
         for _ in range(30):
             u_try = u + lam * d
             try:
-                point = _newton_point(c, u_try, alpha)
+                trial = _newton_point(c, u_try, alpha)
             except (DomainError, DegenerateTriangleError):
                 lam *= 0.5
                 continue
-            if np.linalg.norm(point[4]) <= (1.0 - 0.25 * lam) * g_norm or lam < 1e-4:
-                u = u_try
-                r, theta, L, K, g = point
+            if np.linalg.norm(trial.g) <= (1.0 - 0.25 * lam) * g_norm or lam < 1e-4:
+                u, point = u_try, trial
                 break
             lam *= 0.5
         else:
@@ -720,4 +729,4 @@ def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
                              "constant_curvature_residual": residual})
     raise NoConvergenceError(
         f"no convergence after {max_iter} Newton iterations",
-        diagnostics={"residual": _residual(c, r, alpha, None, K)})
+        diagnostics={"residual": _residual(c, point, None)})

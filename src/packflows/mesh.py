@@ -219,9 +219,19 @@ class Surface2Complex(_Complex):
             return
         # face_edge[f, m] = index of the edge opposite vertex column m
         self.face_edge = edge_of[:, ::-1].copy()
+        # the per-face gathers of the angle kernel and the edge weights,
+        # shape (3, F, 3): face_sides[k, f, m] is the edge opposite, and
+        # face_corners[k, f, m] the vertex at, column (m + k) mod 3 of face f.
+        # C order: a gather through a strided index array takes twice as long
+        roll = (np.arange(3) + np.arange(3)[:, np.newaxis]) % 3
+        self.face_sides = np.ascontiguousarray(
+            self.face_edge[:, roll].transpose(1, 0, 2))
+        self.face_corners = np.ascontiguousarray(
+            self.face_array[:, roll].transpose(1, 0, 2))
         self.cos_weights = np.cos(self.weights)
         self.chi = self.vertex_count - len(self.edges) + len(self.faces)
-        for arr in (self.weights, self.cos_weights, self.face_edge):
+        for arr in (self.weights, self.cos_weights, self.face_edge,
+                    self.face_sides, self.face_corners):
             arr.setflags(write=False)
 
     def edge_index(self, i, j):

@@ -9,8 +9,9 @@ d/d(log r) = 2 d/d(log r^2). Every matrix-valued function takes an explicit
 The curvature Jacobian dK_i/d(log r_j) is symmetric, its rows sum to zero
 and it vanishes off the edges, so the edge weights w_ij = dK_i/d(log r_j)
 are the Jacobian: J f = sum_j w_ij (f_j - f_i). _edge_weights takes the
-inner angles and the squared sides that packing2d._angles returns together,
-so a point's squared sides are formed once. The Laplacians, the Calabi
+inner angles and the squared edge lengths that packing2d._angles returns
+together, so a point's squared sides are formed once, and gathers them per
+face with the complex's index arrays. The Laplacians, the Calabi
 energy gradient, the Calabi flow fields and Newton's conjugate-gradient
 solve apply it as that O(E) matvec; the dense matrices of
 curvature_jacobian and potential_hessian are only assembled from the
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureFailureError, SpectralFailureError
-from .packing2d import (_P, _Q, _angles, _average_curvature,
-                        _defect_from_angles, check_metric, total_measure)
+from .packing2d import (_average_curvature, _evaluate, check_metric,
+                        total_measure)
 
 KERNEL_TOL = 1e-9
 
@@ -43,10 +44,12 @@ class JacobianMatrix:
 def _edge_weights(c, r, theta, L):
     """The curvature Jacobian as one weight per edge: w_e = dK_i/d(log r_j)
     = dK_j/d(log r_i) for the edge e = {i, j}, from the inner angles theta
-    and the squared sides L of the radii r, both as _angles returns them.
+    and the squared edge lengths L of the radii r, both as _angles returns
+    them.
 
     In a face with sides s_m opposite its vertices and area A, the side k
-    joins the vertices p and q (the columns _P[k] and _Q[k]), and r_q moves
+    joins the vertices p and q (the columns k + 1 and k + 2 mod 3, as
+    c.face_sides and c.face_corners gather them), and r_q moves
     the sides s_p and s_k:
         dtheta_p/dr_q = dtheta_p/ds_p ds_p/dr_q + dtheta_p/ds_k ds_k/dr_q
     with dtheta_p/ds_p = s_p / 2A, dtheta_p/ds_k = -s_p cos(theta_q) / 2A,
@@ -57,11 +60,11 @@ def _edge_weights(c, r, theta, L):
                                - (L_p + L_k - L_q) (L_k + r_q^2 - r_p^2) / 2 L_k.
     Each face adds -r_q dtheta_p/dr_q to the weight of each of its sides.
     """
-    rho_f = (r * r)[c.face_array]
-    Lp, rho_q = L[:, _P], rho_f[:, _Q]
-    four_area = 2.0 * np.sqrt(L[:, 1] * L[:, 2]) * np.sin(theta[:, 0])
-    dth = ((Lp + rho_q - rho_f)
-           - (Lp + L - L[:, _Q]) * (L + rho_q - rho_f[:, _P]) / (2.0 * L))
+    rho, rho_p, rho_q = (r * r)[c.face_corners]
+    L, Lp, Lq = L[c.face_sides]
+    four_area = 2.0 * np.sqrt(Lp[:, 0] * Lq[:, 0]) * np.sin(theta[:, 0])
+    dth = ((Lp + rho_q - rho)
+           - (Lp + L - Lq) * (L + rho_q - rho_p) / (2.0 * L))
     dth /= four_area[:, np.newaxis]
     return -np.bincount(c.face_edge.ravel(), dth.ravel(), len(c.edges))
 
@@ -112,9 +115,9 @@ def curvature_jacobian(c, r, coord="log_r"):
     vector. Assembled from the edge weights: w off the diagonal, minus the
     row sums on it.
     """
-    r = check_metric(c, r)
     factor = _coord_factor(coord)
-    w = _edge_weights(c, r, *_angles(c, r))
+    p = _evaluate(c, r)
+    w = _edge_weights(c, p.r, p.theta, p.L)
     mat = _dense_jacobian(c, w, _jacobian_diagonal(c, w))
     mat *= factor
     return JacobianMatrix(mat, coord)
@@ -129,9 +132,9 @@ def laplacian(c, r, f):
 
 def alpha_laplacian(c, r, alpha, f):
     """Laplacian with measure r^alpha and log r coordinates."""
-    r = check_metric(c, r)
-    w = _edge_weights(c, r, *_angles(c, r))
-    return -_edge_apply(c, w, np.asarray(f, dtype=float)) / r ** alpha
+    p = _evaluate(c, r, alpha)
+    w = _edge_weights(c, p.r, p.theta, p.L)
+    return -_edge_apply(c, w, np.asarray(f, dtype=float)) / p.ra
 
 
 def laplacian_spectrum(c, r):
@@ -178,15 +181,7 @@ def potential_gradient(c, r, alpha=2.0, target=None):
     With no target, Rbar is the average alpha-curvature of r, which makes the
     gradient the residual of the constant-curvature problem.
     """
-    r = check_metric(c, r)
-    return _potential_gradient(c, r, _defect_from_angles(c, _angles(c, r)[0]),
-                               alpha, target)
-
-
-def _potential_gradient(c, r, K, alpha, target):
-    """K - Rbar r^alpha from the angle defects K of the radii r."""
-    rb = _average_curvature(c, r, alpha) if target is None else np.asarray(target)
-    return K - rb * r ** alpha
+    return _evaluate(c, r, alpha, target).g
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -257,9 +252,9 @@ def potential_hessian(c, r, alpha=2.0, target=None, coord="log_r"):
     factor = _coord_factor(coord)
     Lt = curvature_jacobian(c, r, coord="log_r").matrix
     if target is None:
-        rav = _average_curvature(c, r, alpha)
-        s = r ** (alpha / 2.0)
         nrm = total_measure(r, alpha)
+        rav = _average_curvature(c, nrm)
+        s = r ** (alpha / 2.0)
         # D (I - s s^T / nrm) D with D = diag(s)
         proj = np.diag(s ** 2) - np.outer(s * s, s * s) / nrm
         hess = Lt - alpha * rav * proj
@@ -269,15 +264,15 @@ def potential_hessian(c, r, alpha=2.0, target=None, coord="log_r"):
     return JacobianMatrix(hess, coord)
 
 
-def _hessian_apply(c, r, w, alpha, target, v):
-    """The potential Hessian in log r applied to v, from the edge weights w;
-    the rank-one term of the normalized form is applied as a vector."""
-    ra = r ** alpha
+def _hessian_apply(c, p, w, alpha, target, v):
+    """The potential Hessian in log r applied to v at the evaluated point p
+    (packing2d._point) of the target, from the edge weights w; the rank-one
+    term of the normalized form is applied as a vector."""
+    ra = p.ra
     if target is not None:
-        return _edge_apply(c, w, v) - alpha * np.asarray(target) * ra * v
-    rav = _average_curvature(c, r, alpha)
-    return _edge_apply(c, w, v) - alpha * rav * (
-        ra * v - ra * (ra @ v) / total_measure(r, alpha))
+        return _edge_apply(c, w, v) - alpha * p.rbar * ra * v
+    return _edge_apply(c, w, v) - alpha * p.rbar * (
+        ra * v - ra * (ra @ v) / p.total)
 
 
 # -- Calabi energy ------------------------------------------------------------
@@ -293,9 +288,7 @@ def calabi_energy(c, r, alpha=2.0, target=None):
 def calabi_energy_gradient(c, r, alpha=2.0, target=None, coord="log_r"):
     """Gradient of the Calabi energy in log coordinates: 2 A phi with
     A the potential Hessian in the same coordinate."""
-    r = check_metric(c, r)
     factor = _coord_factor(coord)
-    theta, L = _angles(c, r)
-    phi = _potential_gradient(c, r, _defect_from_angles(c, theta), alpha, target)
-    w = _edge_weights(c, r, theta, L)
-    return 2.0 * factor * _hessian_apply(c, r, w, alpha, target, phi)
+    p = _evaluate(c, r, alpha, target)
+    w = _edge_weights(c, p.r, p.theta, p.L)
+    return 2.0 * factor * _hessian_apply(c, p, w, alpha, target, p.g)

@@ -7,10 +7,21 @@ their radii (check_metric); the flows, Newton and the operators call _angles
 on checked radii, which raises DegenerateTriangleError for a NaN or
 out-of-range cosine.
 
-_angles is one vectorised pass per point: the squared sides L of every face,
-then the law of cosines over all three corners at once. It returns L with
-the angles, so the edge weights of operators2d share the squared sides
-instead of forming them again.
+_angles works at edge level: the squared length L of every edge, then one
+square root and one square per edge, gathered per face by the index arrays
+the complex builds once (face_sides), and the law of cosines over all three
+corners at once. Each square of a side is the square of its edge, the same
+double in every face that has it.
+
+A 2-d evaluated point is one record, _Point, formed once per evaluation by
+_point: the radii with their angles, squared edge lengths and angle defects
+K, the measure r^alpha and its total, the average alpha-curvature (or the
+target) Rbar, the alpha-curvatures R = K / r^alpha and the potential
+gradient g = K - Rbar r^alpha. A flow stage, its sample, Newton's iterate
+and the public functions read their quantities from it. The kernel and
+_point raise nothing for an overflow or a NaN of their own: a flow stage or
+Newton evaluates them under one np.errstate, and the public functions
+through _evaluate, which holds it.
 """
 
 import numbers
@@ -25,11 +36,6 @@ from .mesh import _check_complex
 # lemma rules out genuine degeneracy for weights in [0, pi/2], so anything
 # past this margin is numeric corruption, not geometry.
 COS_MARGIN = 1e-9
-
-# columns of the two other vertices of face column m, the ends of the side
-# m opposite vertex m
-_P = np.array([1, 2, 0])
-_Q = np.array([2, 0, 1])
 
 
 def check_metric(c, r, dim=2):
@@ -57,51 +63,79 @@ def edge_lengths(c, r):
 
 def _squared_lengths(c, r):
     """l_ij^2 per edge, of radii r that passed check_metric."""
-    i, j = c.edge_array[:, 0], c.edge_array[:, 1]
-    return r[i] ** 2 + r[j] ** 2 + 2.0 * r[i] * r[j] * c.cos_weights
+    ri, rj = r[c.edge_array.T]
+    return ri ** 2 + rj ** 2 + 2.0 * ri * rj * c.cos_weights
 
 
-@np.errstate(all="ignore")
 def _angles(c, r):
     """(theta, L) of radii r that passed check_metric: the inner angles as
     an (F, 3) array aligned with the columns of c.face_array, and the
-    squared sides, L[:, m] the square of the side opposite column m."""
-    L = _squared_lengths(c, r)[c.face_edge]
-    return _angles_from_sides(np.sqrt(L)), L
+    squared length of each edge."""
+    L = _squared_lengths(c, r)
+    return _angles_from_sides(c, np.sqrt(L)), L
 
 
-def _angles_from_sides(s):
-    """Law of cosines on all three corners of every face at once; s[:, m]
-    is the side opposite vertex column m. A NaN or out-of-range cosine
-    raises DegenerateTriangleError naming the first column with a bad row
-    and that column's first bad row."""
-    b, cc = s[:, _P], s[:, _Q]
-    arg = (b * b + cc * cc - s ** 2) / (2.0 * b * cc)
-    ok = np.abs(arg) <= 1.0 + COS_MARGIN  # False for NaN
-    if not ok.all():
+def _angles_from_sides(c, s):
+    """The law of cosines on all three corners of every face of c at once,
+    from the length s[e] of each edge e: one square per edge, gathered per
+    face by c.face_sides. A NaN or out-of-range cosine raises
+    DegenerateTriangleError naming the first column with a bad row and that
+    column's first bad row."""
+    a2, b2, c2 = (s * s)[c.face_sides]
+    b, cc = s[c.face_sides[1:]]
+    arg = (b2 + c2 - a2) / (2.0 * b * cc)
+    if not np.maximum.reduce(np.abs(arg), axis=None) <= 1.0 + COS_MARGIN:
+        ok = np.abs(arg) <= 1.0 + COS_MARGIN  # False for NaN
         col = int(np.argmin(ok.all(axis=0)))
         row = int(np.argmin(ok[:, col]))
         raise DegenerateTriangleError(
             f"cosine argument {arg[row, col]:.6g} outside [-1, 1] in face "
             f"row {row}")
-    return np.arccos(np.clip(arg, -1.0, 1.0))
-
-
-def inner_angles(c, r):
-    """Inner angles as an (F, 3) array aligned with the columns of c.face_array."""
-    return _angles(c, check_metric(c, r))[0]
-
-
-def angle_defect(c, r):
-    """Classical discrete curvature: 2 pi minus the sum of angles at each vertex."""
-    return _defect_from_angles(c, inner_angles(c, r))
+    np.maximum(arg, -1.0, out=arg)
+    np.minimum(arg, 1.0, out=arg)
+    return np.arccos(arg, out=arg)
 
 
 def _defect_from_angles(c, theta):
     """The angle defects from the inner angles of inner_angles(c, r)."""
-    K = np.full(c.vertex_count, 2.0 * np.pi)
+    K = np.empty(c.vertex_count)
+    K.fill(2.0 * np.pi)
     np.subtract.at(K, c.face_array.ravel(), theta.ravel())
     return K
+
+
+# the evaluated point of a 2-d flow, Newton and the public functions (see
+# the module docstring); rbar is the target array when one is given
+_Point = namedtuple("_Point", "r theta L K ra total rbar R g")
+
+
+def _point(c, r, alpha, target):
+    """The _Point of radii r that passed check_metric, at the exponent alpha
+    and the target (None: Rbar is the average alpha-curvature)."""
+    theta, L = _angles(c, r)
+    K = _defect_from_angles(c, theta)
+    ra = r ** alpha
+    total = _measure(ra, alpha)
+    rbar = (_average_curvature(c, total) if target is None
+            else np.asarray(target))
+    return _Point(r, theta, L, K, ra, total, rbar, K / ra, K - rbar * ra)
+
+
+@np.errstate(all="ignore")
+def _evaluate(c, r, alpha=2.0, target=None):
+    """The _point of the radii r, checked on the surface c, evaluated under
+    np.errstate(all="ignore") as in a flow stage."""
+    return _point(c, check_metric(c, r), alpha, target)
+
+
+def inner_angles(c, r):
+    """Inner angles as an (F, 3) array aligned with the columns of c.face_array."""
+    return _evaluate(c, r).theta
+
+
+def angle_defect(c, r):
+    """Classical discrete curvature: 2 pi minus the sum of angles at each vertex."""
+    return _evaluate(c, r).K
 
 
 def curvature(c, r, alpha=2.0):
@@ -112,8 +146,7 @@ def curvature(c, r, alpha=2.0):
     """
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    r = check_metric(c, r)
-    return _defect_from_angles(c, _angles(c, r)[0]) / r ** alpha
+    return _evaluate(c, r, alpha).R
 
 
 def total_measure(r, alpha=2.0):
@@ -121,9 +154,12 @@ def total_measure(r, alpha=2.0):
     numpy float, so a sum that underflows to 0 divides to inf, not to a
     ZeroDivisionError."""
     r = np.asarray(r, dtype=float)
-    if alpha == 0.0:
-        return float(len(r))
-    return np.sum(r ** alpha)
+    return _measure(r ** alpha, alpha)
+
+
+def _measure(ra, alpha):
+    """total_measure from the measure ra = r^alpha."""
+    return float(len(ra)) if alpha == 0.0 else np.add.reduce(ra)
 
 
 CurvatureAverages = namedtuple("CurvatureAverages",
@@ -132,12 +168,13 @@ CurvatureAverages = namedtuple("CurvatureAverages",
 
 def average_curvature(c, r, alpha=2.0):
     """2 pi chi(M) / ||r||_alpha^alpha."""
-    return _average_curvature(c, check_metric(c, r), alpha)
+    return _average_curvature(c, total_measure(check_metric(c, r), alpha))
 
 
-def _average_curvature(c, r, alpha):
-    """average_curvature of a checked surface complex."""
-    return 2.0 * np.pi * c.chi / total_measure(r, alpha)
+def _average_curvature(c, total):
+    """The average curvature 2 pi chi(M) / total of a checked surface
+    complex c, for the total measure total = ||r||_alpha^alpha."""
+    return 2.0 * np.pi * c.chi / total
 
 
 def curvature_averages(c, r, alpha=2.0):

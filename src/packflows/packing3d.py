@@ -3,7 +3,7 @@
 A sphere packing metric assigns a positive radius per vertex and the length
 r_i + r_j to each edge. A tetrahedron is realizable in Euclidean space iff
 its Q factor (sum 1/r)^2 - 2 sum 1/r^2 is positive. Public functions check
-their radii; _state, on checked radii, raises DegenerateTetrahedronError
+their radii; _point, on checked radii, raises DegenerateTetrahedronError
 unless every Q is positive and every solid angle finite.
 
 Solid angles are in closed form. With edge lengths r_i + r_j the volume of
@@ -22,22 +22,27 @@ cross-checking.
 
 One solid-angle pass (_solid_angle_pass, on _tet_terms) evaluates the
 formula for one metric or for a stack of S metrics (radii of shape
-(S, V)), each row's arithmetic that of its metric alone. _state runs it on
+(S, V)), each row's arithmetic that of its metric alone. _point runs it on
 one metric and raises on a degenerate tetrahedron by name; the multistart
 quotient descent runs it on every live start at once and reads a
 degenerate row as +inf; the Jacobian's edge weights run _tet_terms on one
-metric.
+metric. The pass raises nothing for an overflow or a NaN of its own: its
+callers hold np.errstate(all="ignore"), a flow stage one for its whole
+evaluation.
 
 The Jacobian dK/dr is in closed form too: one symmetric weight per edge, as
 in two dimensions, from the same variables (_edge_weights3).
 
-The normalized Yamabe flow is flows2d's yamabe row: it drives _state with
-the sample and singularity classifier below (this module never imports it).
-The classifier reads the volume and the factors Q r_min^2 from the state of
-the accepted point, so an accepted point is evaluated once.
+The normalized Yamabe flow is flows2d's yamabe row: it drives _point, one
+record per evaluation, with the sample and singularity classifier below
+(this module never imports it). The classifier reads the volume and the
+factors Q r_min^2 from the record of the accepted point, so an accepted
+point is evaluated once; the public YamabeState adds the quotient to the
+same record.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,24 +83,25 @@ def tet_q_factors(c, r):
 
 
 def _tet_terms(cr):
-    """(rho, q, t, N, D) of the radii cr of each tet column, unchecked:
+    """(1 / rho, q, t, N, D) of the radii cr of each tet column, unchecked:
     rho = cr / r_min, q = Q r_min^2, t[p, k] = t_o for o = _OTHERS[p, k],
     and Omega = 2 atan2(N, D). cr is r[c.tet_array.T], shape (4, T), for
     one metric, and r.T[c.tet_array.T], shape (4, T, S), for S metrics r of
     shape (S, V): the stack axis trails, so every array is contiguous; q
     has shape (T, ...), t (4, 3, T, ...), the others that of cr."""
-    rho = cr / cr.min(axis=0)
-    # Q r_min^2 <= 16: the inverse radii lie in (0, 1]
-    q = q_factor(rho.T).T
+    rho = cr / np.minimum.reduce(cr)
+    # q_factor over the column axis. Q r_min^2 <= 16: the inverse radii lie
+    # in (0, 1]
+    inv = 1.0 / rho
+    q = np.add.reduce(inv) ** 2 - 2.0 * np.add.reduce(inv ** 2)
     ro = rho[_OTHERS]
     t = ro / (rho[:, np.newaxis] + ro)
     ta, tb, tc = t[:, 0], t[:, 1], t[:, 2]
     tab = ta * tb
-    return (rho, q, t, rho * (tab * tc) * np.sqrt(q),
+    return (inv, q, t, rho * (tab * tc) * np.sqrt(q),
             2.0 - (tab + tc * (ta + tb)))
 
 
-@np.errstate(all="ignore")
 def _solid_angle_pass(cr):
     """(Omega, q) of the tet column radii cr of _tet_terms, unchecked: the
     solid angles, shape (T, 4) or (S, T, 4), and q = Q r_min^2, shape (T,)
@@ -111,12 +117,13 @@ def _solid_angles_from_radii(cr):
     (r_min the row's smallest radius), and when a solid angle is not
     finite."""
     ang, q = _solid_angle_pass(cr)
-    if not q.min() > 0.0:  # NaN-safe
+    if not np.minimum.reduce(q) > 0.0:  # NaN-safe
         bad = int(np.argmin(q))
         raise DegenerateTetrahedronError(
             f"tetrahedron {bad} is not realizable: Q r_min^2 = {q[bad]:.6g}",
             tet_index=bad)
-    if not math.isfinite(ang.sum()):  # a radius ratio past the float range
+    # a radius ratio past the float range
+    if not math.isfinite(np.add.reduce(ang, axis=None)):
         raise DegenerateTetrahedronError("a solid angle is not finite")
     return ang, q
 
@@ -137,7 +144,8 @@ def solid_angles(c, r):
     """Solid angle at each vertex of each tetrahedron, aligned with
     c.tet_array columns."""
     r = check_metric(c, r, 3)
-    return _solid_angles_from_radii(r[c.tet_array.T])[0]
+    with np.errstate(all="ignore"):
+        return _solid_angles_from_radii(r[c.tet_array.T])[0]
 
 
 def solid_angle_defect(c, r):
@@ -222,7 +230,8 @@ class TetGeometry:
         if cayley_menger(l) <= 0:
             raise DegenerateTetrahedronError("Cayley-Menger determinant <= 0")
         coords = _embed_lengths(l)
-        angles = _solid_angles_from_radii(radii[:, np.newaxis])[0][0]
+        with np.errstate(all="ignore"):
+            angles = _solid_angles_from_radii(radii[:, np.newaxis])[0][0]
         for v in range(4):
             others = [coords[w] - coords[v] for w in range(4) if w != v]
             oracle = solid_angle_at_origin(*others)
@@ -258,14 +267,32 @@ def yamabe_state(c, r):
     return _state(c, check_metric(c, r, 3))
 
 
+@np.errstate(all="ignore")
 def _state(c, r):
-    """The YamabeState of radii r that passed check_metric."""
+    """The YamabeState of radii r that passed check_metric, evaluated under
+    np.errstate(all="ignore") as in a flow stage."""
+    p = _point(c, r)
+    return YamabeState(r, p.K, p.R, p.total, p.volume, p.average,
+                       p.total / p.volume ** (1.0 / 3.0), p.factors)
+
+
+# the evaluated point of the Yamabe flow: the radii r, the solid angle
+# defects K, the curvatures R = K / r^2, the total curvature K . r, the
+# volume sum r^3, the average curvature total / volume, the deviation
+# g = K - average r^2, which vanishes at a constant-curvature metric, and the
+# factors Q r_min^2 per tetrahedron
+_Point = namedtuple("_Point", "r K R total volume average g factors")
+
+
+def _point(c, r):
+    """The _Point of radii r that passed check_metric."""
     ang, q = _solid_angles_from_radii(r[c.tet_array.T])
     K = _defect(c, ang)
     total = float(K @ r)
-    vol = (r ** 3).sum()  # numpy: 0 gives inf, not ZeroDivisionError
-    return YamabeState(r, K, K / r ** 2, total, vol, total / vol,
-                       total / vol ** (1.0 / 3.0), q)
+    r2 = r ** 2
+    volume = np.add.reduce(r ** 3)  # numpy: 0 gives inf, not ZeroDivisionError
+    average = total / volume
+    return _Point(r, K, K / r2, total, volume, average, K - average * r2, q)
 
 
 def curvature_norm_bound(c, r):
@@ -288,12 +315,11 @@ def _edge_weights3(c, r):
         y = rho_o dD/drho_o = -(t_o' + t_o'') t_o (1 - t_o).
     """
     cr = r[c.tet_array.T]
-    cols, q, t, num, den = _tet_terms(cr)
+    inv, q, t, num, den = _tet_terms(cr)
     if q.min() <= Q_SAFETY_MARGIN:
         raise NearDegenerateError(
             f"min Q r_min^2 = {q.min():.6g} within safety margin "
             f"{Q_SAFETY_MARGIN}")
-    inv = 1.0 / cols
     inv_o = inv[_OTHERS]
     x = (1.0 - t) + inv_o * (2.0 * inv_o - inv.sum(axis=0)) / q
     y = -(t.sum(axis=1, keepdims=True) - t) * t * (1.0 - t)
@@ -330,35 +356,34 @@ def laplacian3(c, r, f):
 # -- the normalized Yamabe flow -------------------------------------------------
 
 
-def _deviation(st):
-    """K - R_av r^2, which vanishes at a constant-curvature metric."""
-    return st.defect - st.average * st.radii ** 2
-
-
 def yamabe_residual(c, r):
     """max |K_i - R_av r_i^2| (scale invariant, radians)."""
-    return float(np.max(np.abs(_deviation(yamabe_state(c, r)))))
+    r = check_metric(c, r, 3)
+    with np.errstate(all="ignore"):
+        g = _point(c, r).g
+    return float(np.max(np.abs(g)))
 
 
-def _sample(t, st, _):
-    """The flow's trace row at the YamabeState st: the potential column is
-    the closed-form total curvature, the Calabi column the dissipation
+def _sample(t, p, _):
+    """The flow's trace row at the evaluated point p: the potential column
+    is the closed-form total curvature, the Calabi column the dissipation
     -2 dS/dt, and the residual max |K - R_av r^2|."""
-    dev = _deviation(st)
-    return (t, st.radii, st.curvature, st.volume, st.total,
-            float(np.sum(dev ** 2 / st.radii)), float(np.max(np.abs(dev))))
+    g = p.g
+    return (t, p.r, p.R, p.volume, p.total,
+            float(np.add.reduce(g ** 2 / p.r)),
+            float(np.maximum.reduce(np.abs(g))))
 
 
-def _classify(st, t_now, relax=1.0):
-    """The flow's singularity at the evaluated point st, or None: essential
+def _classify(p, t_now, relax=1.0):
+    """The flow's singularity at the evaluated point p, or None: essential
     when a volume-normalized radius collapses, removable when a factor
     Q r_min^2 (reported as q) collapses first; relax loosens both
     thresholds."""
-    rhat = st.radii / float(st.volume) ** (1.0 / 3.0)
+    rhat = p.r / float(p.volume) ** (1.0 / 3.0)
     if np.min(rhat) < SING_RADIUS * relax:
         return {"type": "essential", "witness": int(np.argmin(rhat)),
                 "time": float(t_now)}
-    q = st.factors
+    q = p.factors
     if np.min(q) < SING_Q * relax:
         return {"type": "removable", "witness": int(np.argmin(q)),
                 "q": float(np.min(q)), "time": float(t_now)}
@@ -377,13 +402,15 @@ class YamabeEstimate:
     converged_starts: int
 
 
+@np.errstate(all="ignore")
 def _quotients(c, u):
     """(Q, g) at each row of the log radii u, shape (S, V): the Yamabe
     quotient and its gradient in log r, from one stacked solid-angle pass.
     Q is +inf on a row that is not realizable (a factor Q r_min^2 <= 0, or
     a solid angle that is not finite, which makes K . r NaN). K . r is a
     1-D product and the cube root of the volume a scalar power per row, as
-    in _state, so each row is bit for bit the quotient of its own metric."""
+    in _point and _state, so each row is bit for bit the quotient of its own
+    metric."""
     r = np.exp(u)
     ang, q = _solid_angle_pass(r.T[c.tet_array.T])
     K = _defect(c, ang)

@@ -5,22 +5,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from conftest import (assert_time_scaled_runs, calabi_families, grid_torus,
-                      newton_direction_oracle, random_metric)
+                      newton_direction_oracle, random_metric, reweighted)
 from packflows import data, flows2d, operators2d, packing2d, packing3d
 from packflows.cli import main
 from packflows.errors import (DegenerateTetrahedronError,
                               DegenerateTriangleError, NoConvergenceError,
                               NotApplicableError, StepFailureError)
-from packflows.flows2d import (FlowSpec, FlowState, constant_curvature_residual,
+from packflows.flows2d import (FAMILIES, FlowSpec, FlowState,
+                               constant_curvature_residual,
                                find_constant_curvature, max_principle_bounds,
                                prescribed_residual, run, step, vector_field)
 from packflows.mesh import euler_characteristic
-from packflows.operators2d import curvature_jacobian, laplacian, potential_gradient
-from packflows.packing2d import angle_defect, average_curvature, curvature
+from packflows.operators2d import (alpha_laplacian, calabi_energy,
+                                   calabi_energy_gradient, curvature_jacobian,
+                                   laplacian, potential_gradient)
+from packflows.packing2d import (angle_defect, average_curvature, curvature,
+                                 total_measure)
 
 
 def second_root():
@@ -96,6 +101,74 @@ def test_prescribed_field_correspondence(genus2):
     assert np.abs(va - 2.0 * vc).max() < 1e-12
 
 
+RECORD_SURFACES = {name: data.load(name) for name in
+                   ("tetrahedron", "octahedron", "icosahedron", "torus_7",
+                    "genus2_11")}
+RECORD_SURFACES.update(grid_5x6=grid_torus(5, 6),
+                       grid_12x12=grid_torus(12, 12))
+
+
+def public_field(family, c, r, alpha, target):
+    """The base field of a family from the public functions alone."""
+    field, R = FAMILIES[family].field, curvature(c, r, alpha)
+    if field == "ricci":
+        return -R
+    if field == "normalized":
+        return (average_curvature(c, r, alpha) if target is None
+                else target) - R
+    if field == "calabi":
+        return alpha_laplacian(c, r, alpha, R)
+    return -0.5 * calabi_energy_gradient(c, r, alpha, target)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(RECORD_SURFACES)),
+       family=st.sampled_from(sorted(f for f, row in FAMILIES.items()
+                                     if row.field)),
+       alpha=st.sampled_from([2.0, 1.0, 0.0, -1.0]), draw=st.data())
+def test_the_evaluated_point_is_the_public_functions_bit_for_bit(
+        name, family, alpha, draw):
+    """Every 2-d row reads its field, its potential rate and its sample row
+    from one evaluated point. On weights in [0, pi/2], with a target for
+    the prescribed rows and none for the others, each equals the public
+    functions bit for bit: the field vector_field and the composition of
+    curvature, average_curvature, alpha_laplacian and
+    calabi_energy_gradient; the rate g . v with g potential_gradient; and
+    the sample's R, conserved quantity, C and residual curvature,
+    total_measure, calabi_energy and constant_curvature_residual or
+    prescribed_residual."""
+    row = FAMILIES[family]
+    alpha = alpha if row.alpha is None else row.alpha
+    c = RECORD_SURFACES[name]
+    n = c.vertex_count
+    c = reweighted(c, draw.draw(arrays(float, len(c.edges),
+                                       elements=st.floats(0.0, np.pi / 2))))
+    r = np.exp(draw.draw(arrays(float, n, elements=st.floats(-1.5, 1.5))))
+    target = (draw.draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
+              if row.prescribed else None)
+    spec = FlowSpec(family, alpha=alpha, target=target)
+    _, flow = flows2d._flow(spec, c, r)
+    point = flow.evaluate(r)
+    v, q = flow.field(point)
+    assert np.array_equal(v, public_field(family, c, r, alpha, target))
+    assert np.array_equal(row.scale * v, vector_field(spec, c, r))
+    assert q == float(potential_gradient(c, r, alpha, target) @ v)
+    t, radii, R, conserved, F, C, residual = flow.sample(0.5, point, 0.25)
+    assert (t, F) == (0.5, 0.25)
+    assert np.array_equal(radii, r)
+    assert np.array_equal(R, curvature(c, r, alpha))
+    if row.conserved is None:
+        assert math.isnan(conserved)
+    elif row.conserved == "alpha" and alpha != 0.0:
+        assert conserved == total_measure(r, alpha)
+    else:
+        assert conserved == float(np.exp(np.sum(np.log(r))))
+    assert C == calabi_energy(c, r, alpha, target)
+    assert residual == (constant_curvature_residual(c, r, alpha)
+                        if target is None
+                        else prescribed_residual(c, r, alpha, target))
+
+
 def test_step_fixed_point(tetra):
     spec = FlowSpec(family="ricci_normalized")
     state = FlowState(0.0, np.ones(4), 0.1)
@@ -111,6 +184,29 @@ def test_step_fails_at_once_from_a_start_outside_the_domain(tetra):
     with pytest.raises(StepFailureError,
                        match="log radius out of range at an accepted point"):
         step(FlowSpec(family="ricci_normalized"), tetra, state)
+
+
+def test_run_refuses_a_start_outside_the_domain(tetra, tmp_path, capsys):
+    # the start passes the same |log r| <= 700 guard as every stage: once
+    # it was evaluated past it, warned "divide by zero" and ended
+    # stepped_out_of_domain with residual inf
+    r0 = np.array([1e-310, 1.0, 1.0, 1.0])
+    with pytest.raises(StepFailureError,
+                       match="log radius out of range at the start point"):
+        run(FlowSpec(family="ricci_normalized"), tetra, r0)
+    code = main(["flow", "--mesh", "tetrahedron", "--radii", "1e-310,1,1,1",
+                 "--out", str(tmp_path)])
+    assert code == 4
+    assert "at the start point" in capsys.readouterr().err
+
+
+def test_run_names_a_degenerate_start(cell5, tmp_path):
+    # the guard does not rename the geometry error of a degenerate start
+    with pytest.raises(DegenerateTetrahedronError, match="not realizable"):
+        run(FlowSpec(family="yamabe"), cell5, np.array([1, 1, 1, 1, 1e-3]))
+    code = main(["flow", "--mesh", "cell5", "--radii", "1,1,1,1,1e-3",
+                 "--out", str(tmp_path)])
+    assert code == 3
 
 
 def test_step_conserves_measure_to_tolerance(genus2):
@@ -459,8 +555,9 @@ def test_cg_newton_direction_matches_dense_oracle(mesh_name, alpha, draw):
         # a jittered flat torus: radii within 5% of a common value
         r = np.exp(0.05 * (2.0 * (r - 0.5) / 1.5 - 1.0))
     oracle = newton_direction_oracle(c, r, alpha)
-    d = flows2d._newton_direction(c, r, *packing2d._angles(c, r), alpha,
-                                  potential_gradient(c, r, alpha))
+    point = packing2d._point(c, r, alpha, None)
+    assert np.array_equal(point.g, potential_gradient(c, r, alpha))
+    d = flows2d._newton_direction(c, point, alpha)
     assert abs(d.sum()) <= 1e-12 * np.abs(d).sum()
     # the floor covers equal radii, where g is constant up to rounding and
     # both steps are zero up to rounding
@@ -746,35 +843,43 @@ def test_each_accepted_point_is_evaluated_once(monkeypatch, torus7, torus3):
     """The sample of an accepted point and the first stage of the next step
     share one evaluation, and every trial from that point reuses it. A
     DOP853 trial evaluates no stage at its new point, so a run makes
-    1 + 12 accepted + 11 rejected angle or solid-angle evaluations. Both runs
-    reject a trial: the 2-d one on its own, the 3-d one from a first step
-    too long for the tolerance."""
+    1 + 12 accepted + 11 rejected angle or solid-angle evaluations: for
+    every 2-d family with energies recorded, whose fields, potential rates
+    and samples all read the one evaluated point (the free alphas at 1), and
+    for the 3-d flow. Every run rejects a trial and none leaves the domain:
+    alpha = 2 alpha_calabi on its own, the others from a first step too long
+    for the tolerance."""
     calls = Counter()
-    state, angles = packing3d._state, packing2d._angles
+    point3, angles = packing3d._point, packing2d._angles
 
-    def counted_state(c, r):
+    def counted_point3(c, r):
         calls["evaluations"] += 1
-        return state(c, r)
+        return point3(c, r)
 
     def counted_angles(c, r):
         calls["evaluations"] += 1
         return angles(c, r)
-    monkeypatch.setattr(packing3d, "_state", counted_state)
-    for module in (packing2d, flows2d):
-        monkeypatch.setattr(module, "_angles", counted_angles)
+    monkeypatch.setattr(packing3d, "_point", counted_point3)
+    monkeypatch.setattr(packing2d, "_angles", counted_angles)
 
     rng = np.random.default_rng(0)
     r2 = rng.uniform(0.8, 1.3, torus7.vertex_count)
     r3 = rng.uniform(0.9, 1.1, torus3.vertex_count)
-    specs = [(FlowSpec("alpha_calabi", alpha=2.0, t_max=5.0), torus7, r2),
-             (FlowSpec("yamabe", t_max=20.0, initial_step=0.5), torus3, r3)]
+    specs = [(FlowSpec(family, alpha=1.0 if row.alpha is None else row.alpha,
+                       target=np.zeros(7) if row.prescribed else None,
+                       t_max=5.0, initial_step=0.2), torus7, r2)
+             for family, row in sorted(FAMILIES.items()) if row.field]
+    specs += [(FlowSpec("alpha_calabi", alpha=2.0, t_max=5.0), torus7, r2),
+              (FlowSpec("yamabe", t_max=20.0, initial_step=0.5), torus3, r3)]
+    assert len(specs) == 12
     for spec, c, r0 in specs:
         calls.clear()
         trace = run(spec, c, r0)
-        assert trace.termination in ("max_time", "converged")
-        assert trace.n_rejected > 0
+        assert spec.record_energies
+        assert trace.termination in ("max_time", "converged"), spec.family
+        assert trace.n_rejected > 0, spec.family
         assert calls["evaluations"] == (1 + 12 * trace.n_steps
-                                        + 11 * trace.n_rejected)
+                                        + 11 * trace.n_rejected), spec.family
 
 
 def test_a_field_that_is_not_finite_ends_the_run_or_the_trial(tetra):
@@ -791,8 +896,8 @@ def test_a_field_that_is_not_finite_ends_the_run_or_the_trial(tetra):
 
         def sample(t, point, F):
             return t, point[0], 0.0, 0.0, F, 0.0, 1.0
-        flow = flows2d._Flow(lambda r: flows2d._point(tetra, r), field,
-                             sample, True, None)
+        flow = flows2d._Flow(lambda r: packing2d._point(tetra, r, 2.0, None),
+                             field, sample, True, None)
         return flows2d._integrate(FlowSpec("ricci", t_max=1.0), tetra, r0, flow)
 
     for finite_at_start in (False, True):
@@ -814,7 +919,7 @@ def test_an_accepted_point_outside_the_domain_ends_the_run(tetra, error):
         calls["evaluations"] += 1
         if calls["evaluations"] == 13:
             raise error("degenerate")
-        return flows2d._point(tetra, r)
+        return packing2d._point(tetra, r, 2.0, None)
 
     def sample(t, point, F):
         return t, point[0], 0.0, 0.0, F, 0.0, 1.0

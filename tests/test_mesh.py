@@ -189,6 +189,13 @@ def test_index_matches_the_dict_oracle(doc):
         assert c.face_edge.dtype == want["face_edge"].dtype
         assert np.array_equal(c.face_edge, want["face_edge"])
         assert not c.face_edge.flags.writeable
+        # the gathers of column (m + k) mod 3, k = 0, 1, 2
+        for k in range(3):
+            cols = (np.arange(3) + k) % 3
+            assert np.array_equal(c.face_sides[k], want["face_edge"][:, cols])
+            assert np.array_equal(c.face_corners[k], c.face_array[:, cols])
+        for a in (c.face_sides, c.face_corners):
+            assert a.flags.c_contiguous and not a.flags.writeable
         # degrees() counts faces; on a closed surface that is the edge degree
         assert c.degrees().tolist() == np.bincount(
             np.ravel(want["edges"]), minlength=c.vertex_count).tolist()

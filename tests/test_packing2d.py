@@ -194,12 +194,16 @@ def test_random_weights_no_degeneracy(tetra):
         assert np.max(np.abs(th.sum(axis=1) - np.pi)) < 1e-12
 
 
-def test_degenerate_triangle_error():
+def test_degenerate_triangle_error(tetra):
     # corrupt lengths are only reachable through corrupt weights; force the
-    # guard directly with an impossible cosine
-    from packflows.packing2d import _angles_from_sides
-    with pytest.raises(DegenerateTriangleError):
-        _angles_from_sides(np.array([[10.0, 1.0, 1.0]]))
+    # guard directly with an impossible cosine: the edge (0, 1) of length 10
+    # in faces whose other sides are 1, first bad at the corner of vertex 0
+    s = np.ones(len(tetra.edges))
+    s[tetra.edge_index(0, 1)] = 10.0
+    with pytest.raises(DegenerateTriangleError,
+                       match=r"cosine argument 5 outside \[-1, 1\] in "
+                             r"face row 0"):
+        packing2d._angles_from_sides(tetra, s)
 
 
 def test_metric_validation(tetra):
@@ -259,9 +263,10 @@ def kernel_outcome(kernel, s):
 @given(name=st.sampled_from(sorted(ORACLE_SURFACES)), draw=st.data())
 def test_angle_kernel_is_the_per_corner_loop_bit_for_bit(name, draw):
     """Radii over ten orders of magnitude and weights in [0, pi/2]: the
-    angles equal the loop's bit for bit, and the squared sides returned
-    with them are the ones the edge weights formed before they shared
-    them."""
+    angles of the edge-level kernel equal the face-level loop's bit for bit
+    on the gathered face sides, and the squared edge lengths returned with
+    them are the law of cosines of the radii, whose roots are the edge
+    lengths."""
     c = ORACLE_SURFACES[name]
     u = draw.draw(arrays(float, c.vertex_count,
                          elements=st.floats(-11.5, 11.5)))
@@ -270,37 +275,41 @@ def test_angle_kernel_is_the_per_corner_loop_bit_for_bit(name, draw):
     c = reweighted(c, w)
     r = np.exp(u)
     theta, L = packing2d._angles(c, r)
-    sides = edge_lengths(c, r)[c.face_edge]
-    assert np.array_equal(np.sqrt(L), sides)
+    lengths = edge_lengths(c, r)
+    assert np.array_equal(np.sqrt(L), lengths)
     i, j = c.edge_array[:, 0], c.edge_array[:, 1]
     rho = r * r
+    assert np.array_equal(L, rho[i] + rho[j] + 2.0 * r[i] * r[j] * c.cos_weights)
     assert np.array_equal(
-        L, (rho[i] + rho[j] + 2.0 * r[i] * r[j] * c.cos_weights)[c.face_edge])
-    assert np.array_equal(theta, kernel_outcome(loop_angles_from_sides, sides))
+        theta, kernel_outcome(loop_angles_from_sides, lengths[c.face_edge]))
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(name=st.sampled_from(sorted(ORACLE_SURFACES)), draw=st.data())
 def test_angle_kernel_names_the_loops_corrupt_corner(name, draw):
-    """Sides corrupted to NaN, inf, 0, an overflowing 1e300 or past the
-    triangle inequality, far ("long") or just enough to put only their own
-    corner past the margin when the other two sides are equal ("tight"):
-    both kernels raise, and name the same row and value."""
+    """Edge sides corrupted to NaN, inf, 0, an overflowing 1e300 or past
+    the triangle inequality of a face, far ("long") or just enough to put
+    only their own corner of that face past the margin when its other two
+    sides are equal ("tight"): the edge-level kernel and the face-level
+    loop on the gathered face sides both raise, and name the same row and
+    value. The last corruption always stands, so the sides are corrupt."""
     c = ORACLE_SURFACES[name]
     rng = np.random.default_rng(draw.draw(st.integers(0, 2 ** 32 - 1)))
-    s = edge_lengths(c, random_metric(rng, c.vertex_count))[c.face_edge]
+    s = edge_lengths(c, random_metric(rng, c.vertex_count))
     cells = draw.draw(st.lists(
-        st.tuples(st.integers(0, len(s) - 1), st.integers(0, 2),
+        st.tuples(st.integers(0, len(c.faces) - 1), st.integers(0, 2),
                   st.sampled_from(["nan", "inf", "zero", "huge", "long",
                                    "tight"])),
         min_size=1, max_size=6))
     for row, col, kind in cells:
+        edge, b, cc = c.face_edge[row, [col, (col + 1) % 3, (col + 2) % 3]]
         if kind == "tight":
-            s[row, (col + 2) % 3] = s[row, (col + 1) % 3]
-        others = s[row, (col + 1) % 3] + s[row, (col + 2) % 3]
-        s[row, col] = {"nan": np.nan, "inf": np.inf, "zero": 0.0,
-                       "huge": 1e300, "long": 1.5 * others,
-                       "tight": (1.0 + 5e-10) * others}[kind]
-    want = kernel_outcome(loop_angles_from_sides, s)
+            s[cc] = s[b]
+        others = s[b] + s[cc]
+        s[edge] = {"nan": np.nan, "inf": np.inf, "zero": 0.0,
+                   "huge": 1e300, "long": 1.5 * others,
+                   "tight": (1.0 + 5e-10) * others}[kind]
+    want = kernel_outcome(loop_angles_from_sides, s[c.face_edge])
     assert isinstance(want, str)
-    assert kernel_outcome(packing2d._angles_from_sides, s) == want
+    assert kernel_outcome(lambda s: packing2d._angles_from_sides(c, s),
+                          s) == want

@@ -37,7 +37,8 @@ stepper), with a Newton solve at alpha = 2, 1, 0 and -1 and a spectrum on
 each of the three; flow, solve, spectrum and curvature on the three bundled
 3-manifolds; curvature, spectrum and a short flow on the 7 x 7 x 7
 Freudenthal 3-torus (2058 tetrahedra, written to OUTDIR/meshes); the cell5
-flow into a removable singularity; and the four
+flow into a removable singularity; the tetrahedron flow from the radii
+1e-310,1,1,1, a start past the log-radius guard (exit 4); and the four
 admissibility conditions on octahedron, icosahedron, torus_7 and genus2_11,
 plus one run with the full per-subset table and one with a subsets file,
 and the Thurston condition and the metric condition with its full table
@@ -143,6 +144,9 @@ def corpus(outdir):
                                        "0.05", "--random", RANDOM_3D]))
     runs.append(("flow-cell5-removable", ["flow", "--mesh", "cell5",
                                           "--radii", REMOVABLE_RADII]))
+    runs.append(("flow-tetrahedron-start-out-of-range",
+                 ["flow", "--mesh", "tetrahedron", "--radii",
+                  "1e-310,1,1,1"]))
     for mesh in CHECKED:
         for cond in CONDITIONS:
             runs.append((f"check-{mesh}-{cond}",
