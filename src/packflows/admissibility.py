@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EnumerationTooLargeError
 from .mesh import _check_complex, check_subset
-from .packing2d import check_metric, total_measure
+from .packing2d import _checked, _vertex_function, total_measure
 
 BOUNDARY_MARGIN = 1e-9
 SUBSET_ENUMERATION_CAP = 22
@@ -168,10 +168,7 @@ def y_membership(c, x, subsets=None):
     """Membership of a vertex function in the admissible-curvature space:
     the Gauss-Bonnet plane (to within BOUNDARY_MARGIN) plus every subset
     half-space."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (c.vertex_count,) or not np.all(np.isfinite(x)):
-        raise ValueError(f"x must be a finite vector of shape "
-                         f"({c.vertex_count},), got shape {x.shape}")
+    x = _vertex_function(c, "x", x)
     report = _report(c, "y_membership", lambda ind, gb: _masked_sum(ind, x),
                      subsets)
     gb = 2.0 * np.pi * c.chi
@@ -184,13 +181,8 @@ def y_membership(c, x, subsets=None):
 def metric_condition(c, r, alpha=2.0, subsets=None):
     """Metric-dependent condition for constant alpha-curvature:
     2 pi chi(M) sum_{i in I} r_i^alpha / ||r||_a^a > rhs(I)."""
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    r = check_metric(c, r)
-    with np.errstate(over="ignore"):
-        w, nrm = r ** alpha, total_measure(r, alpha)
-    if not (np.all(np.isfinite(w)) and np.isfinite(nrm) and nrm > 0):
-        raise ValueError(f"r ** alpha leaves the float range at alpha {alpha:g}")
+    r = _checked(c, r, alpha)[0]
+    w, nrm = r ** alpha, total_measure(r, alpha)
     return _report(c, f"metric_alpha_{alpha:g}",
                    lambda ind, gb: gb * _masked_sum(ind, w) / nrm, subsets)
 

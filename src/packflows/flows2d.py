@@ -50,8 +50,8 @@ from .errors import (DegenerateTetrahedronError, DegenerateTriangleError,
 from .mesh import euler_characteristic
 from .operators2d import (_edge_apply, _edge_weights, _hessian_apply,
                           _jacobian_diagonal)
-from .packing2d import (_average_curvature, _check_positive_int, _evaluate,
-                        _point, check_metric, total_measure)
+from .packing2d import (_average_curvature, _check_positive_int, _checked,
+                        _evaluate, _point, total_measure)
 
 # -- the family table ---------------------------------------------------------
 
@@ -441,8 +441,9 @@ def _integrate(spec, c, r0, flow):
 
 
 def _flow(spec, c, r):
-    """(r, flow): the radii r, checked on c, a complex of the family's
-    dimension, and against the target's shape; and the family's _Flow on c.
+    """(r, flow): the radii r, checked (packing2d._checked) on c, a complex
+    of the family's dimension, with its alpha, target and measure; and the
+    family's _Flow on c.
     The 3-d row, yamabe (the one with no base field), evaluates
     packing3d._point and takes its sample and singularity classifier from
     packing3d. A 2-d row evaluates packing2d._point, one record per
@@ -452,15 +453,13 @@ def _flow(spec, c, r):
     potential when energies are recorded (else q = 0 and no energy is
     sampled)."""
     if FAMILIES[spec.family].field is None:
-        return check_metric(c, r, 3), _Flow(
+        return _checked(c, r, 3.0, dim=3)[0], _Flow(
             lambda r: packing3d._point(c, r),
             lambda p: (p.average - p.R, 0.0), packing3d._sample,
             False, packing3d._classify)
-    r = check_metric(c, r)
     base, p = _BASE[FAMILIES[spec.family].field], _exponent(spec)
-    alpha, target = spec.alpha, spec.target
-    if target is not None and target.shape != r.shape:
-        raise ValueError(f"target has shape {target.shape}, expected {r.shape}")
+    alpha = spec.alpha
+    r, target = _checked(c, r, alpha, spec.target)
 
     def field(point):
         v = base(c, point, alpha, target)
@@ -684,8 +683,6 @@ def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
     gradients on the edge-weight matvec, so no V x V matrix is formed.
     method="flow" delegates to the normalized alpha-Ricci flow.
     """
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     _check_positive_int("max_iter", max_iter)
@@ -700,7 +697,7 @@ def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
         return trace.radii[-1]
     if method != "newton":
         raise ValueError(f"unknown method {method!r}")
-    u = np.log(check_metric(c, r0))
+    u = np.log(_checked(c, r0, alpha)[0])
     point = _newton_point(c, u, alpha)
     for _ in range(max_iter):
         residual = _residual(c, point, None)

@@ -18,13 +18,13 @@ curvature_jacobian and potential_hessian are only assembled from the
 weights (for the spectrum and tests).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QuadratureFailureError, SpectralFailureError
-from .packing2d import (_average_curvature, _evaluate, check_metric,
-                        total_measure)
+from .packing2d import _checked, _evaluate, _point, _vertex_function
 
 KERNEL_TOL = 1e-9
 
@@ -116,7 +116,7 @@ def curvature_jacobian(c, r, coord="log_r"):
     row sums on it.
     """
     factor = _coord_factor(coord)
-    p = _evaluate(c, r)
+    p = _evaluate(c, r, 0.0)
     w = _edge_weights(c, p.r, p.theta, p.L)
     mat = _dense_jacobian(c, w, _jacobian_diagonal(c, w))
     mat *= factor
@@ -133,8 +133,9 @@ def laplacian(c, r, f):
 def alpha_laplacian(c, r, alpha, f):
     """Laplacian with measure r^alpha and log r coordinates."""
     p = _evaluate(c, r, alpha)
+    f = _vertex_function(c, "f", f)
     w = _edge_weights(c, p.r, p.theta, p.L)
-    return -_edge_apply(c, w, np.asarray(f, dtype=float)) / p.ra
+    return -_edge_apply(c, w, f) / p.ra
 
 
 def laplacian_spectrum(c, r):
@@ -144,9 +145,8 @@ def laplacian_spectrum(c, r):
     is the kernel and its magnitude must be tiny relative to the spectral
     radius.
     """
-    r = check_metric(c, r)
     L = curvature_jacobian(c, r, coord="log_r2").matrix
-    scale = 1.0 / r
+    scale = 1.0 / np.asarray(r, dtype=float)  # checked by curvature_jacobian
     L *= scale[:, None]
     L *= scale[None, :]
     return spectrum(L)
@@ -184,13 +184,18 @@ def potential_gradient(c, r, alpha=2.0, target=None):
     return _evaluate(c, r, alpha, target).g
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+@functools.cache
+def _gauss_legendre():
+    """The 16-point Gauss-Legendre rule (nodes, weights), built on first use
+    so that importing the package does not import numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(16)
 
 
 def _gl_panel(g, a, b):
+    nodes, weights = _gauss_legendre()
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * np.sum(_GL_WEIGHTS * g(mid + half * _GL_NODES))
+    return half * np.sum(weights * g(mid + half * nodes))
 
 
 def _adaptive_gl(g, a, b, whole, tol, depth=0):
@@ -214,22 +219,24 @@ def ricci_potential(c, u0, u1, alpha=2.0, target=None, tol=1e-10):
     the path; the straight segment is integrated by adaptive 16-point
     Gauss-Legendre panels. Flow runs integrate the potential with their
     stepper instead; this quadrature is the independent check. Both end
-    points are checked, as radii e^u of the surface c, before anything else.
+    points are checked with alpha and the target, as radii e^u of the
+    surface c, before anything else; that bounds each r^alpha, and their
+    convex sum, between them.
     """
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
     with np.errstate(over="ignore"):  # e^u = inf fails the check by name
-        check_metric(c, np.exp(u0))
-        check_metric(c, np.exp(u1))
+        _checked(c, np.exp(u0), alpha)
+        target = _checked(c, np.exp(u1), alpha, target)[1]
     d = u1 - u0
     if not np.any(d):
         return 0.0
 
+    @np.errstate(all="ignore")
     def integrand(ts):
         vals = np.empty_like(ts)
         for k, t in enumerate(ts):
-            g = potential_gradient(c, np.exp(u0 + t * d), alpha, target)
-            vals[k] = g @ d
+            vals[k] = _point(c, np.exp(u0 + t * d), alpha, target).g @ d
         return vals
 
     # tol is relative to the size of the integral (at least 1): a leg of
@@ -240,26 +247,21 @@ def ricci_potential(c, u0, u1, alpha=2.0, target=None, tol=1e-10):
 
 
 def potential_hessian(c, r, alpha=2.0, target=None, coord="log_r"):
-    """Hessian of the Ricci potential.
+    """Hessian of the Ricci potential, the dense form of _hessian_apply.
 
     Normalized form in log r:
-        Ltilde - alpha R_av D (I - s s^T / ||r||_a^a) D,  D = diag(r^{a/2}),
-    with s = r^{alpha/2}. With a prescribed target the correction is the
-    diagonal alpha * target_i r_i^alpha. For alpha chi(M) <= 0 the matrix is
+        Ltilde - alpha R_av (diag(r^a) - r^a (r^a)^T / ||r||_a^a).
+    With a prescribed target the correction is the diagonal
+    alpha * target_i r_i^alpha. For alpha chi(M) <= 0 the matrix is
     positive semi-definite with kernel spanned by the constant vector.
     """
-    r = check_metric(c, r)
     factor = _coord_factor(coord)
-    Lt = curvature_jacobian(c, r, coord="log_r").matrix
+    p = _evaluate(c, r, alpha, target)
+    w = _edge_weights(c, p.r, p.theta, p.L)
+    hess = _dense_jacobian(c, w, _jacobian_diagonal(c, w)
+                           - alpha * p.rbar * p.ra)
     if target is None:
-        nrm = total_measure(r, alpha)
-        rav = _average_curvature(c, nrm)
-        s = r ** (alpha / 2.0)
-        # D (I - s s^T / nrm) D with D = diag(s)
-        proj = np.diag(s ** 2) - np.outer(s * s, s * s) / nrm
-        hess = Lt - alpha * rav * proj
-    else:
-        hess = Lt - np.diag(alpha * np.asarray(target) * r ** alpha)
+        hess += alpha * p.rbar * np.outer(p.ra, p.ra) / p.total
     hess *= factor
     return JacobianMatrix(hess, coord)
 

@@ -3,9 +3,9 @@
 A metric is a plain array of positive radii, one per vertex. Curvatures come
 back as plain vectors; classical angle defects are in radians, the rescaled
 families carry units of radians per length^alpha. Public functions check
-their radii (check_metric); the flows, Newton and the operators call _angles
-on checked radii, which raises DegenerateTriangleError for a NaN or
-out-of-range cosine.
+their input once (_checked); the flows, Newton and the operators call
+_point and _angles on checked radii, and _angles raises
+DegenerateTriangleError for a NaN or out-of-range cosine.
 
 _angles works at edge level: the squared length L of every edge, then one
 square root and one square per edge, gathered per face by the index arrays
@@ -36,17 +36,53 @@ from .mesh import _check_complex
 # lemma rules out genuine degeneracy for weights in [0, pi/2], so anything
 # past this margin is numeric corruption, not geometry.
 COS_MARGIN = 1e-9
+_TINY = np.finfo(float).tiny  # the least normal double
 
 
 def check_metric(c, r, dim=2):
-    """r, checked to be positive finite radii of c, a valid dim-complex."""
+    """r, checked to be positive finite radii of c, a valid dim-complex: the
+    first check of every public function that takes radii. The checks of
+    the other inputs sit next to it, each kind in one helper, and _checked
+    runs them."""
     _check_complex(c, dim)
-    r = np.asarray(r, dtype=float)
-    if r.shape != (c.vertex_count,):
-        raise ValueError(f"metric has shape {r.shape}, expected ({c.vertex_count},)")
-    if not np.all(np.isfinite(r)) or np.any(r <= 0):
+    r = _vertex_function(c, "radii", r)
+    if np.any(r <= 0):
         raise ValueError("radii must be positive and finite")
     return r
+
+
+def _vertex_function(c, name, x):
+    """x as an array, checked to hold one finite value per vertex of c."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (c.vertex_count,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be a finite vector of shape "
+                         f"({c.vertex_count},), got shape {x.shape}")
+    return x
+
+
+def _check_measure(r, alpha):
+    """The total of the measure r^alpha of radii r, whose terms must be
+    finite normal doubles (K / r^alpha overflows on a subnormal one) and
+    whose total must be finite."""
+    with np.errstate(over="ignore", under="ignore"):
+        ra = r ** alpha
+        total = _measure(ra, alpha)
+    if not (np.all((ra >= _TINY) & (ra < np.inf)) and total < np.inf):
+        raise ValueError(f"the measure r ** {alpha:g} leaves the float range")
+    return total
+
+
+def _checked(c, r, alpha, target=None, dim=2):
+    """(r, target), checked: the radii r of c, a valid dim-complex, the
+    exponent alpha and the measure r^alpha the caller reads (r^3 on a
+    3-manifold), and the target, None or one finite value per vertex."""
+    r = check_metric(c, r, dim)
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    if target is not None:
+        target = _vertex_function(c, "target", target)
+    _check_measure(r, alpha)
+    return r, target
 
 
 def _check_positive_int(name, value):
@@ -116,26 +152,27 @@ def _point(c, r, alpha, target):
     K = _defect_from_angles(c, theta)
     ra = r ** alpha
     total = _measure(ra, alpha)
-    rbar = (_average_curvature(c, total) if target is None
-            else np.asarray(target))
+    rbar = _average_curvature(c, total) if target is None else target
     return _Point(r, theta, L, K, ra, total, rbar, K / ra, K - rbar * ra)
 
 
 @np.errstate(all="ignore")
 def _evaluate(c, r, alpha=2.0, target=None):
-    """The _point of the radii r, checked on the surface c, evaluated under
-    np.errstate(all="ignore") as in a flow stage."""
-    return _point(c, check_metric(c, r), alpha, target)
+    """The _point of the radii r of the surface c, checked (_checked) and
+    evaluated under np.errstate(all="ignore") as in a flow stage. The
+    angle-only functions pass alpha = 0: r^0 = 1 is always in range."""
+    r, target = _checked(c, r, alpha, target)
+    return _point(c, r, alpha, target)
 
 
 def inner_angles(c, r):
     """Inner angles as an (F, 3) array aligned with the columns of c.face_array."""
-    return _evaluate(c, r).theta
+    return _evaluate(c, r, 0.0).theta
 
 
 def angle_defect(c, r):
     """Classical discrete curvature: 2 pi minus the sum of angles at each vertex."""
-    return _evaluate(c, r).K
+    return _evaluate(c, r, 0.0).K
 
 
 def curvature(c, r, alpha=2.0):
@@ -144,8 +181,6 @@ def curvature(c, r, alpha=2.0):
     alpha=0 recovers the classical defect, alpha=2 the rescaled curvature
     that transforms like smooth Gauss curvature under scaling.
     """
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
     return _evaluate(c, r, alpha).R
 
 
@@ -168,7 +203,8 @@ CurvatureAverages = namedtuple("CurvatureAverages",
 
 def average_curvature(c, r, alpha=2.0):
     """2 pi chi(M) / ||r||_alpha^alpha."""
-    return _average_curvature(c, total_measure(check_metric(c, r), alpha))
+    return _average_curvature(c, total_measure(_checked(c, r, alpha)[0],
+                                              alpha))
 
 
 def _average_curvature(c, total):
@@ -179,8 +215,8 @@ def _average_curvature(c, total):
 
 def curvature_averages(c, r, alpha=2.0):
     """The three average curvatures (classical, alpha=2, and given alpha)."""
-    r = check_metric(c, r)
+    r = _checked(c, r, alpha)[0]
     gb = 2.0 * np.pi * c.chi
     return CurvatureAverages(gb / c.vertex_count,
-                             gb / total_measure(r, 2.0),
+                             gb / _check_measure(r, 2.0),
                              gb / total_measure(r, alpha))

@@ -3,8 +3,9 @@
 A sphere packing metric assigns a positive radius per vertex and the length
 r_i + r_j to each edge. A tetrahedron is realizable in Euclidean space iff
 its Q factor (sum 1/r)^2 - 2 sum 1/r^2 is positive. Public functions check
-their radii; _point, on checked radii, raises DegenerateTetrahedronError
-unless every Q is positive and every solid angle finite.
+their radii, and the measure r^3 where they read a point (_evaluate);
+_point, on checked radii, raises DegenerateTetrahedronError unless every Q
+is positive and every solid angle finite.
 
 Solid angles are in closed form. With edge lengths r_i + r_j the volume of
 a tetrahedron satisfies 9 V^2 = (r_1 r_2 r_3 r_4)^2 Q, and the face angle at
@@ -51,7 +52,8 @@ from .errors import DegenerateTetrahedronError, NearDegenerateError
 from .mesh import _check_complex
 from .operators2d import (JacobianMatrix, _dense_jacobian, _edge_apply,
                           _jacobian_diagonal)
-from .packing2d import _check_positive_int, check_metric
+from .packing2d import (_check_positive_int, _checked, _vertex_function,
+                        check_metric)
 
 # Q_SAFETY_MARGIN and SING_Q bound the scale-free factor Q r_min^2 of
 # _tet_terms, which the kernel tests too: the Jacobian refuses a metric
@@ -150,12 +152,12 @@ def solid_angles(c, r):
 
 def solid_angle_defect(c, r):
     """4 pi minus the sum of incident solid angles, per vertex."""
-    return _state(c, check_metric(c, r, 3)).defect
+    return _defect(c, solid_angles(c, r))
 
 
 def curvature3(c, r):
     """Rescaled scalar curvature: solid angle defect over r^2."""
-    return _state(c, check_metric(c, r, 3)).curvature
+    return _evaluate(c, r).R
 
 
 # -- single-tet geometry with the coordinate oracle ---------------------------
@@ -264,16 +266,16 @@ class YamabeState:
 
 
 def yamabe_state(c, r):
-    return _state(c, check_metric(c, r, 3))
+    p = _evaluate(c, r)
+    return YamabeState(p.r, p.K, p.R, p.total, p.volume, p.average,
+                       p.total / p.volume ** (1.0 / 3.0), p.factors)
 
 
 @np.errstate(all="ignore")
-def _state(c, r):
-    """The YamabeState of radii r that passed check_metric, evaluated under
-    np.errstate(all="ignore") as in a flow stage."""
-    p = _point(c, r)
-    return YamabeState(r, p.K, p.R, p.total, p.volume, p.average,
-                       p.total / p.volume ** (1.0 / 3.0), p.factors)
+def _evaluate(c, r):
+    """The _point of the radii r of the 3-manifold c, checked with their
+    measure r^3 (_checked) and evaluated as packing2d._evaluate does."""
+    return _point(c, _checked(c, r, 3.0, dim=3)[0])
 
 
 # the evaluated point of the Yamabe flow: the radii r, the solid angle
@@ -348,7 +350,7 @@ def laplacian3(c, r, f):
     """(1/r_i^2) sum_{j~i} (-dK_i/dr_j r_j)(f_j - f_i)
     = -(1/r_i^3) sum_j g_ij (f_j - f_i), as an O(E) matvec."""
     r = check_metric(c, r, 3)
-    f = np.asarray(f, dtype=float)
+    f = _vertex_function(c, "f", f)
     # divided in turn, since r^3 overflows for radii past 1e102
     return -_edge_apply(c, _edge_weights3(c, r), f) / r / r / r
 
@@ -358,10 +360,7 @@ def laplacian3(c, r, f):
 
 def yamabe_residual(c, r):
     """max |K_i - R_av r_i^2| (scale invariant, radians)."""
-    r = check_metric(c, r, 3)
-    with np.errstate(all="ignore"):
-        g = _point(c, r).g
-    return float(np.max(np.abs(g)))
+    return float(np.max(np.abs(_evaluate(c, r).g)))
 
 
 def _sample(t, p, _):
@@ -409,8 +408,8 @@ def _quotients(c, u):
     Q is +inf on a row that is not realizable (a factor Q r_min^2 <= 0, or
     a solid angle that is not finite, which makes K . r NaN). K . r is a
     1-D product and the cube root of the volume a scalar power per row, as
-    in _point and _state, so each row is bit for bit the quotient of its own
-    metric."""
+    in _point and yamabe_state, so each row is bit for bit the quotient of
+    its own metric."""
     r = np.exp(u)
     ang, q = _solid_angle_pass(r.T[c.tet_array.T])
     K = _defect(c, ang)

@@ -11,7 +11,7 @@ from packflows.mesh import Surface2Complex, mesh_from_dict
 from packflows.operators2d import potential_gradient, potential_hessian
 from packflows.packing2d import edge_lengths, inner_angles
 from packflows.errors import DegenerateTetrahedronError
-from packflows.packing3d import _state, solid_angle_defect
+from packflows.packing3d import _evaluate, solid_angle_defect
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tools"))
@@ -238,17 +238,18 @@ def newton_direction_oracle(c, r, alpha):
 
 def descend_quotient_oracle(c, r0, gtol, max_iter=500):
     """Gradient descent of the Yamabe quotient in log r from one start, one
-    _state evaluation at a time: the sequential route the lock-step
-    multistart replaced, kept as its reference. Returns (r, Q, converged,
-    trials), trials the evaluated log radii in order (the start first)."""
+    evaluation by the 3-d entry packing3d._evaluate at a time: the
+    sequential route the lock-step multistart replaced, kept as its
+    reference. Returns (r, Q, converged, trials), trials the evaluated log
+    radii in order (the start first)."""
     trials = []
 
     def quotient_and_grad(u):
         trials.append(u)
         r = np.exp(u)
-        st = _state(c, r)
-        g = r * (st.defect - st.average * r ** 2) / st.volume ** (1.0 / 3.0)
-        return st.quotient, g
+        p = _evaluate(c, r)
+        cube = p.volume ** (1.0 / 3.0)
+        return p.total / cube, r * (p.K - p.average * r ** 2) / cube
 
     u = np.log(r0)
     q, g = quotient_and_grad(u)

@@ -1,7 +1,7 @@
 """The admissible domain is checked once, at the public boundary.
 
 Public functions validate radii with check_metric; the private evaluators
-(packing2d._angles, packing3d._state) and the stages built on them either
+(packing2d._angles, packing3d._point) and the stages built on them either
 return finite values or fail by name: a named degeneracy from the kernels,
 DomainError from a stage. Warnings are errors in this suite, so a kernel
 that lets NaN or an overflow through fails here too.
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_metric
-from packflows import (admissibility, data, flows2d, mesh, operators2d,
+from packflows import (admissibility, cli, data, flows2d, mesh, operators2d,
                        packing2d, packing3d)
 from packflows._rk import DomainError
 from packflows.errors import (DegenerateTetrahedronError,
@@ -111,7 +111,8 @@ def test_drivers_validate_only_at_entry(monkeypatch):
     def counted_require_valid(self):
         calls["require_valid"] += 1
         return require_valid(self)
-    for module in (packing2d, flows2d, operators2d, packing3d, admissibility):
+    # the modules that bind it: every other reaches it through their checks
+    for module in (packing2d, packing3d):
         monkeypatch.setattr(module, "check_metric", counted_check)
     monkeypatch.setattr(mesh._Complex, "require_valid", counted_require_valid)
 
@@ -268,3 +269,224 @@ def test_ricci_potential_checks_an_overflowing_end_point():
     with pytest.raises(ValueError, match="radii"):
         operators2d.ricci_potential(COMPLEXES["tetrahedron"], np.zeros(4),
                                     np.full(4, 800.0))
+
+
+# -- the checks of the exponent, the vertex functions and the measure ----------
+
+# every public function that refuses an input outside the paper's
+# hypotheses, as (name, the inputs it takes, call(c, r, alpha, target, f)):
+# alpha when its exponent is free, target, f or x when it takes one, and
+# measure when it reads the measure r^alpha (r^3 on a 3-manifold) or
+# divides by it. A function that does not take alpha reads r^2 on a surface
+_T = np.zeros(4)  # a target of the tetrahedron
+
+
+def _flow_calls(family):
+    row = FAMILIES[family]
+    takes = {"measure"} | ({"alpha"} if row.alpha is None else set()) | (
+        {"target"} if row.prescribed else set())
+
+    def spec(a, t):
+        return FlowSpec(family, alpha=a if row.alpha is None else row.alpha,
+                        target=(_T if t is None else t) if row.prescribed
+                        else None)
+    return [
+        (f"run({family})", takes,
+         lambda c, r, a, t, f: flows2d.run(spec(a, t), c, r)),
+        (f"step({family})", takes,
+         lambda c, r, a, t, f: flows2d.step(spec(a, t), c,
+                                            flows2d.FlowState(0.0, r, 0.01))),
+        (f"vector_field({family})", takes,
+         lambda c, r, a, t, f: flows2d.vector_field(spec(a, t), c, r))]
+
+
+REFUSING_2D = [
+    ("curvature", {"alpha"},
+     lambda c, r, a, t, f: packing2d.curvature(c, r, a)),
+    ("average_curvature", {"alpha"},
+     lambda c, r, a, t, f: packing2d.average_curvature(c, r, a)),
+    ("curvature_averages", {"alpha"},
+     lambda c, r, a, t, f: packing2d.curvature_averages(c, r, a)),
+    ("laplacian", {"measure", "f"},
+     lambda c, r, a, t, f: operators2d.laplacian(c, r, f)),
+    ("alpha_laplacian", {"alpha", "f"},
+     lambda c, r, a, t, f: operators2d.alpha_laplacian(c, r, a, f)),
+] + [
+    (name, {"alpha", "target"},
+     lambda c, r, a, t, f, fn=getattr(operators2d, name): fn(c, r, a, t))
+    for name in ("potential_gradient", "potential_hessian", "calabi_energy",
+                 "calabi_energy_gradient")
+] + [
+    ("ricci_potential", {"alpha", "target"},
+     lambda c, r, a, t, f: operators2d.ricci_potential(
+         c, np.log(r), np.log(r) + 0.1, a, t)),
+    ("constant_curvature_residual", {"alpha"},
+     lambda c, r, a, t, f: flows2d.constant_curvature_residual(c, r, a)),
+    ("prescribed_residual", {"alpha", "target"},
+     lambda c, r, a, t, f: flows2d.prescribed_residual(
+         c, r, a, _T if t is None else t)),
+    ("find_constant_curvature", {"alpha"},
+     lambda c, r, a, t, f: flows2d.find_constant_curvature(c, a, r)),
+    ("find_constant_curvature(flow)", {"alpha"},
+     lambda c, r, a, t, f: flows2d.find_constant_curvature(c, a, r,
+                                                           method="flow")),
+    ("metric_condition", {"alpha"},
+     lambda c, r, a, t, f: admissibility.metric_condition(c, r, a)),
+    ("y_membership", {"x"},
+     lambda c, r, a, t, f: admissibility.y_membership(
+         c, packing2d.angle_defect(c, r) if f is None else f)),
+] + [call for family in FAMILIES_2D for call in _flow_calls(family)]
+
+REFUSING_3D = [
+    ("curvature3", {"measure"}, lambda c, r, f: packing3d.curvature3(c, r)),
+    ("yamabe_state", {"measure"},
+     lambda c, r, f: packing3d.yamabe_state(c, r)),
+    ("yamabe_residual", {"measure"},
+     lambda c, r, f: packing3d.yamabe_residual(c, r)),
+    ("laplacian3", {"f"}, lambda c, r, f: packing3d.laplacian3(c, r, f)),
+] + [(name, takes, lambda c, r, f, call=call: call(c, r, 2.0, None, None))
+     for name, takes, call in _flow_calls("yamabe")]
+
+R_TETRA = np.array([1.0, 1.1, 0.9, 1.05])
+BAD_VECTORS = {"short": [1.0], "long": np.ones(5), "nan": [np.nan, 0, 0, 0],
+               "inf": [0, 0, np.inf, 0]}
+MATCH = {"target": "^target must be", "f": "^f must be a finite vector",
+         "x": "^x must be a finite vector"}
+
+
+def _cases_2d():
+    for name, takes, call in REFUSING_2D:
+        alphas = ([-2.0, 1.0, 2.0, 3.0] if "alpha" in takes else
+                  [2.0] if "measure" in takes else [])
+        if "alpha" in takes:
+            for a in (np.nan, np.inf, -np.inf):
+                yield (f"{name}-alpha={a}", call, R_TETRA, a, None, None,
+                       "^alpha must be finite")
+        for kind in sorted(takes & set(MATCH)):
+            for label, bad in BAD_VECTORS.items():
+                t = bad if kind == "target" else None
+                f = bad if kind != "target" else None
+                yield (f"{name}-{kind}={label}", call, R_TETRA, 2.0, t, f,
+                       MATCH[kind])
+        # radii whose measure r^alpha overflows (for alpha = 1, the sum of
+        # the measure) and underflows past the normal doubles
+        for a in alphas:
+            scales = ({"over": 1e308, "under": 1e-310} if a == 1.0 else
+                      {"over": 10.0 ** (400.0 / a),
+                       "under": 10.0 ** (-400.0 / a)})
+            for label, s in scales.items():
+                yield (f"{name}-{label}flow-at-alpha={a:g}", call,
+                       s * R_TETRA / R_TETRA.max(), a, None, None,
+                       r"^the measure r \*\* .* leaves the float range")
+
+
+CASES_2D = list(_cases_2d())
+
+
+@pytest.mark.parametrize("name, call, r, alpha, target, f, match",
+                         CASES_2D, ids=[case[0] for case in CASES_2D])
+def test_refusing_functions_of_a_surface_name_the_input(
+        name, call, r, alpha, target, f, match):
+    with pytest.raises(ValueError, match=match):
+        call(COMPLEXES["tetrahedron"], r, alpha, target, f)
+
+
+R_CELL5 = np.array([1.0, 1.1, 0.9, 1.0, 1.05])
+CASES_3D = [
+    (f"{name}-{label}flow", call, s * R_CELL5, None,
+     r"^the measure r \*\* 3 leaves the float range")
+    for name, takes, call in REFUSING_3D if "measure" in takes
+    for label, s in (("over", 1e150), ("under", 1e-150))
+] + [
+    (f"{name}-f={label}", call, R_CELL5, bad, MATCH["f"])
+    for name, takes, call in REFUSING_3D if "f" in takes
+    for label, bad in (("short", np.ones(4)), ("nan", [np.nan, 0, 0, 0, 0]))
+]
+
+
+@pytest.mark.parametrize("name, call, r, f, match", CASES_3D,
+                         ids=[case[0] for case in CASES_3D])
+def test_refusing_functions_of_a_3_manifold_name_the_input(
+        name, call, r, f, match):
+    with pytest.raises(ValueError, match=match):
+        call(COMPLEXES["cell5"], r, np.zeros(5) if f is None else f)
+
+
+def test_the_refusal_tables_cover_the_refusing_functions():
+    names = {name.split("(")[0] for name, _, _ in REFUSING_2D + REFUSING_3D}
+    assert names == {
+        "curvature", "average_curvature", "curvature_averages", "laplacian",
+        "alpha_laplacian", "potential_gradient", "potential_hessian",
+        "calabi_energy", "calabi_energy_gradient", "ricci_potential",
+        "constant_curvature_residual", "prescribed_residual",
+        "find_constant_curvature", "metric_condition", "y_membership", "run",
+        "step", "vector_field", "curvature3", "yamabe_state",
+        "yamabe_residual", "laplacian3"}
+
+
+# the angle-only and scale-free functions accept every positive finite
+# radius, as (name, complex, k, call): at the radii s r they return s^k
+# times their value at r. The 2-d Jacobian and spectrum square squared
+# sides, which leave the float range at s = 1e+-150 (as before the
+# boundary was drawn), so they are compared at 1e+-50
+def _matrix(fn):
+    return lambda c, r: fn(c, r).matrix
+
+
+def _vertex_index(fn):
+    return lambda c, r: fn(c, r, np.arange(c.vertex_count, dtype=float))
+
+
+SCALE_FREE = [
+    ("edge_lengths", "genus2_11", 1, packing2d.edge_lengths, 150),
+    ("inner_angles", "genus2_11", 0, packing2d.inner_angles, 150),
+    ("angle_defect", "genus2_11", 0, packing2d.angle_defect, 150),
+    ("curvature_jacobian", "genus2_11", 0,
+     _matrix(operators2d.curvature_jacobian), 50),
+    ("laplacian_spectrum", "genus2_11", -2,
+     lambda c, r: operators2d.laplacian_spectrum(c, r)[0], 50),
+    ("first_positive_eigenvalue", "genus2_11", -2,
+     operators2d.first_positive_eigenvalue, 50),
+    ("solid_angles", "cell16", 0, packing3d.solid_angles, 150),
+    ("solid_angle_defect", "cell16", 0, packing3d.solid_angle_defect, 150),
+    ("curvature_norm_bound", "cell16", 0, packing3d.curvature_norm_bound,
+     150),
+    ("tet_q_factors", "cell16", -2, packing3d.tet_q_factors, 150),
+    ("defect_jacobian", "cell16", -1, _matrix(packing3d.defect_jacobian),
+     150),
+    ("laplacian3", "cell16", -2, _vertex_index(packing3d.laplacian3), 150),
+]
+
+
+@pytest.mark.parametrize("name, mesh, k, call, decades", SCALE_FREE,
+                         ids=[case[0] for case in SCALE_FREE])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_scale_free_functions_accept_every_scale(name, mesh, k, call,
+                                                 decades, sign):
+    c = COMPLEXES[mesh]
+    r = np.random.default_rng(1).uniform(0.95, 1.05, c.vertex_count)
+    s = 10.0 ** (sign * decades)
+    ref = np.asarray(call(c, r))
+    out = np.asarray(call(c, s * r)) / s ** k
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+# the CLI commands that once reported input outside the hypotheses as a
+# success or a non-convergence: each exits 2 by name and writes nothing
+CELL5_1E150 = "1e150,1.1e150,0.9e150,1e150,1.05e150"
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--mesh", "cell5", "--radii", CELL5_1E150],
+    ["curvature", "--mesh", "tetrahedron", "--radii", "1e-200,1,1,1"],
+    ["flow", "--mesh", "tetrahedron", "--family", "alpha-ricci", "--radii",
+     "1e-200,1,1,1"],
+    ["flow", "--mesh", "cell5", "--radii", CELL5_1E150],
+    ["solve", "--mesh", "tetrahedron", "--radii", "1e-200,1,1,1"],
+    ["flow", "--mesh", "tetrahedron", "--radii", "1e-310,1,1,1"],
+], ids=["curvature-cell5", "curvature-tetrahedron", "flow-tetrahedron",
+        "flow-cell5", "solve-tetrahedron", "flow-start-out-of-range"])
+def test_cli_refuses_a_measure_out_of_range(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_INVALID
+    assert "leaves the float range" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -179,23 +179,28 @@ def test_step_fixed_point(tetra):
 
 def test_step_fails_at_once_from_a_start_outside_the_domain(tetra):
     # |log r| > 700 at the start: no step of any size leaves the point, so
-    # step raises at once and names it, with no halving down to min_step
+    # step raises at once and names it, with no halving down to min_step.
+    # At alpha = 0 the measure r^0 = 1 passes the boundary, and
+    # log 1e-310 = -713.8
     state = FlowState(0.0, np.array([1e-310, 1.0, 1.0, 1.0]), 0.01)
     with pytest.raises(StepFailureError,
                        match="log radius out of range at an accepted point"):
-        step(FlowSpec(family="ricci_normalized"), tetra, state)
+        step(FlowSpec(family="alpha_ricci_normalized", alpha=0.0), tetra,
+             state)
 
 
 def test_run_refuses_a_start_outside_the_domain(tetra, tmp_path, capsys):
     # the start passes the same |log r| <= 700 guard as every stage: once
     # it was evaluated past it, warned "divide by zero" and ended
-    # stepped_out_of_domain with residual inf
+    # stepped_out_of_domain with residual inf. At alpha = 0 the measure
+    # r^0 = 1 passes the boundary
     r0 = np.array([1e-310, 1.0, 1.0, 1.0])
     with pytest.raises(StepFailureError,
                        match="log radius out of range at the start point"):
-        run(FlowSpec(family="ricci_normalized"), tetra, r0)
-    code = main(["flow", "--mesh", "tetrahedron", "--radii", "1e-310,1,1,1",
-                 "--out", str(tmp_path)])
+        run(FlowSpec(family="alpha_ricci_normalized", alpha=0.0), tetra, r0)
+    code = main(["flow", "--mesh", "tetrahedron", "--family",
+                 "alpha-ricci-normalized", "--alpha", "0", "--radii",
+                 "1e-310,1,1,1", "--out", str(tmp_path)])
     assert code == 4
     assert "at the start point" in capsys.readouterr().err
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reweighted
 from packflows import data
 from packflows.flows2d import FAMILIES, FlowSpec, run
 from packflows.operators2d import ricci_potential
@@ -25,12 +26,19 @@ def oracle_potential(c, trace):
     return np.concatenate([[0.0], np.cumsum(legs)])
 
 
-@pytest.mark.parametrize("mesh_name", ["genus2_11", "torus_7"])
+@pytest.mark.parametrize("mesh_name", ["genus2_11", "torus_7",
+                                       "genus2_11-weighted",
+                                       "torus_7-weighted"])
 @pytest.mark.parametrize("family, alpha", [("ricci_normalized", 2.0),
                                            ("alpha_prescribed", 1.0),
                                            ("alpha_calabi_modified", 0.0)])
 def test_dopri_potential_matches_quadrature(surfaces, mesh_name, family, alpha):
-    c = surfaces[mesh_name]
+    # "-weighted": edge weights from a U(0, pi/2) draw, where every bundled
+    # surface has weight 0
+    c = surfaces[mesh_name.removesuffix("-weighted")]
+    if mesh_name.endswith("-weighted"):
+        c = reweighted(c, np.random.default_rng(7).uniform(
+            0.0, np.pi / 2.0, len(c.edges)))
     rng = np.random.default_rng(31)
     r0 = rng.uniform(0.5, 2.0, c.vertex_count)
     target = None

@@ -5,9 +5,10 @@ compare two corpus runs.
     python tools/cli_corpus.py OUTDIR
     python tools/cli_corpus.py --compare A B [--rtol R]
 
-Each invocation runs `python -m packflows.cli` from this checkout's `src/`
-and writes its outputs to OUTDIR/<name>/, together with a file `exit` that
-holds the exit code. Two checkouts of the program compare byte for byte
+Each invocation runs `python -W error::RuntimeWarning -m packflows.cli`
+from this checkout's `src/` (the warning filter of the test suite, so a
+RuntimeWarning surfaces as a changed exit code) and writes its outputs to
+OUTDIR/<name>/, together with a file `exit` that holds the exit code. Two checkouts of the program compare byte for byte
 with `diff -r A B`; `--compare` tells a rounding shift from a regression.
 For each run it prints one of
 
@@ -38,7 +39,13 @@ each of the three; flow, solve, spectrum and curvature on the three bundled
 3-manifolds; curvature, spectrum and a short flow on the 7 x 7 x 7
 Freudenthal 3-torus (2058 tetrahedra, written to OUTDIR/meshes); the cell5
 flow into a removable singularity; the tetrahedron flow from the radii
-1e-310,1,1,1, a start past the log-radius guard (exit 4); and the four
+1e-310,1,1,1, whose r^2 underflows (exit 2); on genus2_11 with edge
+weights from a seeded U(0, pi/2) draw (written to OUTDIR/meshes),
+curvature, the ricci-normalized and calabi flows, a Newton solve and a
+spectrum; five refusals of a measure r^alpha or r^3 out of the float range
+(exit 2): curvature on cell5 at radii near 1e150 and on the tetrahedron
+at 1e-200,1,1,1, the alpha-ricci flow and a solve on the tetrahedron at
+1e-200,1,1,1, and the cell5 flow at radii near 1e150; and the four
 admissibility conditions on octahedron, icosahedron, torus_7 and genus2_11,
 plus one run with the full per-subset table and one with a subsets file,
 and the Thurston condition and the metric condition with its full table
@@ -86,6 +93,9 @@ CHECKED = ("octahedron", "icosahedron", "torus_7", "genus2_11")
 GRID_CHECKED = (4, 4)  # the grid torus of 16 vertices, 2^16 - 2 subsets
 CONDITIONS = ("thurston", "y", "metric", "sphere")
 RANDOM_CHECK = "0.5,2,1"
+WEIGHT_SEED = 7  # the seed of the U(0, pi/2) edge weights of genus2_11
+CELL5_1E150 = "1e150,1.1e150,0.9e150,1e150,1.05e150"
+TETRA_1E200 = "1e-200,1,1,1"
 # unsorted, repeated and overlapping subsets of the icosahedron
 SUBSETS = [[9, 2], [0], [2, 9], [11, 3, 7], [0, 1, 2, 3, 4, 5]]
 # a valid icosahedron start at which a Newton line-search trial overflows
@@ -147,6 +157,38 @@ def corpus(outdir):
     runs.append(("flow-tetrahedron-start-out-of-range",
                  ["flow", "--mesh", "tetrahedron", "--radii",
                   "1e-310,1,1,1"]))
+    genus2 = data.load("genus2_11")
+    weights = np.random.default_rng(WEIGHT_SEED).uniform(
+        0.0, np.pi / 2.0, len(genus2.edges))
+    weighted = os.path.join(outdir, "meshes", "genus2_11-weighted.json")
+    with open(weighted, "w") as fp:
+        json.dump({"dim": 2, "vertex_count": genus2.vertex_count,
+                   "faces": [list(f) for f in genus2.faces],
+                   "edges": [[i, j, float(w)]
+                             for (i, j), w in zip(genus2.edges, weights)]},
+                  fp)
+    for name, argv in (("curvature", ["curvature"]),
+                       ("flow-ricci-normalized",
+                        ["flow", "--family", "ricci-normalized", "--t-max",
+                         "3"]),
+                       ("flow-calabi",
+                        ["flow", "--family", "calabi", "--t-max", "3"]),
+                       ("solve", ["solve"]), ("spectrum", ["spectrum"])):
+        runs.append((f"{name}-genus2_11-weighted",
+                     argv + ["--mesh", weighted, "--random", RANDOM]))
+    for name, argv in (
+            ("curvature-cell5", ["curvature", "--mesh", "cell5", "--radii",
+                                 CELL5_1E150]),
+            ("curvature-tetrahedron", ["curvature", "--mesh", "tetrahedron",
+                                       "--radii", TETRA_1E200]),
+            ("flow-tetrahedron-alpha-ricci",
+             ["flow", "--mesh", "tetrahedron", "--family", "alpha-ricci",
+              "--radii", TETRA_1E200]),
+            ("flow-cell5", ["flow", "--mesh", "cell5", "--radii",
+                            CELL5_1E150]),
+            ("solve-tetrahedron", ["solve", "--mesh", "tetrahedron",
+                                   "--radii", TETRA_1E200])):
+        runs.append((f"{name}-measure-refused", argv))
     for mesh in CHECKED:
         for cond in CONDITIONS:
             runs.append((f"check-{mesh}-{cond}",
@@ -365,7 +407,8 @@ def run_corpus(outdir):
         os.makedirs(rundir, exist_ok=True)
         try:
             code = subprocess.run(
-                [sys.executable, "-m", "packflows.cli", *cmd, "--out", rundir],
+                [sys.executable, "-W", "error::RuntimeWarning", "-m",
+                 "packflows.cli", *cmd, "--out", rundir],
                 env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                 timeout=TIMEOUT_S).returncode
         except subprocess.TimeoutExpired:
