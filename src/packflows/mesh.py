@@ -219,19 +219,17 @@ class Surface2Complex(_Complex):
             return
         # face_edge[f, m] = index of the edge opposite vertex column m
         self.face_edge = edge_of[:, ::-1].copy()
-        # the per-face gathers of the angle kernel and the edge weights,
-        # shape (3, F, 3): face_sides[k, f, m] is the edge opposite, and
-        # face_corners[k, f, m] the vertex at, column (m + k) mod 3 of face f.
-        # C order: a gather through a strided index array takes twice as long
-        roll = (np.arange(3) + np.arange(3)[:, np.newaxis]) % 3
-        self.face_sides = np.ascontiguousarray(
-            self.face_edge[:, roll].transpose(1, 0, 2))
-        self.face_corners = np.ascontiguousarray(
-            self.face_array[:, roll].transpose(1, 0, 2))
+        # the C-ordered gathers of the kernels: edge_ends[k, e] is end k of
+        # edge e, and face_sides[j, f] the edge opposite, face_corners[j, f]
+        # the vertex at, column j mod 3 of face f, so that the rows k:k + 3
+        # of these (5, F) tables hold the columns (m + k) mod 3, m = 0, 1, 2
+        self.edge_ends = self.edge_array.T.copy()
+        self.face_sides, self.face_corners = (
+            a.T[np.arange(5) % 3] for a in (self.face_edge, self.face_array))
         self.cos_weights = np.cos(self.weights)
         self.chi = self.vertex_count - len(self.edges) + len(self.faces)
         for arr in (self.weights, self.cos_weights, self.face_edge,
-                    self.face_sides, self.face_corners):
+                    self.face_sides, self.face_corners, self.edge_ends):
             arr.setflags(write=False)
 
     def edge_index(self, i, j):
@@ -264,7 +262,12 @@ class Manifold3Complex(_Complex):
             # tet_edge[t, k] = index of the edge of the k-th column pair, in
             # the order (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
             self.tet_edge = tet_edge
-            tet_edge.setflags(write=False)
+            # the C-ordered gathers of the kernels: tet_columns[p, t] is the
+            # vertex at column p of tetrahedron t, edge_ends[k, e] end k of e
+            self.tet_columns = self.tet_array.T.copy()
+            self.edge_ends = self.edge_array.T.copy()
+            for arr in (tet_edge, self.tet_columns, self.edge_ends):
+                arr.setflags(write=False)
 
     def __repr__(self):
         return (f"Manifold3Complex(V={self.vertex_count}, E={len(self.edges)}, "

@@ -10,12 +10,15 @@ The curvature Jacobian dK_i/d(log r_j) is symmetric, its rows sum to zero
 and it vanishes off the edges, so the edge weights w_ij = dK_i/d(log r_j)
 are the Jacobian: J f = sum_j w_ij (f_j - f_i). _edge_weights takes the
 inner angles and the squared edge lengths that packing2d._angles returns
-together, so a point's squared sides are formed once, and gathers them per
-face with the complex's index arrays. The Laplacians, the Calabi
-energy gradient, the Calabi flow fields and Newton's conjugate-gradient
-solve apply it as that O(E) matvec; the dense matrices of
-curvature_jacobian and potential_hessian are only assembled from the
-weights (for the spectrum and tests).
+together, so a point's squared sides are formed once, and gathers them
+once per face through the complex's (5, F) tables face_sides and
+face_corners. The Laplacians, the Calabi energy gradient, the Calabi flow
+fields and Newton's conjugate-gradient solve apply it as that O(E) matvec,
+on the (2, E) table edge_ends; the dense matrices of curvature_jacobian,
+laplacian_spectrum and potential_hessian are only assembled from the
+weights (for the spectrum and tests). The weights are scale free, and the
+first two form them on radii rescaled by a power of two, so they stay in
+the float range at any scale (_scale_free_weights).
 """
 
 import functools
@@ -48,9 +51,9 @@ def _edge_weights(c, r, theta, L):
     them.
 
     In a face with sides s_m opposite its vertices and area A, the side k
-    joins the vertices p and q (the columns k + 1 and k + 2 mod 3, as
-    c.face_sides and c.face_corners gather them), and r_q moves
-    the sides s_p and s_k:
+    joins the vertices p and q (the columns k + 1 and k + 2 mod 3: the rows
+    1:4 and 2:5 of c.face_sides and c.face_corners, whose rows 0:3 are the
+    column k itself), and r_q moves the sides s_p and s_k:
         dtheta_p/dr_q = dtheta_p/ds_p ds_p/dr_q + dtheta_p/ds_k ds_k/dr_q
     with dtheta_p/ds_p = s_p / 2A, dtheta_p/ds_k = -s_p cos(theta_q) / 2A,
     ds_p/dr_q = (r_q + r_k cos phi_p) / s_p, ds_k/dr_q = (r_q + r_p cos phi_k) / s_k.
@@ -60,19 +63,20 @@ def _edge_weights(c, r, theta, L):
                                - (L_p + L_k - L_q) (L_k + r_q^2 - r_p^2) / 2 L_k.
     Each face adds -r_q dtheta_p/dr_q to the weight of each of its sides.
     """
-    rho, rho_p, rho_q = (r * r)[c.face_corners]
-    L, Lp, Lq = L[c.face_sides]
-    four_area = 2.0 * np.sqrt(Lp[:, 0] * Lq[:, 0]) * np.sin(theta[:, 0])
-    dth = ((Lp + rho_q - rho)
-           - (Lp + L - Lq) * (L + rho_q - rho_p) / (2.0 * L))
-    dth /= four_area[:, np.newaxis]
-    return -np.bincount(c.face_edge.ravel(), dth.ravel(), len(c.edges))
+    rho, L = (r * r)[c.face_corners], L[c.face_sides]
+    Lk, Lp, Lq = L[0:3], L[1:4], L[2:5]
+    four_area = 2.0 * np.sqrt(L[1] * L[2]) * np.sin(theta[:, 0])
+    dth = ((Lp + rho[2:5] - rho[0:3])
+           - (Lp + Lk - Lq) * (Lk + rho[2:5] - rho[1:4]) / (2.0 * Lk))
+    dth /= four_area
+    # each edge lies in two faces, so the order of its two terms is free
+    return -np.bincount(c.face_sides[0:3].ravel(), dth.ravel(), len(c.edges))
 
 
 def _edge_apply(c, w, f):
     """The Jacobian with edge weights w applied to f:
     (J f)_i = sum_j w_ij (f_j - f_i); exactly zero on constants."""
-    i, j = c.edge_array[:, 0], c.edge_array[:, 1]
+    i, j = c.edge_ends
     flux = w * (f[j] - f[i])
     return (np.bincount(i, flux, c.vertex_count)
             - np.bincount(j, flux, c.vertex_count))
@@ -81,21 +85,34 @@ def _edge_apply(c, w, f):
 def _jacobian_diagonal(c, w):
     """The diagonal of the Jacobian with edge weights w: minus its row
     sums."""
-    i, j = c.edge_array[:, 0], c.edge_array[:, 1]
+    i, j = c.edge_ends
     n = c.vertex_count
     return -(np.bincount(i, w, n) + np.bincount(j, w, n))
 
 
-def _dense_jacobian(c, w, diag):
-    """The dense symmetric matrix with the edge values w off the diagonal and
-    diag on it (the edges are unique and loop-free: each entry is set once)."""
+def _dense_jacobian(c, w_ij, w_ji, diag):
+    """The dense matrix with the value w_ij at (i, j) and w_ji at (j, i) of
+    each edge {i, j} = c.edge_ends[:, e], and diag on the diagonal (the
+    edges are unique and loop-free: each entry is set once)."""
     n = c.vertex_count
-    i, j = c.edge_array[:, 0], c.edge_array[:, 1]
+    i, j = c.edge_ends
     mat = np.zeros((n, n))
-    mat[i, j] = w
-    mat[j, i] = w
+    mat[i, j] = w_ij
+    mat[j, i] = w_ji
     mat[np.arange(n), np.arange(n)] = diag
     return mat
+
+
+def _scale_free_weights(c, r):
+    """(r, w): the radii r of the surface c, checked, and their edge weights
+    w, formed on r times 2^-k, k the binary exponent of max r (np.frexp).
+    The weights are scale free and the rescale exact, so w is that of r
+    itself bit for bit wherever that is finite, and in range at any scale:
+    the weights multiply squared sides by squared radii."""
+    r = _checked(c, r, 0.0)[0]
+    with np.errstate(all="ignore"):
+        p = _point(c, np.ldexp(r, -np.frexp(r.max())[1]), 0.0, None)
+    return r, _edge_weights(c, p.r, p.theta, p.L)
 
 
 def _coord_factor(coord):
@@ -112,15 +129,14 @@ def curvature_jacobian(c, r, coord="log_r"):
 
     coord="log_r" gives dK_i/d(log r_j); coord="log_r2" gives half of it.
     Symmetric, positive semi-definite, zero row sums, kernel the constant
-    vector. Assembled from the edge weights: w off the diagonal, minus the
-    row sums on it.
+    vector. Assembled from the scale-free edge weights
+    (_scale_free_weights): w off the diagonal, minus the row sums on it.
     """
     factor = _coord_factor(coord)
-    p = _evaluate(c, r, 0.0)
-    w = _edge_weights(c, p.r, p.theta, p.L)
-    mat = _dense_jacobian(c, w, _jacobian_diagonal(c, w))
-    mat *= factor
-    return JacobianMatrix(mat, coord)
+    w = _scale_free_weights(c, r)[1]
+    wf = w * factor
+    return JacobianMatrix(_dense_jacobian(
+        c, wf, wf, _jacobian_diagonal(c, w) * factor), coord)
 
 
 def laplacian(c, r, f):
@@ -143,13 +159,19 @@ def laplacian_spectrum(c, r):
 
     Returns (eigenvalues ascending, kernel_residual); the smallest eigenvalue
     is the kernel and its magnitude must be tiny relative to the spectral
-    radius.
+    radius. The matrix is assembled from its edge values: with w the
+    scale-free edge weights, d their diagonal and s = 1 / r, the entry
+    (i, j) is ((w / 2) s_i) s_j and the diagonal ((d / 2) s_i) s_i, the
+    products of scaling the log r^2 Jacobian by its rows and then its
+    columns.
     """
-    L = curvature_jacobian(c, r, coord="log_r2").matrix
-    scale = 1.0 / np.asarray(r, dtype=float)  # checked by curvature_jacobian
-    L *= scale[:, None]
-    L *= scale[None, :]
-    return spectrum(L)
+    r, w = _scale_free_weights(c, r)
+    s = 1.0 / r
+    i, j = c.edge_ends
+    h = w * 0.5
+    d = _jacobian_diagonal(c, w) * 0.5
+    return spectrum(_dense_jacobian(c, h * s[i] * s[j], h * s[j] * s[i],
+                                    d * s * s))
 
 
 def spectrum(mat):
@@ -258,7 +280,7 @@ def potential_hessian(c, r, alpha=2.0, target=None, coord="log_r"):
     factor = _coord_factor(coord)
     p = _evaluate(c, r, alpha, target)
     w = _edge_weights(c, p.r, p.theta, p.L)
-    hess = _dense_jacobian(c, w, _jacobian_diagonal(c, w)
+    hess = _dense_jacobian(c, w, w, _jacobian_diagonal(c, w)
                            - alpha * p.rbar * p.ra)
     if target is None:
         hess += alpha * p.rbar * np.outer(p.ra, p.ra) / p.total

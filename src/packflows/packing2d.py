@@ -7,11 +7,13 @@ their input once (_checked); the flows, Newton and the operators call
 _point and _angles on checked radii, and _angles raises
 DegenerateTriangleError for a NaN or out-of-range cosine.
 
-_angles works at edge level: the squared length L of every edge, then one
-square root and one square per edge, gathered per face by the index arrays
-the complex builds once (face_sides), and the law of cosines over all three
-corners at once. Each square of a side is the square of its edge, the same
-double in every face that has it.
+_angles works at edge level: the squared length L of every edge, from its
+ends gathered through the complex's (2, E) table edge_ends, and one square
+root per edge; then one gather of the sides of every face through the
+(5, F) table face_sides, and the law of cosines over all three corners at
+once on its row slices 0:3, 1:4 and 2:5. Each square of a side is the
+square of its edge, the same double in every face that has it. The angles
+come back face-ordered, (F, 3), so the defect sums them in face order.
 
 A 2-d evaluated point is one record, _Point, formed once per evaluation by
 _point: the radii with their angles, squared edge lengths and angle defects
@@ -99,7 +101,7 @@ def edge_lengths(c, r):
 
 def _squared_lengths(c, r):
     """l_ij^2 per edge, of radii r that passed check_metric."""
-    ri, rj = r[c.edge_array.T]
+    ri, rj = r[c.edge_ends]
     return ri ** 2 + rj ** 2 + 2.0 * ri * rj * c.cos_weights
 
 
@@ -113,23 +115,25 @@ def _angles(c, r):
 
 def _angles_from_sides(c, s):
     """The law of cosines on all three corners of every face of c at once,
-    from the length s[e] of each edge e: one square per edge, gathered per
-    face by c.face_sides. A NaN or out-of-range cosine raises
+    from the length s[e] of each edge e, gathered once per face (the rows
+    0:3, 1:4 and 2:5 of c.face_sides: the sides opposite each corner and
+    its two neighbours) and squared. A NaN or out-of-range cosine raises
     DegenerateTriangleError naming the first column with a bad row and that
     column's first bad row."""
-    a2, b2, c2 = (s * s)[c.face_sides]
-    b, cc = s[c.face_sides[1:]]
-    arg = (b2 + c2 - a2) / (2.0 * b * cc)
+    sides = s[c.face_sides]
+    sq = sides * sides
+    arg = (sq[1:4] + sq[2:5] - sq[0:3]) / (2.0 * sides[1:4] * sides[2:5])
     if not np.maximum.reduce(np.abs(arg), axis=None) <= 1.0 + COS_MARGIN:
         ok = np.abs(arg) <= 1.0 + COS_MARGIN  # False for NaN
-        col = int(np.argmin(ok.all(axis=0)))
-        row = int(np.argmin(ok[:, col]))
+        col = int(np.argmin(ok.all(axis=1)))
+        row = int(np.argmin(ok[col]))
         raise DegenerateTriangleError(
-            f"cosine argument {arg[row, col]:.6g} outside [-1, 1] in face "
+            f"cosine argument {arg[col, row]:.6g} outside [-1, 1] in face "
             f"row {row}")
     np.maximum(arg, -1.0, out=arg)
     np.minimum(arg, 1.0, out=arg)
-    return np.arccos(arg, out=arg)
+    # arccos of the (3, F) cosines into a face-ordered (F, 3) array
+    return np.arccos(arg, out=np.empty(arg.shape[::-1]).T).T
 
 
 def _defect_from_angles(c, theta):
@@ -159,10 +163,16 @@ def _point(c, r, alpha, target):
 @np.errstate(all="ignore")
 def _evaluate(c, r, alpha=2.0, target=None):
     """The _point of the radii r of the surface c, checked (_checked) and
-    evaluated under np.errstate(all="ignore") as in a flow stage. The
+    evaluated under np.errstate(all="ignore") as in a flow stage; a
+    curvature R = K / r^alpha past the float range (a measure near the
+    least normal double at a vertex of high degree) raises ValueError. The
     angle-only functions pass alpha = 0: r^0 = 1 is always in range."""
     r, target = _checked(c, r, alpha, target)
-    return _point(c, r, alpha, target)
+    p = _point(c, r, alpha, target)
+    if not np.isfinite(p.R).all():
+        raise ValueError(
+            f"the curvature K / r ** {alpha:g} leaves the float range")
+    return p
 
 
 def inner_angles(c, r):

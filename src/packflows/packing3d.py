@@ -23,7 +23,8 @@ cross-checking.
 
 One solid-angle pass (_solid_angle_pass, on _tet_terms) evaluates the
 formula for one metric or for a stack of S metrics (radii of shape
-(S, V)), each row's arithmetic that of its metric alone. _point runs it on
+(S, V)), each row's arithmetic that of its metric alone, on the radii
+gathered through the complex's (4, T) table tet_columns. _point runs it on
 one metric and raises on a degenerate tetrahedron by name; the multistart
 quotient descent runs it on every live start at once and reads a
 degenerate row as +inf; the Jacobian's edge weights run _tet_terms on one
@@ -63,10 +64,10 @@ Q_SAFETY_MARGIN = 1e-6
 SING_RADIUS = 1e-6
 SING_Q = 1e-8
 
-# the three other columns of each tet column p
-_OTHERS = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
-# True where o = _OTHERS[p, k] > p: the pairs p < o in tet_edge's column order
-_PAIRS = _OTHERS > np.arange(4)[:, np.newaxis]
+# _OTHERS[k, p] is the k-th of the three other columns of tet column p
+_OTHERS = np.array([(1, 0, 0, 0), (2, 2, 1, 1), (3, 3, 3, 2)])
+# the (k, p) of each pair p < o = _OTHERS[k, p], in tet_edge's column order
+_PAIRS = ([0, 1, 2, 1, 2, 2], [0, 0, 0, 1, 1, 2])
 
 
 def q_factor(radii):
@@ -86,19 +87,20 @@ def tet_q_factors(c, r):
 
 def _tet_terms(cr):
     """(1 / rho, q, t, N, D) of the radii cr of each tet column, unchecked:
-    rho = cr / r_min, q = Q r_min^2, t[p, k] = t_o for o = _OTHERS[p, k],
-    and Omega = 2 atan2(N, D). cr is r[c.tet_array.T], shape (4, T), for
-    one metric, and r.T[c.tet_array.T], shape (4, T, S), for S metrics r of
+    rho = cr / r_min, q = Q r_min^2, t[k, p] = t_o for o = _OTHERS[k, p],
+    and Omega = 2 atan2(N, D). cr is r[c.tet_columns], shape (4, T), for
+    one metric, and r.T[c.tet_columns], shape (4, T, S), for S metrics r of
     shape (S, V): the stack axis trails, so every array is contiguous; q
-    has shape (T, ...), t (4, 3, T, ...), the others that of cr."""
+    has shape (T, ...), t (3, 4, T, ...), so t_a, t_b and t_c are too, the
+    others that of cr."""
     rho = cr / np.minimum.reduce(cr)
     # q_factor over the column axis. Q r_min^2 <= 16: the inverse radii lie
     # in (0, 1]
     inv = 1.0 / rho
     q = np.add.reduce(inv) ** 2 - 2.0 * np.add.reduce(inv ** 2)
     ro = rho[_OTHERS]
-    t = ro / (rho[:, np.newaxis] + ro)
-    ta, tb, tc = t[:, 0], t[:, 1], t[:, 2]
+    t = ro / (rho + ro)
+    ta, tb, tc = t
     tab = ta * tb
     return (inv, q, t, rho * (tab * tc) * np.sqrt(q),
             2.0 - (tab + tc * (ta + tb)))
@@ -114,7 +116,7 @@ def _solid_angle_pass(cr):
 
 def _solid_angles_from_radii(cr):
     """(Omega, q) of _solid_angle_pass for one metric's tet column radii
-    cr = r[c.tet_array.T]; raises DegenerateTetrahedronError unless every
+    cr = r[c.tet_columns]; raises DegenerateTetrahedronError unless every
     Q is positive, naming the row of least scale-free factor q = Q r_min^2
     (r_min the row's smallest radius), and when a solid angle is not
     finite."""
@@ -147,7 +149,7 @@ def solid_angles(c, r):
     c.tet_array columns."""
     r = check_metric(c, r, 3)
     with np.errstate(all="ignore"):
-        return _solid_angles_from_radii(r[c.tet_array.T])[0]
+        return _solid_angles_from_radii(r[c.tet_columns])[0]
 
 
 def solid_angle_defect(c, r):
@@ -288,7 +290,7 @@ _Point = namedtuple("_Point", "r K R total volume average g factors")
 
 def _point(c, r):
     """The _Point of radii r that passed check_metric."""
-    ang, q = _solid_angles_from_radii(r[c.tet_array.T])
+    ang, q = _solid_angles_from_radii(r[c.tet_columns])
     K = _defect(c, ang)
     total = float(K @ r)
     r2 = r ** 2
@@ -316,7 +318,7 @@ def _edge_weights3(c, r):
         x = rho_o dlog N/drho_o = 1 - t_o + (2/rho_o - sum 1/rho) / (q rho_o),
         y = rho_o dD/drho_o = -(t_o' + t_o'') t_o (1 - t_o).
     """
-    cr = r[c.tet_array.T]
+    cr = r[c.tet_columns]
     inv, q, t, num, den = _tet_terms(cr)
     if q.min() <= Q_SAFETY_MARGIN:
         raise NearDegenerateError(
@@ -324,10 +326,9 @@ def _edge_weights3(c, r):
             f"{Q_SAFETY_MARGIN}")
     inv_o = inv[_OTHERS]
     x = (1.0 - t) + inv_o * (2.0 * inv_o - inv.sum(axis=0)) / q
-    y = -(t.sum(axis=1, keepdims=True) - t) * t * (1.0 - t)
-    num, den = num[:, np.newaxis], den[:, np.newaxis]
+    y = -(t.sum(axis=0) - t) * t * (1.0 - t)
     d_ang = 2.0 * num * (den * x - y) / (num * num + den * den)
-    terms = (cr[:, np.newaxis] * d_ang)[_PAIRS]
+    terms = (cr * d_ang)[_PAIRS]
     g = -np.bincount(c.tet_edge.ravel(), terms.T.ravel(), len(c.edges))
     if not math.isfinite(g.sum()):  # a radius ratio past the float range
         raise DegenerateTetrahedronError("a solid angle derivative is not finite")
@@ -341,8 +342,9 @@ def defect_jacobian(c, r):
     metrics whose Q r_min^2 is within the safety margin."""
     r = check_metric(c, r, 3)
     g = _edge_weights3(c, r)
-    i, j = c.edge_array[:, 0], c.edge_array[:, 1]
-    return JacobianMatrix(_dense_jacobian(c, g / r[i] / r[j],
+    i, j = c.edge_ends
+    gr = g / r[i] / r[j]
+    return JacobianMatrix(_dense_jacobian(c, gr, gr,
                                           _jacobian_diagonal(c, g) / r / r), "r")
 
 
@@ -411,7 +413,7 @@ def _quotients(c, u):
     in _point and yamabe_state, so each row is bit for bit the quotient of
     its own metric."""
     r = np.exp(u)
-    ang, q = _solid_angle_pass(r.T[c.tet_array.T])
+    ang, q = _solid_angle_pass(r.T[c.tet_columns])
     K = _defect(c, ang)
     vol = np.sum(r ** 3, axis=1)
     total, cube = np.array([(k @ x, v ** (1.0 / 3.0))

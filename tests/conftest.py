@@ -274,3 +274,124 @@ def descend_quotient_oracle(c, r0, gtol, max_iter=500):
         else:
             return np.exp(u), q, False, trials
     return np.exp(u), q, False, trials
+
+
+# -- the gather-table kernels against their references -------------------------
+
+
+def face_loop_point(c, r, alpha, target):
+    """packing2d._point one corner column at a time over the (F, 3) face
+    arrays c.face_edge and c.face_array, and the angle sums one face at a
+    time: the reference of the gather tables, with the arithmetic of the
+    kernel in its order. Returns the fields of packing2d._Point as a dict."""
+    i, j = c.edge_array[:, 0], c.edge_array[:, 1]
+    L = r[i] ** 2 + r[j] ** 2 + 2.0 * r[i] * r[j] * c.cos_weights
+    s = np.sqrt(L)[c.face_edge]
+    theta = np.empty_like(s)
+    for m in range(3):
+        b, cc = s[:, (m + 1) % 3], s[:, (m + 2) % 3]
+        arg = (b * b + cc * cc - s[:, m] * s[:, m]) / (2.0 * b * cc)
+        theta[:, m] = np.arccos(np.clip(arg, -1.0, 1.0))
+    K = np.full(c.vertex_count, 2.0 * np.pi)
+    for f, corners in enumerate(c.face_array.tolist()):
+        for m, v in enumerate(corners):
+            K[v] -= theta[f, m]
+    ra = r ** alpha
+    total = float(len(r)) if alpha == 0.0 else np.add.reduce(ra)
+    rbar = 2.0 * np.pi * c.chi / total if target is None else target
+    return {"r": r, "theta": theta, "L": L, "K": K, "ra": ra, "total": total,
+            "rbar": rbar, "R": K / ra, "g": K - rbar * ra}
+
+
+def face_loop_edge_weights(c, r, theta, L):
+    """operators2d._edge_weights one side column k of the (F, 3) face arrays
+    at a time, each face's terms added to its sides in face order."""
+    rho, Ls = (r * r)[c.face_array], L[c.face_edge]
+    four_area = 2.0 * np.sqrt(Ls[:, 1] * Ls[:, 2]) * np.sin(theta[:, 0])
+    dth = np.empty_like(Ls)
+    for k in range(3):
+        p, q = (k + 1) % 3, (k + 2) % 3
+        dth[:, k] = ((Ls[:, p] + rho[:, q] - rho[:, k])
+                     - (Ls[:, p] + Ls[:, k] - Ls[:, q])
+                     * (Ls[:, k] + rho[:, q] - rho[:, p]) / (2.0 * Ls[:, k])
+                     ) / four_area
+    w = np.zeros(len(c.edges))
+    np.add.at(w, c.face_edge.ravel(), dth.ravel())
+    return -w
+
+
+def edge_loop_apply(c, w, f):
+    """operators2d._edge_apply through the columns of c.edge_array, each
+    vertex summing its edges in edge order."""
+    i, j = c.edge_array[:, 0], c.edge_array[:, 1]
+    flux = w * (f[j] - f[i])
+    into, out = np.zeros(c.vertex_count), np.zeros(c.vertex_count)
+    np.add.at(into, i, flux)
+    np.add.at(out, j, flux)
+    return into - out
+
+
+# the 3-d kernels in the layout the (4, T) column table replaced: t in
+# (4, 3, T[, S]) order, the tet columns gathered through c.tet_array.T.
+# _OTHERS_43[p, k] is the k-th of the three other columns of tet column p
+_OTHERS_43 = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
+_PAIRS_43 = _OTHERS_43 > np.arange(4)[:, np.newaxis]
+
+
+def tet_terms_oracle(cr):
+    """(1 / rho, q, t, N, D) of packing3d._tet_terms with t[p, k] = t_o for
+    o = _OTHERS_43[p, k], from cr = r[c.tet_array.T] or r.T[c.tet_array.T]."""
+    rho = cr / np.minimum.reduce(cr)
+    inv = 1.0 / rho
+    q = np.add.reduce(inv) ** 2 - 2.0 * np.add.reduce(inv ** 2)
+    ro = rho[_OTHERS_43]
+    t = ro / (rho[:, np.newaxis] + ro)
+    ta, tb, tc = t[:, 0], t[:, 1], t[:, 2]
+    tab = ta * tb
+    return (inv, q, t, rho * (tab * tc) * np.sqrt(q),
+            2.0 - (tab + tc * (ta + tb)))
+
+
+def solid_angle_pass_oracle(cr):
+    """(Omega, q) of packing3d._solid_angle_pass from tet_terms_oracle."""
+    _, q, _, num, den = tet_terms_oracle(cr)
+    return (2.0 * np.arctan2(num, den)).T, q.T
+
+
+def point3_oracle(c, r):
+    """The fields of packing3d._point of checked radii r as a dict, or the
+    message of its DegenerateTetrahedronError, from solid_angle_pass_oracle;
+    each vertex sums its solid angles in tetrahedron order."""
+    with np.errstate(all="ignore"):
+        ang, q = solid_angle_pass_oracle(r[c.tet_array.T])
+        if not np.minimum.reduce(q) > 0.0:
+            bad = int(np.argmin(q))
+            return (f"tetrahedron {bad} is not realizable: "
+                    f"Q r_min^2 = {q[bad]:.6g}")
+        if not np.isfinite(np.add.reduce(ang, axis=None)):
+            return "a solid angle is not finite"
+        K = 4.0 * np.pi - np.bincount(c.tet_array.ravel(), ang.ravel(),
+                                      c.vertex_count)
+        total = float(K @ r)
+        volume = np.add.reduce(r ** 3)
+        average = total / volume
+        return {"r": r, "K": K, "R": K / r ** 2, "total": total,
+                "volume": volume, "average": average,
+                "g": K - average * r ** 2, "factors": q}
+
+
+def edge_weights3_oracle(c, r):
+    """The edge weights of packing3d._edge_weights3 from tet_terms_oracle,
+    with no safety-margin or finiteness test; each edge sums its terms in
+    tetrahedron order."""
+    with np.errstate(all="ignore"):
+        cr = r[c.tet_array.T]
+        inv, q, t, num, den = tet_terms_oracle(cr)
+        inv_o = inv[_OTHERS_43]
+        x = (1.0 - t) + inv_o * (2.0 * inv_o - inv.sum(axis=0)) / q
+        y = -(t.sum(axis=1, keepdims=True) - t) * t * (1.0 - t)
+        num, den = num[:, np.newaxis], den[:, np.newaxis]
+        d_ang = 2.0 * num * (den * x - y) / (num * num + den * den)
+        terms = (cr[:, np.newaxis] * d_ang)[_PAIRS_43]
+        return -np.bincount(c.tet_edge.ravel(), terms.T.ravel(),
+                            len(c.edges))

@@ -49,3 +49,39 @@ def test_compare_run_tells_an_end_within_r_from_a_different_run(
     assert got == verdict, detail
     if verdict == "ends":
         assert detail.endswith("steps 2 -> 1")
+
+
+# a subset of the corpus that runs in a few seconds and computes no dense
+# spectrum: 2-d flows (angle kernel and Calabi edge weights, with and
+# without edge weights), a Newton solve, 2-d curvatures, 3-d flows on cell16,
+# the 7 x 7 x 7 3-torus and into a removable singularity, a stacked
+# multistart solve and the refusal of an overflowing curvature
+MANIFEST_SUBSET = {
+    "flow-genus2_11-ricci_normalized-a2", "flow-torus_7-calabi-a2",
+    "flow-calabi-genus2_11-weighted", "solve-genus2_11-a2",
+    "curvature-genus2_11-weighted", "flow-cell16", "flow-torus3-large",
+    "solve-cell5", "flow-cell5-removable", "curvature-torus_7-R-refused"}
+MANIFEST = os.path.join(cli_corpus.ROOT, "CORPUS.sha256")
+
+
+def test_manifest_lists_every_corpus_run(tmp_path):
+    runs = {line.split("  ")[2].split("/")[0]
+            for line in cli_corpus.read_manifest(MANIFEST)[1]}
+    assert runs == {name for name, _ in cli_corpus.corpus(str(tmp_path))}
+    assert MANIFEST_SUBSET <= runs
+
+
+def test_corpus_subset_is_byte_identical_to_the_manifest(tmp_path):
+    """The subset's output files have the sha256 and exit code the manifest
+    records, when this environment is the one it was made in."""
+    record, lines = cli_corpus.read_manifest(MANIFEST)
+    here = dict(cli_corpus.environment())
+    moved = [f"{key}: {value!r} in the manifest, {here.get(key)!r} here"
+             for key, value in record if here.get(key) != value]
+    if moved or len(record) != len(here):
+        pytest.skip("the environment differs from the manifest's: "
+                    + "; ".join(moved or ["other keys"]))
+    cli_corpus.run_corpus(str(tmp_path), MANIFEST_SUBSET)
+    assert cli_corpus.digest(str(tmp_path), MANIFEST_SUBSET) == [
+        line for line in lines
+        if line.split("  ")[2].split("/")[0] in MANIFEST_SUBSET]

@@ -275,9 +275,11 @@ def test_ricci_potential_checks_an_overflowing_end_point():
 
 # every public function that refuses an input outside the paper's
 # hypotheses, as (name, the inputs it takes, call(c, r, alpha, target, f)):
-# alpha when its exponent is free, target, f or x when it takes one, and
+# alpha when its exponent is free, target, f or x when it takes one,
 # measure when it reads the measure r^alpha (r^3 on a 3-manifold) or
-# divides by it. A function that does not take alpha reads r^2 on a surface
+# divides by it, and R when it evaluates the curvatures K / r^alpha
+# (packing2d._evaluate). A function that does not take alpha reads r^2 on a
+# surface
 _T = np.zeros(4)  # a target of the tetrahedron
 
 
@@ -301,18 +303,18 @@ def _flow_calls(family):
 
 
 REFUSING_2D = [
-    ("curvature", {"alpha"},
+    ("curvature", {"alpha", "R"},
      lambda c, r, a, t, f: packing2d.curvature(c, r, a)),
     ("average_curvature", {"alpha"},
      lambda c, r, a, t, f: packing2d.average_curvature(c, r, a)),
     ("curvature_averages", {"alpha"},
      lambda c, r, a, t, f: packing2d.curvature_averages(c, r, a)),
-    ("laplacian", {"measure", "f"},
+    ("laplacian", {"measure", "f", "R"},
      lambda c, r, a, t, f: operators2d.laplacian(c, r, f)),
-    ("alpha_laplacian", {"alpha", "f"},
+    ("alpha_laplacian", {"alpha", "f", "R"},
      lambda c, r, a, t, f: operators2d.alpha_laplacian(c, r, a, f)),
 ] + [
-    (name, {"alpha", "target"},
+    (name, {"alpha", "target", "R"},
      lambda c, r, a, t, f, fn=getattr(operators2d, name): fn(c, r, a, t))
     for name in ("potential_gradient", "potential_hessian", "calabi_energy",
                  "calabi_energy_gradient")
@@ -320,9 +322,9 @@ REFUSING_2D = [
     ("ricci_potential", {"alpha", "target"},
      lambda c, r, a, t, f: operators2d.ricci_potential(
          c, np.log(r), np.log(r) + 0.1, a, t)),
-    ("constant_curvature_residual", {"alpha"},
+    ("constant_curvature_residual", {"alpha", "R"},
      lambda c, r, a, t, f: flows2d.constant_curvature_residual(c, r, a)),
-    ("prescribed_residual", {"alpha", "target"},
+    ("prescribed_residual", {"alpha", "target", "R"},
      lambda c, r, a, t, f: flows2d.prescribed_residual(
          c, r, a, _T if t is None else t)),
     ("find_constant_curvature", {"alpha"},
@@ -354,20 +356,33 @@ MATCH = {"target": "^target must be", "f": "^f must be a finite vector",
          "x": "^x must be a finite vector"}
 
 
+# torus_7 with r_0^2 = 4e-308, a normal double: K_0 = -4 pi, and K_0 / r_0^2
+# overflows
+R_TORUS7 = np.array([2e-154] + 6 * [1.0])
+
+
 def _cases_2d():
+    """(id, call, complex, r, alpha, target, f, match) of each refusal."""
+    tetra = COMPLEXES["tetrahedron"]
     for name, takes, call in REFUSING_2D:
         alphas = ([-2.0, 1.0, 2.0, 3.0] if "alpha" in takes else
                   [2.0] if "measure" in takes else [])
         if "alpha" in takes:
             for a in (np.nan, np.inf, -np.inf):
-                yield (f"{name}-alpha={a}", call, R_TETRA, a, None, None,
-                       "^alpha must be finite")
+                yield (f"{name}-alpha={a}", call, tetra, R_TETRA, a, None,
+                       None, "^alpha must be finite")
         for kind in sorted(takes & set(MATCH)):
             for label, bad in BAD_VECTORS.items():
                 t = bad if kind == "target" else None
                 f = bad if kind != "target" else None
-                yield (f"{name}-{kind}={label}", call, R_TETRA, 2.0, t, f,
-                       MATCH[kind])
+                yield (f"{name}-{kind}={label}", call, tetra, R_TETRA, 2.0, t,
+                       f, MATCH[kind])
+        if "R" in takes:
+            zeros = np.zeros(7)
+            yield (f"{name}-R-overflows", call, COMPLEXES["torus_7"],
+                   R_TORUS7, 2.0, zeros if "target" in takes else None,
+                   zeros if "f" in takes else None,
+                   r"^the curvature K / r \*\* 2 leaves the float range")
         # radii whose measure r^alpha overflows (for alpha = 1, the sum of
         # the measure) and underflows past the normal doubles
         for a in alphas:
@@ -375,7 +390,7 @@ def _cases_2d():
                       {"over": 10.0 ** (400.0 / a),
                        "under": 10.0 ** (-400.0 / a)})
             for label, s in scales.items():
-                yield (f"{name}-{label}flow-at-alpha={a:g}", call,
+                yield (f"{name}-{label}flow-at-alpha={a:g}", call, tetra,
                        s * R_TETRA / R_TETRA.max(), a, None, None,
                        r"^the measure r \*\* .* leaves the float range")
 
@@ -383,12 +398,12 @@ def _cases_2d():
 CASES_2D = list(_cases_2d())
 
 
-@pytest.mark.parametrize("name, call, r, alpha, target, f, match",
+@pytest.mark.parametrize("name, call, c, r, alpha, target, f, match",
                          CASES_2D, ids=[case[0] for case in CASES_2D])
 def test_refusing_functions_of_a_surface_name_the_input(
-        name, call, r, alpha, target, f, match):
+        name, call, c, r, alpha, target, f, match):
     with pytest.raises(ValueError, match=match):
-        call(COMPLEXES["tetrahedron"], r, alpha, target, f)
+        call(c, r, alpha, target, f)
 
 
 R_CELL5 = np.array([1.0, 1.1, 0.9, 1.0, 1.05])
@@ -425,10 +440,9 @@ def test_the_refusal_tables_cover_the_refusing_functions():
 
 
 # the angle-only and scale-free functions accept every positive finite
-# radius, as (name, complex, k, call): at the radii s r they return s^k
-# times their value at r. The 2-d Jacobian and spectrum square squared
-# sides, which leave the float range at s = 1e+-150 (as before the
-# boundary was drawn), so they are compared at 1e+-50
+# radius, as (name, complex, k, call): at the radii s r, s = 1e+-150, they
+# return s^k times their value at r. The 2-d Jacobian and spectrum form
+# their edge weights on radii rescaled by a power of two
 def _matrix(fn):
     return lambda c, r: fn(c, r).matrix
 
@@ -438,34 +452,31 @@ def _vertex_index(fn):
 
 
 SCALE_FREE = [
-    ("edge_lengths", "genus2_11", 1, packing2d.edge_lengths, 150),
-    ("inner_angles", "genus2_11", 0, packing2d.inner_angles, 150),
-    ("angle_defect", "genus2_11", 0, packing2d.angle_defect, 150),
+    ("edge_lengths", "genus2_11", 1, packing2d.edge_lengths),
+    ("inner_angles", "genus2_11", 0, packing2d.inner_angles),
+    ("angle_defect", "genus2_11", 0, packing2d.angle_defect),
     ("curvature_jacobian", "genus2_11", 0,
-     _matrix(operators2d.curvature_jacobian), 50),
+     _matrix(operators2d.curvature_jacobian)),
     ("laplacian_spectrum", "genus2_11", -2,
-     lambda c, r: operators2d.laplacian_spectrum(c, r)[0], 50),
+     lambda c, r: operators2d.laplacian_spectrum(c, r)[0]),
     ("first_positive_eigenvalue", "genus2_11", -2,
-     operators2d.first_positive_eigenvalue, 50),
-    ("solid_angles", "cell16", 0, packing3d.solid_angles, 150),
-    ("solid_angle_defect", "cell16", 0, packing3d.solid_angle_defect, 150),
-    ("curvature_norm_bound", "cell16", 0, packing3d.curvature_norm_bound,
-     150),
-    ("tet_q_factors", "cell16", -2, packing3d.tet_q_factors, 150),
-    ("defect_jacobian", "cell16", -1, _matrix(packing3d.defect_jacobian),
-     150),
-    ("laplacian3", "cell16", -2, _vertex_index(packing3d.laplacian3), 150),
+     operators2d.first_positive_eigenvalue),
+    ("solid_angles", "cell16", 0, packing3d.solid_angles),
+    ("solid_angle_defect", "cell16", 0, packing3d.solid_angle_defect),
+    ("curvature_norm_bound", "cell16", 0, packing3d.curvature_norm_bound),
+    ("tet_q_factors", "cell16", -2, packing3d.tet_q_factors),
+    ("defect_jacobian", "cell16", -1, _matrix(packing3d.defect_jacobian)),
+    ("laplacian3", "cell16", -2, _vertex_index(packing3d.laplacian3)),
 ]
 
 
-@pytest.mark.parametrize("name, mesh, k, call, decades", SCALE_FREE,
+@pytest.mark.parametrize("name, mesh, k, call", SCALE_FREE,
                          ids=[case[0] for case in SCALE_FREE])
 @pytest.mark.parametrize("sign", [-1, 1])
-def test_scale_free_functions_accept_every_scale(name, mesh, k, call,
-                                                 decades, sign):
+def test_scale_free_functions_accept_every_scale(name, mesh, k, call, sign):
     c = COMPLEXES[mesh]
     r = np.random.default_rng(1).uniform(0.95, 1.05, c.vertex_count)
-    s = 10.0 ** (sign * decades)
+    s = 10.0 ** (sign * 150)
     ref = np.asarray(call(c, r))
     out = np.asarray(call(c, s * r)) / s ** k
     assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -484,8 +495,10 @@ CELL5_1E150 = "1e150,1.1e150,0.9e150,1e150,1.05e150"
     ["flow", "--mesh", "cell5", "--radii", CELL5_1E150],
     ["solve", "--mesh", "tetrahedron", "--radii", "1e-200,1,1,1"],
     ["flow", "--mesh", "tetrahedron", "--radii", "1e-310,1,1,1"],
+    ["curvature", "--mesh", "torus_7", "--radii", "2e-154,1,1,1,1,1,1"],
 ], ids=["curvature-cell5", "curvature-tetrahedron", "flow-tetrahedron",
-        "flow-cell5", "solve-tetrahedron", "flow-start-out-of-range"])
+        "flow-cell5", "solve-tetrahedron", "flow-start-out-of-range",
+        "curvature-torus_7-R-overflows"])
 def test_cli_refuses_a_measure_out_of_range(tmp_path, capsys, argv):
     assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_INVALID
     assert "leaves the float range" in capsys.readouterr().err

@@ -185,17 +185,19 @@ def test_index_matches_the_dict_oracle(doc):
     want = index_oracle(c.dim, top, doc.get("edges"))
     assert c.edges == want["edges"]
     assert np.array_equal(c.edge_array, np.array(want["edges"]))
+    # the gather tables of the kernels, C-ordered and read-only; the
+    # complex orders the vertices of each top simplex, as the oracle does
+    ordered, tables = np.sort(top, axis=1), [c.edge_ends]
+    assert np.array_equal(c.edge_ends, np.array(want["edges"]).T)
     if c.dim == 2:
         assert c.face_edge.dtype == want["face_edge"].dtype
         assert np.array_equal(c.face_edge, want["face_edge"])
-        assert not c.face_edge.flags.writeable
-        # the gathers of column (m + k) mod 3, k = 0, 1, 2
-        for k in range(3):
-            cols = (np.arange(3) + k) % 3
-            assert np.array_equal(c.face_sides[k], want["face_edge"][:, cols])
-            assert np.array_equal(c.face_corners[k], c.face_array[:, cols])
-        for a in (c.face_sides, c.face_corners):
-            assert a.flags.c_contiguous and not a.flags.writeable
+        # row j of the (5, F) tables is column j mod 3 of every face, so the
+        # rows k:k + 3 are the columns (m + k) mod 3, m = 0, 1, 2
+        for j in range(5):
+            assert np.array_equal(c.face_sides[j], want["face_edge"][:, j % 3])
+            assert np.array_equal(c.face_corners[j], ordered[:, j % 3])
+        tables += [c.face_edge, c.face_sides, c.face_corners]
         # degrees() counts faces; on a closed surface that is the edge degree
         assert c.degrees().tolist() == np.bincount(
             np.ravel(want["edges"]), minlength=c.vertex_count).tolist()
@@ -204,8 +206,12 @@ def test_index_matches_the_dict_oracle(doc):
     else:
         assert c.triangles == want["triangles"]
         assert np.array_equal(c.tet_edge, want["tet_edge"])
+        assert np.array_equal(c.tet_columns, ordered.T)
         assert c.degrees().tolist() == np.bincount(
             np.ravel(top), minlength=c.vertex_count).tolist()
+        tables += [c.tet_edge, c.tet_columns]
+    for a in tables:
+        assert a.flags.c_contiguous and not a.flags.writeable
 
 
 def test_validate_disconnected(tetra, cell5):

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (calabi_families, defect_jacobian_r_oracle, grid_torus,
-                      random_metric, reweighted)
-from packflows import data
+from conftest import (calabi_families, defect_jacobian_r_oracle,
+                      edge_loop_apply, face_loop_edge_weights,
+                      face_loop_point, grid_torus, random_metric, reweighted)
+from packflows import data, operators2d, packing2d
 from packflows.errors import QuadratureFailureError
 from packflows.flows2d import FAMILIES, FlowSpec, vector_field
 from packflows.mesh import euler_characteristic
@@ -349,3 +350,39 @@ def test_edge_weight_jacobian_matches_dense_oracle(mesh_name, draw):
         v = vector_field(FlowSpec(family, alpha=alpha), c, r)
         expect, scale = dense_calabi_field(c, r, family, alpha, oracle)
         assert np.all(np.abs(v - expect) <= 1e-12 * scale.max()), (family, alpha)
+
+
+# -- the gather-table kernels against the face-level loops ---------------------
+
+GATHER_SURFACES = ("tetrahedron", "octahedron", "icosahedron", "torus_7",
+                   "genus2_11")
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(name=st.sampled_from(GATHER_SURFACES + ("grid",)),
+       n=st.integers(3, 60), m=st.integers(3, 60),
+       alpha=st.sampled_from([0.0, 1.0, 2.0, -1.5]),
+       prescribed=st.booleans(), weighted=st.booleans(),
+       decades=st.floats(-50.0, 50.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_gather_kernels_are_the_face_level_loops_bit_for_bit(
+        name, n, m, alpha, prescribed, weighted, decades, seed):
+    """Weights 0 or in [0, pi/2] and radii over one order of magnitude at
+    scales 1e+-50: _point, _edge_weights and _edge_apply, which gather
+    through the (5, F) and (2, E) tables, equal the loops over the (F, 3)
+    face arrays bit for bit."""
+    rng = np.random.default_rng(seed)
+    base = grid_torus(n, m) if name == "grid" else data.load(name)
+    c = reweighted(base, rng.uniform(0.0, np.pi / 2, len(base.edges))
+                   * weighted)
+    r = 10.0 ** decades * rng.uniform(0.3, 3.0, c.vertex_count)
+    target = rng.uniform(-1.0, 1.0, c.vertex_count) if prescribed else None
+    with np.errstate(all="ignore"):
+        p = packing2d._point(c, r, alpha, target)
+        want = face_loop_point(c, r, alpha, target)
+        for field in p._fields:
+            assert np.array_equal(getattr(p, field), want[field]), field
+        w = operators2d._edge_weights(c, r, p.theta, p.L)
+        assert np.array_equal(w, face_loop_edge_weights(c, r, p.theta, p.L))
+        f = rng.normal(size=c.vertex_count)
+        assert np.array_equal(operators2d._edge_apply(c, w, f),
+                              edge_loop_apply(c, w, f))

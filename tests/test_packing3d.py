@@ -3,7 +3,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import defect_jacobian_fd_oracle, descend_quotient_oracle
+from conftest import (defect_jacobian_fd_oracle, descend_quotient_oracle,
+                      edge_weights3_oracle, point3_oracle,
+                      solid_angle_pass_oracle)
 from packflows import data, flows2d, packing3d
 from packflows.errors import (DegenerateTetrahedronError, NearDegenerateError)
 from packflows.flows2d import FlowSpec, run
@@ -589,3 +591,48 @@ def test_flow_rejects_alpha_and_target(cell5):
     with pytest.raises(ValueError, match="target"):
         run(FlowSpec("yamabe", t_max=20.0, target=np.ones(5)), cell5,
             np.ones(5))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(mesh_name=st.sampled_from(["cell5", "cell16", "torus3_27"]),
+       lo=st.floats(0.2, 1.0), decades=st.floats(-50.0, 50.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_tet_column_table_kernels_are_the_strided_formulas_bit_for_bit(
+        mesh_name, lo, decades, seed):
+    """Radii in [lo, 1.2] at scales 1e+-50, degenerate tetrahedra included:
+    the solid-angle pass on one metric and on stacks of 1 and 6, _point and
+    the Jacobian's edge weights, which gather through the (4, T) column
+    table with t in (3, 4, T) order, equal the formulas on the strided
+    columns with t in (4, 3, T) order (tests/conftest.py) bit for bit."""
+    c = data.load(mesh_name)
+    rng = np.random.default_rng(seed)
+    r = 10.0 ** decades * rng.uniform(lo, 1.2, (6, c.vertex_count))
+    with np.errstate(all="ignore"):
+        for got, want in (
+                (packing3d._solid_angle_pass(r[0][c.tet_columns]),
+                 solid_angle_pass_oracle(r[0][c.tet_array.T])),
+                (packing3d._solid_angle_pass(r[:1].T[c.tet_columns]),
+                 solid_angle_pass_oracle(r[:1].T[c.tet_array.T])),
+                (packing3d._solid_angle_pass(r.T[c.tet_columns]),
+                 solid_angle_pass_oracle(r.T[c.tet_array.T]))):
+            assert np.array_equal(got[0], want[0], equal_nan=True)
+            assert np.array_equal(got[1], want[1], equal_nan=True)
+    want = point3_oracle(c, r[0])
+    try:
+        p = packing3d._point(c, r[0])
+    except DegenerateTetrahedronError as exc:
+        assert str(exc) == want
+    else:
+        for field in p._fields:
+            assert np.array_equal(getattr(p, field), want[field]), field
+    want = edge_weights3_oracle(c, r[0])
+    with np.errstate(invalid="ignore"):
+        refused = (solid_angle_pass_oracle(r[0][c.tet_array.T])[1].min()
+                   <= packing3d.Q_SAFETY_MARGIN
+                   or not np.isfinite(want.sum()))
+    try:
+        g = packing3d._edge_weights3(c, r[0])
+    except (NearDegenerateError, DegenerateTetrahedronError):
+        assert refused
+    else:
+        assert not refused and np.array_equal(g, want)

@@ -4,6 +4,7 @@ compare two corpus runs.
 
     python tools/cli_corpus.py OUTDIR
     python tools/cli_corpus.py --compare A B [--rtol R]
+    python tools/cli_corpus.py --digest OUTDIR [--manifest PATH]
 
 Each invocation runs `python -W error::RuntimeWarning -m packflows.cli`
 from this checkout's `src/` (the warning filter of the test suite, so a
@@ -31,6 +32,16 @@ to the largest magnitude in its CSV column (over both runs), or of the two
 JSON numbers, but never relative to less than 1: a quantity that is itself
 rounding noise, such as a conserved drift of 4e-16, compares absolutely.
 
+`--digest` writes the manifest of a corpus run (default CORPUS.sha256 at
+the root of this checkout): a header of `#` lines, the environment record
+(python, numpy, the BLAS library, its thread setting and the machine),
+then one line per file of each run directory, `exit` included, sorted by
+run, then by file:
+
+    <sha256 of the file>  <the run's exit code>  <run>/<file>
+
+tests/test_cli_corpus.py reruns a subset of the corpus against it.
+
 The corpus holds the ten 2-d flow families on the tetrahedron, torus_7 and
 genus2_11 (alpha families at alpha = 0, 1 and 2, except alpha = 1
 alpha-calabi on the tetrahedron, which is too stiff for the explicit
@@ -45,7 +56,9 @@ curvature, the ricci-normalized and calabi flows, a Newton solve and a
 spectrum; five refusals of a measure r^alpha or r^3 out of the float range
 (exit 2): curvature on cell5 at radii near 1e150 and on the tetrahedron
 at 1e-200,1,1,1, the alpha-ricci flow and a solve on the tetrahedron at
-1e-200,1,1,1, and the cell5 flow at radii near 1e150; and the four
+1e-200,1,1,1, and the cell5 flow at radii near 1e150; the refusal of a
+curvature K / r^2 past the float range (exit 2): curvature on torus_7 at
+2e-154,1,1,1,1,1,1, where r_0^2 is a normal double; and the four
 admissibility conditions on octahedron, icosahedron, torus_7 and genus2_11,
 plus one run with the full per-subset table and one with a subsets file,
 and the Thurston condition and the metric condition with its full table
@@ -64,9 +77,11 @@ the CLI's default of 20 starts.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -96,6 +111,7 @@ RANDOM_CHECK = "0.5,2,1"
 WEIGHT_SEED = 7  # the seed of the U(0, pi/2) edge weights of genus2_11
 CELL5_1E150 = "1e150,1.1e150,0.9e150,1e150,1.05e150"
 TETRA_1E200 = "1e-200,1,1,1"
+TORUS7_R_OVERFLOW = "2e-154,1,1,1,1,1,1"  # K_0 / r_0^2 = -4 pi / 4e-308
 # unsorted, repeated and overlapping subsets of the icosahedron
 SUBSETS = [[9, 2], [0], [2, 9], [11, 3, 7], [0, 1, 2, 3, 4, 5]]
 # a valid icosahedron start at which a Newton line-search trial overflows
@@ -189,6 +205,9 @@ def corpus(outdir):
             ("solve-tetrahedron", ["solve", "--mesh", "tetrahedron",
                                    "--radii", TETRA_1E200])):
         runs.append((f"{name}-measure-refused", argv))
+    runs.append(("curvature-torus_7-R-refused",
+                 ["curvature", "--mesh", "torus_7", "--radii",
+                  TORUS7_R_OVERFLOW]))
     for mesh in CHECKED:
         for cond in CONDITIONS:
             runs.append((f"check-{mesh}-{cond}",
@@ -399,10 +418,79 @@ def compare(dir_a, dir_b, rtol):
     return counts["different"]
 
 
-def run_corpus(outdir):
+def _cpu_model():
+    """The CPU model name of the first processor /proc/cpuinfo lists, or
+    platform.processor()."""
+    try:
+        with open("/proc/cpuinfo") as fp:
+            for line in fp:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def environment():
+    """The environment record of a manifest, as (key, value) pairs: what
+    besides the program decides the bytes a run writes."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):
+        blas = "unknown"
+    threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}" for var in
+                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    return [("python", platform.python_version()),
+            ("numpy", np.__version__), ("blas", blas),
+            ("blas threads", f"{threads}, "
+                             f"{len(os.sched_getaffinity(0))} cpus"),
+            ("machine", f"{platform.machine()}, {_cpu_model()}")]
+
+
+def digest(outdir, names=None):
+    """The manifest lines of the run directories of outdir (those of names
+    only, when given), sorted by run, then by file."""
+    lines = []
+    for name in sorted(os.listdir(outdir) if names is None else names):
+        rundir = os.path.join(outdir, name)
+        if not os.path.isfile(os.path.join(rundir, "exit")):
+            continue
+        with open(os.path.join(rundir, "exit")) as fp:
+            code = fp.read().strip()
+        for leaf in sorted(os.listdir(rundir)):
+            with open(os.path.join(rundir, leaf), "rb") as fp:
+                sha = hashlib.sha256(fp.read()).hexdigest()
+            lines.append(f"{sha}  {code}  {name}/{leaf}")
+    return lines
+
+
+def write_manifest(outdir, path):
+    with open(path, "w") as fp:
+        fp.write("# the sha256, exit code and path of every file of a CLI "
+                 "corpus run (tools/cli_corpus.py --digest)\n")
+        for key, value in environment():
+            fp.write(f"# {key}: {value}\n")
+        for line in digest(outdir):
+            fp.write(line + "\n")
+
+
+def read_manifest(path):
+    """(environment record, lines) of a manifest."""
+    with open(path) as fp:
+        text = fp.read().splitlines()
+    return ([tuple(line[2:].split(": ", 1)) for line in text
+             if line.startswith("# ") and ": " in line],
+            [line for line in text if not line.startswith("#")])
+
+
+def run_corpus(outdir, names=None):
+    """Run the corpus (the runs of names only, when given) into outdir."""
     os.makedirs(outdir, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=SRC)
     for name, cmd in corpus(outdir):
+        if names is not None and name not in names:
+            continue
         rundir = os.path.join(outdir, name)
         os.makedirs(rundir, exist_ok=True)
         try:
@@ -426,11 +514,18 @@ def main():
                     help="compare two corpus directories instead")
     ap.add_argument("--rtol", type=float, default=1e-8,
                     help="largest relative difference of a 'within' run")
+    ap.add_argument("--digest", metavar="OUTDIR",
+                    help="write the manifest of the corpus run in OUTDIR")
+    ap.add_argument("--manifest", default=os.path.join(ROOT, "CORPUS.sha256"),
+                    help="the manifest --digest writes")
     args = ap.parse_args()
-    if (args.outdir is None) == (args.compare is None):
-        ap.error("give either OUTDIR or --compare A B")
+    if [args.outdir, args.compare, args.digest].count(None) != 2:
+        ap.error("give one of OUTDIR, --compare A B and --digest OUTDIR")
     if args.compare:
         return 1 if compare(*args.compare, args.rtol) else 0
+    if args.digest:
+        write_manifest(args.digest, args.manifest)
+        return 0
     run_corpus(os.path.abspath(args.outdir))
     return 0
 
