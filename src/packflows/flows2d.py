@@ -51,7 +51,7 @@ from .mesh import euler_characteristic
 from .operators2d import (_edge_apply, _edge_weights, _hessian_apply,
                           _jacobian_diagonal)
 from .packing2d import (_average_curvature, _check_positive_int, _checked,
-                        _evaluate, _point, total_measure)
+                        _evaluate, _finite_curvature, _point, total_measure)
 
 # -- the family table ---------------------------------------------------------
 
@@ -59,15 +59,15 @@ from .packing2d import (_average_curvature, _check_positive_int, _checked,
 # (packing2d._Point), (c, p, alpha, target) -> d(log r)/dt: each reads the
 # curvatures R = K / r^alpha, Rbar (the average or the target), the measure
 # r^alpha and the potential gradient g from p, formed once per evaluation.
-# The Calabi rows apply the edge-weight Jacobian of p's angles and squared
-# edge lengths, an O(E) matvec
+# The Calabi rows apply the edge-weight Jacobian of p (_edge_weights), an
+# O(E) matvec
 _BASE = {
     "ricci": lambda c, p, a, target: -p.R,
     "normalized": lambda c, p, a, target: p.rbar - p.R,
     "calabi": lambda c, p, a, target: -_edge_apply(
-        c, _edge_weights(c, p.r, p.theta, p.L), p.R) / p.ra,
+        c, _edge_weights(c, p), p.R) / p.ra,
     "calabi_modified": lambda c, p, a, target: -_hessian_apply(
-        c, p, _edge_weights(c, p.r, p.theta, p.L), a, target, p.g),
+        c, p, _edge_weights(c, p), a, target, p.g),
 }
 
 # field: key of _BASE, None for the 3-d flow (packing3d); alpha: the fixed
@@ -248,7 +248,7 @@ def vector_field(spec, c, r):
     """Right-hand side of the selected family as d(log r)/dt per vertex."""
     r, flow = _flow(spec, c, r)
     with np.errstate(all="ignore"):
-        point = flow.evaluate(r)
+        point = _finite_curvature(flow.evaluate(r), spec.alpha)
     return FAMILIES[spec.family].scale * flow.field(point)[0]
 
 
@@ -348,13 +348,16 @@ def _stage(spec, evaluate, base):
 def step(spec, c, state):
     """One DOP853 step from a FlowState, retried smaller until the local
     error estimate passes. Raises StepFailureError below min_step, and at
-    once when the start point is outside the domain."""
+    once when the start point is outside the domain; ValueError when its
+    curvature R = K / r^alpha leaves the float range."""
     r, flow = _flow(spec, c, state.r)
     fn, land, first, _ = _stage(spec, flow.evaluate, flow.field)
     u = np.log(r)
     t2, u2, _, h_next, _ = advance(fn, state.t, u, state.h, spec.rtol,
                                    spec.atol, spec.min_step,
-                                   spec.resolved_max_step(), first(land(u)))
+                                   spec.resolved_max_step(),
+                                   first(_finite_curvature(land(u),
+                                                           spec.alpha)))
     return FlowState(t2, np.exp(u2), h_next)
 
 
@@ -379,8 +382,9 @@ def _integrate(spec, c, r0, flow):
     once: its sample, the singularity watch and the first stage of the next
     step share it, so a run makes 1 + 12 accepted + 11 rejected
     evaluations when no trial leaves the domain. A start point past the
-    log-radius guard raises StepFailureError, and a degenerate one its
-    named error, before anything is sampled.
+    log-radius guard raises StepFailureError, a degenerate one its named
+    error, and one whose curvature R = K / r^alpha leaves the float range
+    ValueError, before anything is sampled.
     """
     fn, land, first, start = _stage(spec, flow.evaluate, flow.field)
     p = _exponent(spec)
@@ -388,7 +392,7 @@ def _integrate(spec, c, r0, flow):
     ref = _log_measure(p, u)
     t, h = 0.0, min(spec.initial_step, spec.resolved_max_step())
     f = 0.0
-    point = start(u)
+    point = _finite_curvature(start(u), spec.alpha)
     rows = [flow.sample(t, point, f)]
     termination = singularity = None
     n_steps = n_rejected = 0
@@ -665,9 +669,9 @@ def _newton_point(c, u, alpha):
 def _newton_direction(c, p, alpha):
     """The Newton step on the slice at the evaluated point p: -P g solved
     against the projected potential Hessian, applied through the edge
-    weights of p's inner angles and squared edge lengths and preconditioned
-    with the Jacobian's diagonal."""
-    w = _edge_weights(c, p.r, p.theta, p.L)
+    weights of p (_edge_weights) and preconditioned with the Jacobian's
+    diagonal."""
+    w = _edge_weights(c, p)
     return _projected_cg(lambda v: _hessian_apply(c, p, w, alpha, None, v),
                          -p.g, 1.0 / _jacobian_diagonal(c, w),
                          10 * c.vertex_count)
@@ -681,7 +685,9 @@ def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
     restricted to the scale-invariant slice sum log r = const; each step
     solves the projected Hessian system by preconditioned conjugate
     gradients on the edge-weight matvec, so no V x V matrix is formed.
-    method="flow" delegates to the normalized alpha-Ricci flow.
+    method="flow" delegates to the normalized alpha-Ricci flow. A start
+    whose curvature R = K / r^alpha leaves the float range raises
+    ValueError, as packing2d.curvature does.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -698,7 +704,7 @@ def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
     if method != "newton":
         raise ValueError(f"unknown method {method!r}")
     u = np.log(_checked(c, r0, alpha)[0])
-    point = _newton_point(c, u, alpha)
+    point = _finite_curvature(_newton_point(c, u, alpha), alpha)
     for _ in range(max_iter):
         residual = _residual(c, point, None)
         if residual < eps:

@@ -227,6 +227,9 @@ class Surface2Complex(_Complex):
         self.face_sides, self.face_corners = (
             a.T[np.arange(5) % 3] for a in (self.face_edge, self.face_array))
         self.cos_weights = np.cos(self.weights)
+        # every weight 0: adjacent circles touch, and the 2-d kernels take
+        # the incircle formulas (packing2d._angles)
+        self.tangent = not self.weights.any()
         self.chi = self.vertex_count - len(self.edges) + len(self.faces)
         for arr in (self.weights, self.cos_weights, self.face_edge,
                     self.face_sides, self.face_corners, self.edge_ends):

@@ -8,17 +8,22 @@ d/d(log r) = 2 d/d(log r^2). Every matrix-valued function takes an explicit
 
 The curvature Jacobian dK_i/d(log r_j) is symmetric, its rows sum to zero
 and it vanishes off the edges, so the edge weights w_ij = dK_i/d(log r_j)
-are the Jacobian: J f = sum_j w_ij (f_j - f_i). _edge_weights takes the
-inner angles and the squared edge lengths that packing2d._angles returns
-together, so a point's squared sides are formed once, and gathers them
-once per face through the complex's (5, F) tables face_sides and
-face_corners. The Laplacians, the Calabi energy gradient, the Calabi flow
-fields and Newton's conjugate-gradient solve apply it as that O(E) matvec,
-on the (2, E) table edge_ends; the dense matrices of curvature_jacobian,
-laplacian_spectrum and potential_hessian are only assembled from the
-weights (for the spectrum and tests). The weights are scale free, and the
-first two form them on radii rescaled by a power of two, so they stay in
-the float range at any scale (_scale_free_weights).
+are the Jacobian: J f = sum_j w_ij (f_j - f_i). _edge_weights reads them
+off the evaluated point of packing2d._point, whose angle kernel chose the
+formula by the complex: on a tangent surface (c.tangent, every edge weight
+0) a face with incircle radius rho adds -rho / (r_p + r_q) to the weight
+of its side pq, and the law of cosines is not differentiated; on a
+weighted surface the derivative of the law of cosines is formed from the
+point's squared edge lengths, so a point's squared sides are formed once.
+Either way the terms are gathered once per face through the complex's
+(5, F) tables face_sides and face_corners. The Laplacians, the Calabi
+energy gradient, the Calabi flow fields and Newton's conjugate-gradient
+solve apply it as that O(E) matvec, on the (2, E) table edge_ends; the
+dense matrices of curvature_jacobian, laplacian_spectrum and
+potential_hessian are only assembled from the weights (for the spectrum
+and tests). The weights are scale free, and the first two form them on
+radii rescaled by a power of two, so they stay in the float range at any
+scale (_scale_free_weights).
 """
 
 import functools
@@ -44,16 +49,23 @@ class JacobianMatrix:
         return self.matrix.shape
 
 
-def _edge_weights(c, r, theta, L):
+def _edge_weights(c, point):
     """The curvature Jacobian as one weight per edge: w_e = dK_i/d(log r_j)
-    = dK_j/d(log r_i) for the edge e = {i, j}, from the inner angles theta
-    and the squared edge lengths L of the radii r, both as _angles returns
-    them.
+    = dK_j/d(log r_i) for the edge e = {i, j}, from the radii r, the inner
+    angles theta and the triangle sizes of the evaluated point
+    (packing2d._point). The side k of a face joins its vertices p and q,
+    the columns k + 1 and k + 2 mod 3: the rows 1:4 and 2:5 of
+    c.face_sides and c.face_corners, whose rows 0:3 are the column k
+    itself. Each face adds -r_q dtheta_p/dr_q to the weight of each of its
+    sides.
 
-    In a face with sides s_m opposite its vertices and area A, the side k
-    joins the vertices p and q (the columns k + 1 and k + 2 mod 3: the rows
-    1:4 and 2:5 of c.face_sides and c.face_corners, whose rows 0:3 are the
-    column k itself), and r_q moves the sides s_p and s_k:
+    On a tangent surface the sizes are the incircle radii rho of the faces,
+    and r_q dtheta_p/dr_q = rho / (r_p + r_q) (Chow and Luo, J.
+    Differential Geom. 63 (2003)).
+
+    On a weighted one they are the squared edge lengths L. In a face with
+    sides s_m opposite its vertices and area A, r_q moves the sides s_p and
+    s_k:
         dtheta_p/dr_q = dtheta_p/ds_p ds_p/dr_q + dtheta_p/ds_k ds_k/dr_q
     with dtheta_p/ds_p = s_p / 2A, dtheta_p/ds_k = -s_p cos(theta_q) / 2A,
     ds_p/dr_q = (r_q + r_k cos phi_p) / s_p, ds_k/dr_q = (r_q + r_p cos phi_k) / s_k.
@@ -61,14 +73,18 @@ def _edge_weights(c, r, theta, L):
     of cosines this is, in the squared sides L_m = s_m^2,
         4A r_q dtheta_p/dr_q = (L_p + r_q^2 - r_k^2)
                                - (L_p + L_k - L_q) (L_k + r_q^2 - r_p^2) / 2 L_k.
-    Each face adds -r_q dtheta_p/dr_q to the weight of each of its sides.
     """
-    rho, L = (r * r)[c.face_corners], L[c.face_sides]
-    Lk, Lp, Lq = L[0:3], L[1:4], L[2:5]
-    four_area = 2.0 * np.sqrt(L[1] * L[2]) * np.sin(theta[:, 0])
-    dth = ((Lp + rho[2:5] - rho[0:3])
-           - (Lp + Lk - Lq) * (Lk + rho[2:5] - rho[1:4]) / (2.0 * Lk))
-    dth /= four_area
+    r = point.r
+    if c.tangent:
+        cr = r[c.face_corners]
+        dth = point.sizes / (cr[1:4] + cr[2:5])
+    else:
+        rr, L = (r * r)[c.face_corners], point.sizes[c.face_sides]
+        Lk, Lp, Lq = L[0:3], L[1:4], L[2:5]
+        four_area = 2.0 * np.sqrt(L[1] * L[2]) * np.sin(point.theta[:, 0])
+        dth = ((Lp + rr[2:5] - rr[0:3])
+               - (Lp + Lk - Lq) * (Lk + rr[2:5] - rr[1:4]) / (2.0 * Lk))
+        dth /= four_area
     # each edge lies in two faces, so the order of its two terms is free
     return -np.bincount(c.face_sides[0:3].ravel(), dth.ravel(), len(c.edges))
 
@@ -105,14 +121,17 @@ def _dense_jacobian(c, w_ij, w_ji, diag):
 
 def _scale_free_weights(c, r):
     """(r, w): the radii r of the surface c, checked, and their edge weights
-    w, formed on r times 2^-k, k the binary exponent of max r (np.frexp).
-    The weights are scale free and the rescale exact, so w is that of r
-    itself bit for bit wherever that is finite, and in range at any scale:
-    the weights multiply squared sides by squared radii."""
+    w, formed on r times 2^-k, k the binary exponent of max r (np.frexp)
+    rounded up to even. The weights are scale free and the rescale exact,
+    also through the roots of the radii in an incircle radius (an even k
+    scales each by 2^-k/2), so w is that of r itself bit for bit wherever
+    that is finite, and in range at any scale: the weights multiply squared
+    sides by squared radii."""
     r = _checked(c, r, 0.0)[0]
+    k = np.frexp(r.max())[1]
     with np.errstate(all="ignore"):
-        p = _point(c, np.ldexp(r, -np.frexp(r.max())[1]), 0.0, None)
-    return r, _edge_weights(c, p.r, p.theta, p.L)
+        p = _point(c, np.ldexp(r, -(k + k % 2)), 0.0, None)
+    return r, _edge_weights(c, p)
 
 
 def _coord_factor(coord):
@@ -150,7 +169,7 @@ def alpha_laplacian(c, r, alpha, f):
     """Laplacian with measure r^alpha and log r coordinates."""
     p = _evaluate(c, r, alpha)
     f = _vertex_function(c, "f", f)
-    w = _edge_weights(c, p.r, p.theta, p.L)
+    w = _edge_weights(c, p)
     return -_edge_apply(c, w, f) / p.ra
 
 
@@ -279,7 +298,7 @@ def potential_hessian(c, r, alpha=2.0, target=None, coord="log_r"):
     """
     factor = _coord_factor(coord)
     p = _evaluate(c, r, alpha, target)
-    w = _edge_weights(c, p.r, p.theta, p.L)
+    w = _edge_weights(c, p)
     hess = _dense_jacobian(c, w, w, _jacobian_diagonal(c, w)
                            - alpha * p.rbar * p.ra)
     if target is None:
@@ -314,5 +333,5 @@ def calabi_energy_gradient(c, r, alpha=2.0, target=None, coord="log_r"):
     A the potential Hessian in the same coordinate."""
     factor = _coord_factor(coord)
     p = _evaluate(c, r, alpha, target)
-    w = _edge_weights(c, p.r, p.theta, p.L)
+    w = _edge_weights(c, p)
     return 2.0 * factor * _hessian_apply(c, p, w, alpha, target, p.g)

@@ -5,19 +5,33 @@ back as plain vectors; classical angle defects are in radians, the rescaled
 families carry units of radians per length^alpha. Public functions check
 their input once (_checked); the flows, Newton and the operators call
 _point and _angles on checked radii, and _angles raises
-DegenerateTriangleError for a NaN or out-of-range cosine.
+DegenerateTriangleError for an incircle radius past the normal doubles or
+a NaN or out-of-range cosine.
 
-_angles works at edge level: the squared length L of every edge, from its
-ends gathered through the complex's (2, E) table edge_ends, and one square
-root per edge; then one gather of the sides of every face through the
-(5, F) table face_sides, and the law of cosines over all three corners at
-once on its row slices 0:3, 1:4 and 2:5. Each square of a side is the
-square of its edge, the same double in every face that has it. The angles
-come back face-ordered, (F, 3), so the defect sums them in face order.
+_angles takes one of two formulas, chosen by the complex: c.tangent, set
+at construction when every edge weight is 0, so that adjacent circles
+touch. On a tangent surface the three circles of a face, at its corners
+i, j, k gathered through the (5, F) table face_corners, have an incircle
+of radius rho = sqrt(r_i r_j r_k / (r_i + r_j + r_k)), and each inner
+angle is theta_i = 2 atan(rho / r_i) (Chow and Luo, J. Differential Geom.
+63 (2003)): no side is formed, no cosine saturates, and with rho formed
+from the roots of the sorted radii of the face, whose factors stay normal
+doubles, the angles are exact to rounding at any ratio of the radii
+(_incircle_angles). On a weighted surface (any
+weight > 0) _angles works at edge level: the squared length L of every
+edge, from its ends gathered through the complex's (2, E) table
+edge_ends, and one square root per edge; then one gather of the sides of
+every face through the (5, F) table face_sides, and the law of cosines
+over all three corners at once on its row slices 0:3, 1:4 and 2:5. Each
+square of a side is the square of its edge, the same double in every face
+that has it. Either way the angles come back face-ordered, (F, 3), so the
+defect sums them in face order, together with the triangle sizes that
+operators2d._edge_weights reads: the incircle radii rho (F,) of a tangent
+surface, the squared edge lengths L (E,) of a weighted one.
 
 A 2-d evaluated point is one record, _Point, formed once per evaluation by
-_point: the radii with their angles, squared edge lengths and angle defects
-K, the measure r^alpha and its total, the average alpha-curvature (or the
+_point: the radii with their angles, triangle sizes and angle defects K,
+the measure r^alpha and its total, the average alpha-curvature (or the
 target) Rbar, the alpha-curvatures R = K / r^alpha and the potential
 gradient g = K - Rbar r^alpha. A flow stage, its sample, Newton's iterate
 and the public functions read their quantities from it. The kernel and
@@ -106,11 +120,43 @@ def _squared_lengths(c, r):
 
 
 def _angles(c, r):
-    """(theta, L) of radii r that passed check_metric: the inner angles as
-    an (F, 3) array aligned with the columns of c.face_array, and the
-    squared length of each edge."""
+    """(theta, sizes) of radii r that passed check_metric: the inner angles
+    as an (F, 3) array aligned with the columns of c.face_array, and the
+    triangle sizes operators2d._edge_weights reads, the incircle radius of
+    each face of a tangent surface (_incircle_angles), else the squared
+    length of each edge (_angles_from_sides)."""
+    if c.tangent:
+        return _incircle_angles(c, r)
     L = _squared_lengths(c, r)
     return _angles_from_sides(c, np.sqrt(L)), L
+
+
+def _incircle_angles(c, r):
+    """(theta, rho) of a tangent surface c: the incircle radius rho of each
+    face, whose corners are the rows 0:3 of c.face_corners, and
+    theta = 2 atan(rho / r) at each corner, written face-ordered. With the
+    radii of a face sorted, r_lo <= r_mid <= r_hi, and s their sum,
+    rho = sqrt(r_lo) sqrt(r_mid) sqrt(r_hi / s): every factor and the
+    product of the first two is a normal double whenever rho is, as
+    r_hi / s >= 1/3. A rho that is not (subnormal radii, or a sum s that
+    overflows) raises DegenerateTriangleError naming its first face row."""
+    cr = r[c.face_corners[0:3]]
+    ri, rj, rk = cr
+    lo, hi = np.minimum(ri, rj), np.maximum(ri, rj)
+    mid = np.maximum(lo, np.minimum(hi, rk))
+    lo, hi = np.minimum(lo, rk), np.maximum(hi, rk)
+    rho = np.sqrt(lo) * np.sqrt(mid) * np.sqrt(hi / (ri + rj + rk))
+    ok = rho >= _TINY
+    if not ok.all():
+        row = int(np.argmin(ok))
+        raise DegenerateTriangleError(
+            f"incircle radius {rho[row]:.6g} outside the normal doubles "
+            f"in face row {row}")
+    # 2 atan(rho / r) of the (3, F) corners into a face-ordered (F, 3) array
+    theta = np.empty(cr.shape[::-1])
+    np.arctan(np.divide(rho, cr, out=theta.T), out=theta.T)
+    theta *= 2.0
+    return theta, rho
 
 
 def _angles_from_sides(c, s):
@@ -146,18 +192,19 @@ def _defect_from_angles(c, theta):
 
 # the evaluated point of a 2-d flow, Newton and the public functions (see
 # the module docstring); rbar is the target array when one is given
-_Point = namedtuple("_Point", "r theta L K ra total rbar R g")
+_Point = namedtuple("_Point", "r theta sizes K ra total rbar R g")
 
 
 def _point(c, r, alpha, target):
     """The _Point of radii r that passed check_metric, at the exponent alpha
     and the target (None: Rbar is the average alpha-curvature)."""
-    theta, L = _angles(c, r)
+    theta, sizes = _angles(c, r)
     K = _defect_from_angles(c, theta)
     ra = r ** alpha
     total = _measure(ra, alpha)
     rbar = _average_curvature(c, total) if target is None else target
-    return _Point(r, theta, L, K, ra, total, rbar, K / ra, K - rbar * ra)
+    return _Point(r, theta, sizes, K, ra, total, rbar, K / ra,
+                  K - rbar * ra)
 
 
 @np.errstate(all="ignore")
@@ -168,7 +215,13 @@ def _evaluate(c, r, alpha=2.0, target=None):
     least normal double at a vertex of high degree) raises ValueError. The
     angle-only functions pass alpha = 0: r^0 = 1 is always in range."""
     r, target = _checked(c, r, alpha, target)
-    p = _point(c, r, alpha, target)
+    return _finite_curvature(_point(c, r, alpha, target), alpha)
+
+
+def _finite_curvature(p, alpha):
+    """The evaluated point p, unless a curvature R = K / r^alpha of p is
+    past the float range: then ValueError. The drivers test their start
+    point with it (flows2d)."""
     if not np.isfinite(p.R).all():
         raise ValueError(
             f"the curvature K / r ** {alpha:g} leaves the float range")

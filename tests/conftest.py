@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import sys
 
@@ -279,19 +280,43 @@ def descend_quotient_oracle(c, r0, gtol, max_iter=500):
 # -- the gather-table kernels against their references -------------------------
 
 
+def incircle_loop_angles(c, r):
+    """packing2d._incircle_angles one face and one corner at a time:
+    (theta, rho), the incircle radius rho of each face of the tangent
+    surface c, from the roots of its sorted radii in the kernel's order of
+    operations, and 2 atan(rho / r) at each corner. numpy's arctan, as the
+    kernel's: on CPUs where numpy vectorises it, it and math.atan differ in
+    the last bit of some arguments."""
+    rs = r.tolist()
+    corners = [[rs[v] for v in f] for f in c.face_array.tolist()]
+    rho = np.array([math.sqrt(lo) * math.sqrt(mid)
+                    * math.sqrt(hi / (ri + rj + rk))
+                    for (ri, rj, rk), (lo, mid, hi)
+                    in zip(corners, map(sorted, corners))])
+    theta = np.empty((len(c.faces), 3))
+    for f, radii in enumerate(corners):
+        for m, rv in enumerate(radii):
+            theta[f, m] = 2.0 * np.arctan(rho[f] / rv)
+    return theta, rho
+
+
 def face_loop_point(c, r, alpha, target):
     """packing2d._point one corner column at a time over the (F, 3) face
-    arrays c.face_edge and c.face_array, and the angle sums one face at a
-    time: the reference of the gather tables, with the arithmetic of the
-    kernel in its order. Returns the fields of packing2d._Point as a dict."""
-    i, j = c.edge_array[:, 0], c.edge_array[:, 1]
-    L = r[i] ** 2 + r[j] ** 2 + 2.0 * r[i] * r[j] * c.cos_weights
-    s = np.sqrt(L)[c.face_edge]
-    theta = np.empty_like(s)
-    for m in range(3):
-        b, cc = s[:, (m + 1) % 3], s[:, (m + 2) % 3]
-        arg = (b * b + cc * cc - s[:, m] * s[:, m]) / (2.0 * b * cc)
-        theta[:, m] = np.arccos(np.clip(arg, -1.0, 1.0))
+    arrays c.face_edge and c.face_array (one face at a time on a tangent
+    surface, incircle_loop_angles), and the angle sums one face at a time:
+    the reference of the gather tables, with the arithmetic of the kernel
+    in its order. Returns the fields of packing2d._Point as a dict."""
+    if c.tangent:
+        theta, sizes = incircle_loop_angles(c, r)
+    else:
+        i, j = c.edge_array[:, 0], c.edge_array[:, 1]
+        sizes = r[i] ** 2 + r[j] ** 2 + 2.0 * r[i] * r[j] * c.cos_weights
+        s = np.sqrt(sizes)[c.face_edge]
+        theta = np.empty_like(s)
+        for m in range(3):
+            b, cc = s[:, (m + 1) % 3], s[:, (m + 2) % 3]
+            arg = (b * b + cc * cc - s[:, m] * s[:, m]) / (2.0 * b * cc)
+            theta[:, m] = np.arccos(np.clip(arg, -1.0, 1.0))
     K = np.full(c.vertex_count, 2.0 * np.pi)
     for f, corners in enumerate(c.face_array.tolist()):
         for m, v in enumerate(corners):
@@ -299,14 +324,26 @@ def face_loop_point(c, r, alpha, target):
     ra = r ** alpha
     total = float(len(r)) if alpha == 0.0 else np.add.reduce(ra)
     rbar = 2.0 * np.pi * c.chi / total if target is None else target
-    return {"r": r, "theta": theta, "L": L, "K": K, "ra": ra, "total": total,
-            "rbar": rbar, "R": K / ra, "g": K - rbar * ra}
+    return {"r": r, "theta": theta, "sizes": sizes, "K": K, "ra": ra,
+            "total": total, "rbar": rbar, "R": K / ra, "g": K - rbar * ra}
 
 
-def face_loop_edge_weights(c, r, theta, L):
-    """operators2d._edge_weights one side column k of the (F, 3) face arrays
-    at a time, each face's terms added to its sides in face order."""
-    rho, Ls = (r * r)[c.face_array], L[c.face_edge]
+def face_loop_edge_weights(c, r, theta, sizes):
+    """operators2d._edge_weights of the radii r, the angles theta and the
+    triangle sizes of packing2d._point. On a tangent surface one face at a
+    time, each adding rho / (r_p + r_q) to its side pq in face order; else
+    one side column k of the (F, 3) face arrays at a time, each face's
+    terms added to its sides in face order."""
+    w = np.zeros(len(c.edges))
+    if c.tangent:
+        rs = r.tolist()
+        for f, (corners, sides) in enumerate(zip(c.face_array.tolist(),
+                                                 c.face_edge.tolist())):
+            for k in range(3):
+                p, q = corners[(k + 1) % 3], corners[(k + 2) % 3]
+                w[sides[k]] += sizes[f] / (rs[p] + rs[q])
+        return -w
+    rho, Ls = (r * r)[c.face_array], sizes[c.face_edge]
     four_area = 2.0 * np.sqrt(Ls[:, 1] * Ls[:, 2]) * np.sin(theta[:, 0])
     dth = np.empty_like(Ls)
     for k in range(3):
@@ -315,7 +352,6 @@ def face_loop_edge_weights(c, r, theta, L):
                      - (Ls[:, p] + Ls[:, k] - Ls[:, q])
                      * (Ls[:, k] + rho[:, q] - rho[:, p]) / (2.0 * Ls[:, k])
                      ) / four_area
-    w = np.zeros(len(c.edges))
     np.add.at(w, c.face_edge.ravel(), dth.ravel())
     return -w
 

@@ -28,6 +28,23 @@ def test_curvature_tetrahedron(tmp_path):
     assert len(lines) == 5
 
 
+def test_curvature_of_a_tiny_circle_is_exact_to_rounding(tmp_path):
+    """Radii 1e-20, 1, 1, 1 on the tetrahedron: the defect of the tiny
+    circle is 2 pi - 6 atan(rho / r_0), rho the incircle radius of its
+    faces, -3.1415926527412651 to 40 digits. The law of cosines gave -pi,
+    its cosines saturating at -1 (an error of 8.5e-10)."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    r0 = mpmath.mpf(1e-20)
+    rho = mpmath.sqrt(r0 / (r0 + 2))
+    want = 2 * mpmath.pi - 6 * mpmath.atan(rho / r0)
+    assert abs(want - mpmath.mpf("-3.1415926527412651")) < 1e-16
+    argv = ["curvature", "--mesh", "tetrahedron", "--radii", "1e-20,1,1,1"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    got = read_json(tmp_path / "curvature_summary.json")["K_min"]
+    assert abs(got - want) <= 1e-15
+
+
 def test_curvature_cell5(tmp_path):
     code = main(["curvature", "--mesh", "cell5", "--out", str(tmp_path)])
     assert code == 0

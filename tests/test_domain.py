@@ -278,7 +278,7 @@ def test_ricci_potential_checks_an_overflowing_end_point():
 # alpha when its exponent is free, target, f or x when it takes one,
 # measure when it reads the measure r^alpha (r^3 on a 3-manifold) or
 # divides by it, and R when it evaluates the curvatures K / r^alpha
-# (packing2d._evaluate). A function that does not take alpha reads r^2 on a
+# (packing2d._evaluate, or the start point of a driver). A function that does not take alpha reads r^2 on a
 # surface
 _T = np.zeros(4)  # a target of the tetrahedron
 
@@ -286,7 +286,8 @@ _T = np.zeros(4)  # a target of the tetrahedron
 def _flow_calls(family):
     row = FAMILIES[family]
     takes = {"measure"} | ({"alpha"} if row.alpha is None else set()) | (
-        {"target"} if row.prescribed else set())
+        {"target"} if row.prescribed else set()) | (
+        {"R"} if row.field else set())
 
     def spec(a, t):
         return FlowSpec(family, alpha=a if row.alpha is None else row.alpha,
@@ -327,9 +328,9 @@ REFUSING_2D = [
     ("prescribed_residual", {"alpha", "target", "R"},
      lambda c, r, a, t, f: flows2d.prescribed_residual(
          c, r, a, _T if t is None else t)),
-    ("find_constant_curvature", {"alpha"},
+    ("find_constant_curvature", {"alpha", "R"},
      lambda c, r, a, t, f: flows2d.find_constant_curvature(c, a, r)),
-    ("find_constant_curvature(flow)", {"alpha"},
+    ("find_constant_curvature(flow)", {"alpha", "R"},
      lambda c, r, a, t, f: flows2d.find_constant_curvature(c, a, r,
                                                            method="flow")),
     ("metric_condition", {"alpha"},
@@ -496,9 +497,12 @@ CELL5_1E150 = "1e150,1.1e150,0.9e150,1e150,1.05e150"
     ["solve", "--mesh", "tetrahedron", "--radii", "1e-200,1,1,1"],
     ["flow", "--mesh", "tetrahedron", "--radii", "1e-310,1,1,1"],
     ["curvature", "--mesh", "torus_7", "--radii", "2e-154,1,1,1,1,1,1"],
+    ["flow", "--mesh", "torus_7", "--radii", "2e-154,1,1,1,1,1,1"],
+    ["solve", "--mesh", "torus_7", "--radii", "2e-154,1,1,1,1,1,1"],
 ], ids=["curvature-cell5", "curvature-tetrahedron", "flow-tetrahedron",
         "flow-cell5", "solve-tetrahedron", "flow-start-out-of-range",
-        "curvature-torus_7-R-overflows"])
+        "curvature-torus_7-R-overflows", "flow-torus_7-R-overflows",
+        "solve-torus_7-R-overflows"])
 def test_cli_refuses_a_measure_out_of_range(tmp_path, capsys, argv):
     assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_INVALID
     assert "leaves the float range" in capsys.readouterr().err

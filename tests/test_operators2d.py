@@ -366,10 +366,11 @@ GATHER_SURFACES = ("tetrahedron", "octahedron", "icosahedron", "torus_7",
        decades=st.floats(-50.0, 50.0), seed=st.integers(0, 2 ** 32 - 1))
 def test_gather_kernels_are_the_face_level_loops_bit_for_bit(
         name, n, m, alpha, prescribed, weighted, decades, seed):
-    """Weights 0 or in [0, pi/2] and radii over one order of magnitude at
+    """Weights 0 (a tangent surface: the incircle kernels) or in
+    (0, pi/2) (the law of cosines) and radii over one order of magnitude at
     scales 1e+-50: _point, _edge_weights and _edge_apply, which gather
-    through the (5, F) and (2, E) tables, equal the loops over the (F, 3)
-    face arrays bit for bit."""
+    through the (5, F) and (2, E) tables, equal the loops over the faces
+    and the (F, 3) face arrays bit for bit."""
     rng = np.random.default_rng(seed)
     base = grid_torus(n, m) if name == "grid" else data.load(name)
     c = reweighted(base, rng.uniform(0.0, np.pi / 2, len(base.edges))
@@ -381,8 +382,10 @@ def test_gather_kernels_are_the_face_level_loops_bit_for_bit(
         want = face_loop_point(c, r, alpha, target)
         for field in p._fields:
             assert np.array_equal(getattr(p, field), want[field]), field
-        w = operators2d._edge_weights(c, r, p.theta, p.L)
-        assert np.array_equal(w, face_loop_edge_weights(c, r, p.theta, p.L))
+        assert c.tangent == (not weighted)
+        w = operators2d._edge_weights(c, p)
+        assert np.array_equal(w, face_loop_edge_weights(c, r, p.theta,
+                                                        p.sizes))
         f = rng.normal(size=c.vertex_count)
         assert np.array_equal(operators2d._edge_apply(c, w, f),
                               edge_loop_apply(c, w, f))

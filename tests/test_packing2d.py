@@ -2,12 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import grid_torus, random_metric
-from packflows import data, packing2d
+from conftest import grid_torus, incircle_loop_angles, random_metric
+from packflows import data, operators2d, packing2d
 from packflows.errors import DegenerateTriangleError
 from packflows.mesh import Surface2Complex, euler_characteristic
 from packflows.packing2d import (COS_MARGIN, angle_defect, average_curvature,
@@ -262,16 +262,18 @@ def kernel_outcome(kernel, s):
 @settings(max_examples=60, deadline=None, database=None)
 @given(name=st.sampled_from(sorted(ORACLE_SURFACES)), draw=st.data())
 def test_angle_kernel_is_the_per_corner_loop_bit_for_bit(name, draw):
-    """Radii over ten orders of magnitude and weights in [0, pi/2]: the
-    angles of the edge-level kernel equal the face-level loop's bit for bit
-    on the gathered face sides, and the squared edge lengths returned with
-    them are the law of cosines of the radii, whose roots are the edge
+    """Radii over ten orders of magnitude and weights in [0, pi/2], not all
+    0 (that is a tangent surface, the next test's): the angles of the
+    edge-level kernel equal the face-level loop's bit for bit on the
+    gathered face sides, and the squared edge lengths returned with them
+    are the law of cosines of the radii, whose roots are the edge
     lengths."""
     c = ORACLE_SURFACES[name]
     u = draw.draw(arrays(float, c.vertex_count,
                          elements=st.floats(-11.5, 11.5)))
     w = draw.draw(arrays(float, len(c.edges),
                          elements=st.floats(0.0, np.pi / 2)))
+    assume(w.any())
     c = reweighted(c, w)
     r = np.exp(u)
     theta, L = packing2d._angles(c, r)
@@ -282,6 +284,95 @@ def test_angle_kernel_is_the_per_corner_loop_bit_for_bit(name, draw):
     assert np.array_equal(L, rho[i] + rho[j] + 2.0 * r[i] * r[j] * c.cos_weights)
     assert np.array_equal(
         theta, kernel_outcome(loop_angles_from_sides, lengths[c.face_edge]))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(ORACLE_SURFACES)), draw=st.data())
+def test_incircle_kernel_is_the_per_face_loop_bit_for_bit(name, draw):
+    """Log-radii anywhere in [-700, 700] on a tangent surface (every weight
+    0): the angles and incircle radii of the kernel equal the loop over
+    the faces and their corners bit for bit."""
+    c = ORACLE_SURFACES[name]
+    assert c.tangent
+    u = draw.draw(arrays(float, c.vertex_count,
+                         elements=st.floats(-700.0, 700.0)))
+    r = np.exp(u)
+    theta, rho = packing2d._angles(c, r)
+    want_theta, want_rho = incircle_loop_angles(c, r)
+    assert np.array_equal(rho, want_rho)
+    assert np.array_equal(theta, want_theta)
+
+
+TANGENT_SURFACES = ("tetrahedron", "octahedron", "icosahedron", "torus_7",
+                    "genus2_11")
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(name=st.sampled_from(TANGENT_SURFACES),
+       bound=st.sampled_from([16.0, 700.0]), draw=st.data())
+def test_tangent_kernels_are_exact_to_a_few_ulps(name, bound, draw):
+    """Log-radii anywhere in [-16, 16] or in [-700, 700] on a tangent
+    surface: every inner angle is within 10 ulps of 2 atan(rho / r_i) and
+    every edge weight within 10 ulps of -rho / (r_i + r_j) summed over the
+    two faces of its edge, both to 40 digits. A rounding errs by at most
+    2^-53 relative, a unit, and k units are less than k ulps: rho errs by
+    6.5 units (the sum s and r_hi / s, then its root, the two other roots
+    and the two products), an angle by 9.5 (the quotient, then atan, whose
+    condition number is below 1 and whose own error is one ulp), a weight
+    by 9.5 (each term's sum and quotient, then the sum of the two terms).
+    Where a result is subnormal its ulp is the least subnormal."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    c = ORACLE_SURFACES[name]
+    u = draw.draw(arrays(float, c.vertex_count,
+                         elements=st.floats(-bound, bound)))
+    r = np.exp(u)
+    p = packing2d._point(c, r, 0.0, None)
+    w = operators2d._edge_weights(c, p)
+    rm = [mpmath.mpf(x) for x in r.tolist()]
+    want_w = [mpmath.mpf(0)] * len(c.edges)
+    for f, (corners, sides) in enumerate(zip(c.face_array.tolist(),
+                                             c.face_edge.tolist())):
+        ri, rj, rk = (rm[v] for v in corners)
+        rho = mpmath.sqrt(ri * rj * rk / (ri + rj + rk))
+        for m, v in enumerate(corners):
+            want = 2 * mpmath.atan(rho / rm[v])
+            assert abs(p.theta[f, m] - want) <= 10 * np.spacing(float(want))
+        for k in range(3):
+            want_w[sides[k]] -= rho / (rm[corners[(k + 1) % 3]]
+                                       + rm[corners[(k + 2) % 3]])
+    for got, want in zip(w.tolist(), want_w):
+        assert abs(got - want) <= 10 * np.spacing(abs(float(want)))
+
+
+@pytest.mark.parametrize("r", [
+    [1e-160, 1e-160, 1.0, 1.0],     # r_i r_j r_k / s ~ 1e-320 is subnormal
+    [1e-300, 1e-30, 1.0, 1.0],      # r_i r_j r_k / s ~ 1e-330 underflows
+    [1e-20, 1.0, 1.0, 1.0],         # the cosines of the law saturate
+    [1e300, 1e300, 2e300, 1e300],   # r_i r_j r_k / s ~ 1e600 overflows
+    [1e-305, 1e-305, 1e305, 1e305],
+    [1e300, 1e-5, 1e-10, 1.0],      # r_k / s ~ 1e-310 is subnormal
+])
+def test_tangent_defects_are_exact_at_any_radius_ratio(r):
+    """The tetrahedron's defects are within 4 ulps of 2 pi of 2 pi less
+    the vertex's 2 atan(rho / r) to 40 digits, also where the square of an
+    incircle radius, or a partial product of it, leaves the normal
+    doubles. The law of cosines gave K = 0, 0, 2 pi, 2 pi for the second
+    (the truth is about -pi, pi, 2 pi, 2 pi), -pi for the tiny circle of
+    the third (8.5e-10 off) and refused the last three as degenerate."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    c = ORACLE_SURFACES["tetrahedron"]
+    rm = [mpmath.mpf(x) for x in r]
+    want = [2 * mpmath.pi] * 4
+    for corners in c.face_array.tolist():
+        ri, rj, rk = (rm[v] for v in corners)
+        rho = mpmath.sqrt(ri * rj * rk / (ri + rj + rk))
+        for v in corners:
+            want[v] -= 2 * mpmath.atan(rho / rm[v])
+    got = angle_defect(c, r)
+    for k, w in zip(got.tolist(), want):
+        assert abs(k - w) <= 4 * np.spacing(2 * np.pi)
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -64,7 +64,8 @@ plus one run with the full per-subset table and one with a subsets file,
 and the Thurston condition and the metric condition with its full table
 (65 534 rows) on the 4 x 4 grid torus (written to OUTDIR/meshes);
 two regression runs: an icosahedron Newton solve whose line search
-meets an overflowing trial point, and the metric condition at alpha = NaN
+meets an overflowing trial point (Newton does not converge from that
+start, exit 4), and the metric condition at alpha = NaN
 (invalid input, exit 2); three refusals of a complex of the other
 dimension (exit 2): a surface family on cell16, the Yamabe flow on
 torus_7, and the y condition on cell5; and two refusals of an invalid
