@@ -6,8 +6,7 @@ from .errors import (DegenerateTetrahedronError, DegenerateTriangleError,
                      EnumerationTooLargeError, InvalidComplexError,
                      NearDegenerateError, NoConvergenceError,
                      NotApplicableError, PackflowsError,
-                     QuadratureFailureError, SpectralFailureError,
-                     StepFailureError)
+                     SpectralFailureError, StepFailureError)
 from .flows2d import FlowSpec, FlowTrace
 from .mesh import Manifold3Complex, Surface2Complex
 
@@ -18,7 +17,6 @@ __all__ = [
     "packing3d", "Surface2Complex", "Manifold3Complex", "FlowSpec",
     "FlowTrace", "PackflowsError", "InvalidComplexError",
     "DegenerateTriangleError", "DegenerateTetrahedronError",
-    "NearDegenerateError", "SpectralFailureError", "QuadratureFailureError",
-    "StepFailureError", "EnumerationTooLargeError", "NoConvergenceError",
-    "NotApplicableError",
+    "NearDegenerateError", "SpectralFailureError", "StepFailureError",
+    "EnumerationTooLargeError", "NoConvergenceError", "NotApplicableError",
 ]

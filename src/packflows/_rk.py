@@ -8,22 +8,18 @@ drivers need to project the state and probe domain boundaries between
 accepted steps, which is why stepping is exposed one step at a time
 instead of wrapping a whole-interval integrator.
 
-The field of ``advance`` and ``dopri_step`` maps (t, y) to (dy/dt, q) with q
-a scalar rate. Each step also returns the integral of q over the step under
-the eighth-order weights: a quadrature carried along with the ODE (Hairer,
-Norsett, Wanner, Solving ODEs I, II.4-5). q never enters the error norm, so
-it does not change the steps taken.
-
-A DOP853 trial is table driven: its twelve stages fill the rows of a
-(12, N) array k, and its rates a (12,) array q. Stage s is evaluated at
-y + h * sum_j A[s, j] k_j over the first s rows; the eighth-order solution
-and the fifth- and third-order error estimates are sums over all twelve
-rows, the zero coefficients included. Each sum is one np.add.reduce over the
-stage axis from 0.0: it adds its at most twelve terms in order, so a trial
-is bit for bit the term-by-term sum of the textbook formula. No stage is
-evaluated at the new point: the error estimate needs none, so a trial costs
-eleven field evaluations, and the first stage of the next step is the
-caller's evaluation of the accepted point.
+The field of ``advance`` and ``dopri_step`` maps (t, y) to dy/dt: the
+stepper integrates the ODE and nothing else. A DOP853 trial is table
+driven: its twelve stages fill the rows of a (12, N) array k. Stage s is
+evaluated at y + h * sum_j A[s, j] k_j over the first s rows; the
+eighth-order solution and the fifth- and third-order error estimates are
+sums over all twelve rows, the zero coefficients included. Each sum is one
+np.add.reduce over the stage axis from 0.0: it adds its at most twelve
+terms in order, so a trial is bit for bit the term-by-term sum of the
+textbook formula. No stage is evaluated at the new point: the error
+estimate needs none, so a trial costs eleven field evaluations, and the
+first stage of the next step is the caller's evaluation of the accepted
+point.
 """
 
 import numpy as np
@@ -138,34 +134,31 @@ class DomainError(PackflowsError):
 
 
 def _dopri_stages(field, t, y, h, first):
-    """The twelve stage derivatives as the rows of a (12, N) array k and the
-    twelve stage rates as a (12,) array q, given the first stage (dy/dt, q)
-    at (t, y)."""
+    """The twelve stage derivatives as the rows of a (12, N) array k, given
+    the first stage, the field's dy/dt at (t, y)."""
     n = len(y)
     # numpy adds eight or more terms pairwise when they reduce to a single
     # number, so the stage array keeps a second column when N = 1
     k = np.zeros((12, max(n, 2)))
-    q = np.empty(12)
-    k[0, :n], q[0] = first
+    k[0, :n] = first
     for s in range(1, 12):
         ys = y + h * np.add.reduce(_A[s, :s, None] * k[:s], axis=0,
                                    initial=0.0)[:n]
-        k[s, :n], q[s] = field(t + _C[s] * h, ys)
-    return k[:, :n], q
+        k[s, :n] = field(t + _C[s] * h, ys)
+    return k[:, :n]
 
 
 def dopri_step(field, t, y, h, rtol, atol, first):
-    """One trial DOP853 step of a field (t, y) -> (dy/dt, q), with first the
+    """One trial DOP853 step of a field (t, y) -> dy/dt, with first the
     field's value at (t, y).
 
     The error norm is Hairer's combination of the fifth- and third-order
     estimates e5 and e3, scaled componentwise by atol + rtol max(|y|,
     |y_new|): |h| ||e5||^2 / sqrt((||e5||^2 + 0.01 ||e3||^2) N).
-    Returns (accepted, t_new, y_new, err_norm, quad) with quad the
-    eighth-order integral of q over the step. Raises DomainError through
+    Returns (accepted, t_new, y_new, err_norm). Raises DomainError through
     from the field.
     """
-    k, q = _dopri_stages(field, t, y, h, first)
+    k = _dopri_stages(field, t, y, h, first)
     dy, e5, e3 = np.add.reduce(_B[:, :, None] * k[:, None], axis=0,
                                initial=0.0)
     y8 = y + h * dy
@@ -174,27 +167,25 @@ def dopri_step(field, t, y, h, rtol, atol, first):
     n3 = np.add.reduce((e3 / scale) ** 2)
     err = 0.0 if n5 == 0.0 else float(
         abs(h) * n5 / np.sqrt((n5 + 0.01 * n3) * len(y)))
-    return err <= 1.0, t + h, y8, err, h * float(_B8 @ q)
+    return err <= 1.0, t + h, y8, err
 
 
 def advance(field, t, y, h, rtol, atol, min_step, max_step, first):
-    """Advance one accepted DOP853 step of a field (t, y) -> (dy/dt, q),
-    retrying with smaller h. first is the field's value at (t, y), the first
-    stage, which every trial shares.
+    """Advance one accepted DOP853 step of a field (t, y) -> dy/dt, retrying
+    with smaller h. first is the field's value at (t, y), the first stage,
+    which every trial shares.
 
-    Returns (t_new, y_new, quad, h_next, rejected) where quad is the
-    integral of q over the accepted step and rejected counts the failed
-    trials. DomainError from the field is treated like an oversized step:
-    halve and retry. StepFailureError when no acceptable step at or above
-    min_step exists.
+    Returns (t_new, y_new, h_next, rejected) where rejected counts the
+    failed trials. DomainError from the field is treated like an oversized
+    step: halve and retry. StepFailureError when no acceptable step at or
+    above min_step exists.
     """
     rejected = 0
     while True:
         if h < min_step:
             raise StepFailureError(f"step size {h:.3g} fell below {min_step:.3g}")
         try:
-            ok, t2, y2, err, quad = dopri_step(field, t, y, h, rtol, atol,
-                                               first)
+            ok, t2, y2, err = dopri_step(field, t, y, h, rtol, atol, first)
         except DomainError:
             h *= 0.5
             rejected += 1
@@ -203,6 +194,6 @@ def advance(field, t, y, h, rtol, atol, min_step, max_step, first):
             factor = MAX_FACTOR if err == 0.0 else min(
                 MAX_FACTOR, max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT))
             h_next = min(h * factor, max_step)
-            return t2, y2, quad, h_next, rejected
+            return t2, y2, h_next, rejected
         h *= max(MIN_FACTOR, min(SAFETY * err ** ERROR_EXPONENT, 0.9))
         rejected += 1

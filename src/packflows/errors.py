@@ -41,10 +41,6 @@ class SpectralFailureError(PackflowsError):
     """The symmetric eigensolver failed or returned an inconsistent kernel."""
 
 
-class QuadratureFailureError(PackflowsError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-
 class StepFailureError(PackflowsError):
     """The integrator could not take an acceptable step above the minimum size."""
 

@@ -27,13 +27,13 @@ yamabe, whose evaluated point, sample and singularity classifier are
 packing3d's. Each evaluation forms one record of its point, once: for a
 2-d row packing2d._point, which holds the angles, the defects K, r^alpha
 and its sum, Rbar, R = K / r^alpha and the potential gradient g. The
-_BASE rows, the potential rate g . v, the sample, the residual and
-Newton's iterate read it, and compute none of these again. A stage runs
-under one np.errstate. The driver steps with _rk's DOP853, its one method:
-at the default rtol of 1e-9 the eighth-order pair takes far fewer steps
-than a fifth-order one, and fewer field evaluations despite its twelve
-stages. The geometry modules (packing2d, packing3d, operators2d) import
-nothing from this driver.
+_BASE rows, the sample, the residual, Newton's iterate and the closed-form
+Ricci potential of the trace (operators2d._potential) read it, and compute
+none of these again. A stage runs under one np.errstate. The driver steps
+with _rk's DOP853, its one method: at the default rtol of 1e-9 the
+eighth-order pair takes far fewer steps than a fifth-order one, and fewer
+field evaluations despite its twelve stages. The geometry modules
+(packing2d, packing3d, operators2d) import nothing from this driver.
 """
 
 import math
@@ -49,7 +49,7 @@ from .errors import (DegenerateTetrahedronError, DegenerateTriangleError,
                      NoConvergenceError, NotApplicableError, StepFailureError)
 from .mesh import euler_characteristic
 from .operators2d import (_edge_apply, _edge_weights, _hessian_apply,
-                          _jacobian_diagonal)
+                          _jacobian_diagonal, _potential)
 from .packing2d import (_average_curvature, _check_positive_int, _checked,
                         _evaluate, _finite_curvature, _point, total_measure)
 
@@ -155,10 +155,8 @@ class FlowTrace:
     radii: np.ndarray        # (samples, N)
     curvatures: np.ndarray   # (samples, N) alpha-curvature along the run
     conserved: np.ndarray    # (samples,) family's conserved quantity
-    potential: np.ndarray    # (samples,) Ricci potential from 0, integrated
-                             # by the stepper (3-d: total curvature); not in
-                             # its error control, so on a diverging run only
-                             # good to ~1e-6 relative at rtol 1e-9
+    potential: np.ndarray    # (samples,) Ricci potential F(u_t) - F(u_0)
+                             # in closed form (3-d: total curvature)
     calabi: np.ndarray       # (samples,) Calabi energy (3-d: dissipation form)
     residuals: np.ndarray    # (samples,) scale-normalized curvature residual
     termination: str
@@ -249,7 +247,7 @@ def vector_field(spec, c, r):
     r, flow = _flow(spec, c, r)
     with np.errstate(all="ignore"):
         point = _finite_curvature(flow.evaluate(r), spec.alpha)
-    return FAMILIES[spec.family].scale * flow.field(point)[0]
+    return FAMILIES[spec.family].scale * flow.field(point)
 
 
 # -- residuals and conserved quantities ---------------------------------------
@@ -303,23 +301,22 @@ def _stage(spec, evaluate, base):
     """The stepper's field u -> scale * base(evaluate(e^u)); the evaluation
     of an accepted point u; the field at an evaluated accepted point, the
     first stage of the next step; and the evaluation of the start point u.
-    evaluate maps radii to a point, base maps a point to the field and the
-    potential's rate along it, (v, q); a stage evaluates both under one
-    np.errstate. A stage that leaves the admissible region (|u| > 700, a
-    named degeneracy or a non-finite field) raises DomainError, so the
-    stepper retries smaller. At an accepted point the same failures raise
-    StepFailureError instead: no step of any size leaves the point, and no
-    stage of a DOP853 trial sits at the point it accepts. At the start
-    point |u| > 700 raises StepFailureError naming the start, while a
-    named degeneracy of the start stays the caller's error.
+    evaluate maps radii to a point and base a point to the field, both
+    under one np.errstate. A stage that leaves the admissible region
+    (|u| > 700, a named degeneracy or a non-finite field) raises
+    DomainError, so the stepper retries smaller. At an accepted point the
+    same failures raise StepFailureError instead: no step of any size
+    leaves the point, and no stage of a DOP853 trial sits at the point it
+    accepts. At the start point |u| > 700 raises StepFailureError naming
+    the start; a named degeneracy of the start stays the caller's error.
     """
     scale = FAMILIES[spec.family].scale
 
     def at(point):
-        v, q = base(point)
-        if not (math.isfinite(q) and np.logical_and.reduce(np.isfinite(v))):
+        v = base(point)
+        if not np.logical_and.reduce(np.isfinite(v)):
             raise DomainError("the field is not finite")
-        return scale * v, scale * q
+        return scale * v
 
     def start(u):
         return evaluate(_radii(u))
@@ -353,19 +350,17 @@ def step(spec, c, state):
     r, flow = _flow(spec, c, state.r)
     fn, land, first, _ = _stage(spec, flow.evaluate, flow.field)
     u = np.log(r)
-    t2, u2, _, h_next, _ = advance(fn, state.t, u, state.h, spec.rtol,
-                                   spec.atol, spec.min_step,
-                                   spec.resolved_max_step(),
-                                   first(_finite_curvature(land(u),
-                                                           spec.alpha)))
+    t2, u2, h_next, _ = advance(fn, state.t, u, state.h, spec.rtol,
+                                spec.atol, spec.min_step,
+                                spec.resolved_max_step(),
+                                first(_finite_curvature(land(u), spec.alpha)))
     return FlowState(t2, np.exp(u2), h_next)
 
 
-# evaluate(r): the point of radii r, all the field and the sample read;
-# field(point): base field and potential rate (v, q); sample(t, point, F):
-# trace row (t, r, R, conserved, F, C, residual) given the integral F of q;
-# guard: a run leaving the radius bounds diverged; classify(point, t, relax):
-# singularity at an evaluated accepted point
+# evaluate(r): the point of radii r, all the others read; field(point): base
+# field; sample(t, point): trace row (t, r, R, conserved, F, C, residual),
+# the first sample of a run at its start; guard: a run leaving the radius
+# bounds diverged; classify(point, t, relax): singularity
 _Flow = namedtuple("_Flow", "evaluate field sample guard classify")
 R_MIN_GUARD, R_MAX_GUARD = 1e-8, 1e8
 
@@ -391,9 +386,8 @@ def _integrate(spec, c, r0, flow):
     u = np.log(r0)
     ref = _log_measure(p, u)
     t, h = 0.0, min(spec.initial_step, spec.resolved_max_step())
-    f = 0.0
     point = _finite_curvature(start(u), spec.alpha)
-    rows = [flow.sample(t, point, f)]
+    rows = [flow.sample(t, point)]
     termination = singularity = None
     n_steps = n_rejected = 0
     while True:
@@ -411,10 +405,9 @@ def _integrate(spec, c, r0, flow):
             termination = "max_steps"
             break
         try:
-            t2, u2, df, h, rej = advance(fn, t, u, min(h, spec.t_max - t),
-                                         spec.rtol, spec.atol, spec.min_step,
-                                         spec.resolved_max_step(),
-                                         first(point))
+            t2, u2, h, rej = advance(fn, t, u, min(h, spec.t_max - t),
+                                     spec.rtol, spec.atol, spec.min_step,
+                                     spec.resolved_max_step(), first(point))
             if p is not None and spec.renormalize:
                 # shift along the constant vector to restore the conserved
                 # quantity
@@ -430,8 +423,7 @@ def _integrate(spec, c, r0, flow):
         t, u = t2, u2
         n_steps += 1
         n_rejected += rej
-        f += df
-        rows.append(flow.sample(t, point, f))
+        rows.append(flow.sample(t, point))
         r_now = rows[-1][1]
         if flow.guard and (np.minimum.reduce(r_now) < R_MIN_GUARD
                            or np.maximum.reduce(r_now) > R_MAX_GUARD):
@@ -451,27 +443,21 @@ def _flow(spec, c, r):
     The 3-d row, yamabe (the one with no base field), evaluates
     packing3d._point and takes its sample and singularity classifier from
     packing3d. A 2-d row evaluates packing2d._point, one record per
-    evaluation that the field and the sample read; its field gives
-    q = g . v, the rate of the Ricci potential along the base field v
-    (g = K - Rbar r^alpha), which the stepper integrates into the trace's
-    potential when energies are recorded (else q = 0 and no energy is
-    sampled)."""
+    evaluation that the field and the sample read. When energies are
+    recorded, its sample holds the Calabi energy and the Ricci potential
+    F(u_t) - F(u_0) in closed form (operators2d._potential), with u_0 the
+    first sample's point; else both are NaN."""
     if FAMILIES[spec.family].field is None:
         return _checked(c, r, 3.0, dim=3)[0], _Flow(
-            lambda r: packing3d._point(c, r),
-            lambda p: (p.average - p.R, 0.0), packing3d._sample,
-            False, packing3d._classify)
+            lambda r: packing3d._point(c, r), lambda p: p.average - p.R,
+            packing3d._sample, False, packing3d._classify)
     base, p = _BASE[FAMILIES[spec.family].field], _exponent(spec)
     alpha = spec.alpha
     r, target = _checked(c, r, alpha, spec.target)
+    F0 = None
 
-    def field(point):
-        v = base(c, point, alpha, target)
-        if not spec.record_energies:
-            return v, 0.0
-        return v, float(point.g @ v)
-
-    def sample(t, point, F):
+    def sample(t, point):
+        nonlocal F0
         # a 2-d row that conserves a sum r^p conserves the flow's own measure
         # (p = alpha), whose total the point holds
         if p is None:
@@ -481,13 +467,17 @@ def _flow(spec, c, r):
         else:
             conserved = float(np.exp(np.sum(np.log(point.r))))
         if spec.record_energies:
-            C = float(point.g @ point.g)
+            F = _potential(c, point, alpha, target)
+            if F0 is None:
+                F0 = F
+            F, C = F - F0, float(point.g @ point.g)
         else:
             F = C = math.nan
         return (t, point.r, point.R, conserved, F, C,
                 _residual(c, point, target))
 
-    return r, _Flow(lambda r: _point(c, r, alpha, target), field, sample,
+    return r, _Flow(lambda r: _point(c, r, alpha, target),
+                    lambda point: base(c, point, alpha, target), sample,
                     True, None)
 
 
@@ -685,7 +675,9 @@ def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
     restricted to the scale-invariant slice sum log r = const; each step
     solves the projected Hessian system by preconditioned conjugate
     gradients on the edge-weight matvec, so no V x V matrix is formed.
-    method="flow" delegates to the normalized alpha-Ricci flow. A start
+    method="flow" delegates to the normalized alpha-Ricci flow, with no
+    energies recorded: the diagnostics of a run that does not converge
+    (its trace's summary) hold null monotonicity flags. A start
     whose curvature R = K / r^alpha leaves the float range raises
     ValueError, as packing2d.curvature does.
     """
@@ -694,7 +686,7 @@ def find_constant_curvature(c, alpha, r0, method="newton", eps=1e-9,
     _check_positive_int("max_iter", max_iter)
     if method == "flow":
         spec = FlowSpec(family="alpha_ricci_normalized", alpha=alpha, eps=eps,
-                        t_max=500.0)
+                        t_max=500.0, record_energies=False)
         trace = run(spec, c, r0)
         if not trace.converged:
             raise NoConvergenceError(

@@ -63,6 +63,7 @@ from .packing2d import (_check_positive_int, _checked, _vertex_function,
 Q_SAFETY_MARGIN = 1e-6
 SING_RADIUS = 1e-6
 SING_Q = 1e-8
+ROUNDING_FLOOR = 4.0 * np.finfo(float).eps  # of a descent start (_descend)
 
 # _OTHERS[k, p] is the k-th of the three other columns of tet column p
 _OTHERS = np.array([(1, 0, 0, 0), (2, 2, 1, 1), (3, 3, 3, 2)])
@@ -365,7 +366,7 @@ def yamabe_residual(c, r):
     return float(np.max(np.abs(_evaluate(c, r).g)))
 
 
-def _sample(t, p, _):
+def _sample(t, p):
     """The flow's trace row at the evaluated point p: the potential column
     is the closed-form total curvature, the Calabi column the dissipation
     -2 dS/dt, and the residual max |K - R_av r^2|."""
@@ -431,8 +432,10 @@ def _descend(c, r0, gtol, max_iter=500):
     An iteration stops a start when its gradient norm is below
     gtol max(|Q|, 1), or after max_iter accepted steps; otherwise it tries
     steps s along -g from s = 0.5 (the first iteration) or twice the last
-    accepted step, at most 4, halving s until the Armijo test passes or 40
-    trials fail (the start stops). Each start keeps its own step, halvings
+    accepted step, at most 4, halving s until the Armijo test passes, or
+    until the trial predicts a decrease s g.g of at most
+    ROUNDING_FLOOR max(|Q|, 1), a few ulps of Q: rounding would decide the
+    test, and the start stops unconverged. Each start keeps its own step
     and iteration count; a round evaluates the trial point of every live
     start in one stacked pass, so a start makes the trials, and ends at the
     point, it would reach alone."""
@@ -442,22 +445,23 @@ def _descend(c, r0, gtol, max_iter=500):
     q, g = _quotients(c, u)
     start = np.arange(n)  # the start of each live row
     step = np.full(n, 0.5)
-    iters, halvings = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    iters = np.zeros(n, dtype=int)
     while True:
         # g . d = -g . g, bit for bit. g and Q change only with a step, so a
         # row passes the gradient test when it has just stepped or never
         gg = np.array([x @ x for x in g])
-        small = ((np.sqrt(gg) < gtol * np.maximum(np.abs(q), 1.0))
-                 & (iters < max_iter))
-        done = small | (iters == max_iter) | (halvings == 40)
+        scale = np.maximum(np.abs(q), 1.0)
+        small = (np.sqrt(gg) < gtol * scale) & (iters < max_iter)
+        done = (small | (iters == max_iter)  # a NaN g.g is at the floor too
+                | ~(step * gg > ROUNDING_FLOOR * scale))
         if done.any():
             at = start[done]
             u_end[at], q_end[at], converged[at] = u[done], q[done], small[done]
             keep = ~done
             if not keep.any():
                 return np.exp(u_end), q_end, converged
-            start, u, q, g, gg, step, iters, halvings = (
-                a[keep] for a in (start, u, q, g, gg, step, iters, halvings))
+            start, u, q, g, gg, step, iters = (
+                a[keep] for a in (start, u, q, g, gg, step, iters))
         trial = u - step[:, np.newaxis] * g
         q_try, g_try = _quotients(c, trial)
         took = q_try <= q - 1e-4 * step * gg
@@ -466,8 +470,6 @@ def _descend(c, r0, gtol, max_iter=500):
         np.copyto(g, g_try, where=took[:, np.newaxis])
         step = np.where(took, np.minimum(2.0 * step, 4.0), 0.5 * step)
         iters += took
-        halvings += 1
-        halvings[took] = 0
 
 
 def yamabe_invariant_estimate(c, n_starts=20, seed=0, gtol=1e-8):

@@ -10,9 +10,9 @@ from packflows import data
 from packflows.flows2d import FAMILIES, FlowSpec, run
 from packflows.mesh import Surface2Complex, mesh_from_dict
 from packflows.operators2d import potential_gradient, potential_hessian
-from packflows.packing2d import edge_lengths, inner_angles
+from packflows.packing2d import _point, edge_lengths, inner_angles
 from packflows.errors import DegenerateTetrahedronError
-from packflows.packing3d import _evaluate, solid_angle_defect
+from packflows.packing3d import ROUNDING_FLOOR, _evaluate, solid_angle_defect
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tools"))
@@ -237,6 +237,44 @@ def newton_direction_oracle(c, r, alpha):
     return B @ np.linalg.solve(B.T @ H @ B, -(B.T @ g))
 
 
+def _gl_panel(g, a, b):
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return half * np.sum(weights * g(mid + half * nodes))
+
+
+def _adaptive_gl(g, a, b, whole, tol, depth=0):
+    """The integral of g over [a, b] from its one-panel value whole."""
+    mid = 0.5 * (a + b)
+    left = _gl_panel(g, a, mid)
+    right = _gl_panel(g, mid, b)
+    if abs(left + right - whole) < tol:
+        return left + right
+    assert depth < 30, f"no convergence on [{a}, {b}] after {depth} refinements"
+    return (_adaptive_gl(g, a, mid, left, 0.5 * tol, depth + 1)
+            + _adaptive_gl(g, mid, b, right, 0.5 * tol, depth + 1))
+
+
+def ricci_potential_oracle(c, u0, u1, alpha=2.0, target=None, tol=1e-13):
+    """The line integral of the potential gradient g = K - Rbar r^alpha from
+    u0 to u1 (u = log r) on the straight segment, by adaptive 16-point
+    Gauss-Legendre panels to tol relative to the integral (at least 1): the
+    quadrature the closed form of operators2d.ricci_potential replaced,
+    kept as its reference."""
+    u0, u1 = np.asarray(u0, dtype=float), np.asarray(u1, dtype=float)
+    d = u1 - u0
+
+    def integrand(ts):
+        with np.errstate(all="ignore"):
+            return np.array([_point(c, np.exp(u0 + t * d), alpha, target).g @ d
+                             for t in ts])
+
+    whole = _gl_panel(integrand, 0.0, 1.0)
+    return float(_adaptive_gl(integrand, 0.0, 1.0, whole,
+                              tol * max(1.0, abs(whole))))
+
+
 def descend_quotient_oracle(c, r0, gtol, max_iter=500):
     """Gradient descent of the Yamabe quotient in log r from one start, one
     evaluation by the 3-d entry packing3d._evaluate at a time: the
@@ -261,7 +299,11 @@ def descend_quotient_oracle(c, r0, gtol, max_iter=500):
             return np.exp(u), q, True, trials
         d = -g
         s = lr
-        for _ in range(40):
+        while True:
+            if not s * (g @ g) > ROUNDING_FLOOR * scale:
+                # the predicted decrease is a few ulps of Q: rounding would
+                # decide the test
+                return np.exp(u), q, False, trials
             u_try = u + s * d
             try:
                 q_try, g_try = quotient_and_grad(u_try)
@@ -272,8 +314,6 @@ def descend_quotient_oracle(c, r0, gtol, max_iter=500):
                 lr = min(2.0 * s, 4.0)
                 break
             s *= 0.5
-        else:
-            return np.exp(u), q, False, trials
     return np.exp(u), q, False, trials
 
 

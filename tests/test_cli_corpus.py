@@ -51,6 +51,28 @@ def test_compare_run_tells_an_end_within_r_from_a_different_run(
         assert detail.endswith("steps 2 -> 1")
 
 
+def test_compare_run_names_what_moved(tmp_path):
+    """A run whose numbers moved past rtol names each column and JSON
+    number that did, and only those; with rtol 0, all that moved."""
+    rows = [START, (0.5, 1.2, 1e-3), (1.0, 1.0, 1e-10)]
+    write_run(tmp_path / "a", rows)
+    write_run(tmp_path / "b", [START, (0.5, 1.2 + 1e-12, 1e-3 + 1e-7),
+                               (1.0, 1.0, 1e-10)])
+    for side, drift in (("a", 0.25), ("b", 0.25 + 1e-5)):
+        with open(tmp_path / side / "flow_summary.json", "w") as fp:
+            json.dump({"termination": "converged", "steps": 2,
+                       "conserved_drift": drift, "alpha": 2.0}, fp)
+    got, detail = cli_corpus.compare_run(tmp_path / "a", tmp_path / "b", 1e-8)
+    assert got == "different"
+    assert detail.endswith("past 1e-08: flow_summary.json $.conserved_drift, "
+                           "trace.csv residual")
+    got, detail = cli_corpus.compare_run(tmp_path / "a", tmp_path / "b", 0.0)
+    assert detail.endswith("past 0: flow_summary.json $.conserved_drift, "
+                           "trace.csv r_1, trace.csv residual")
+    got, detail = cli_corpus.compare_run(tmp_path / "a", tmp_path / "b", 1e-4)
+    assert (got, detail) == ("within", "1e-05")
+
+
 # a subset of the corpus that runs in a few seconds and computes no dense
 # spectrum: 2-d flows (angle kernel and Calabi edge weights, with and
 # without edge weights), a Newton solve, 2-d curvatures, 3-d flows on cell16,

@@ -23,7 +23,8 @@ from packflows.flows2d import (FAMILIES, FlowSpec, FlowState,
 from packflows.mesh import euler_characteristic
 from packflows.operators2d import (alpha_laplacian, calabi_energy,
                                    calabi_energy_gradient, curvature_jacobian,
-                                   laplacian, potential_gradient)
+                                   laplacian, potential_gradient,
+                                   ricci_potential)
 from packflows.packing2d import (angle_defect, average_curvature, curvature,
                                  total_measure)
 
@@ -128,15 +129,15 @@ def public_field(family, c, r, alpha, target):
        alpha=st.sampled_from([2.0, 1.0, 0.0, -1.0]), draw=st.data())
 def test_the_evaluated_point_is_the_public_functions_bit_for_bit(
         name, family, alpha, draw):
-    """Every 2-d row reads its field, its potential rate and its sample row
-    from one evaluated point. On weights in [0, pi/2], with a target for
-    the prescribed rows and none for the others, each equals the public
-    functions bit for bit: the field vector_field and the composition of
-    curvature, average_curvature, alpha_laplacian and
-    calabi_energy_gradient; the rate g . v with g potential_gradient; and
-    the sample's R, conserved quantity, C and residual curvature,
+    """Every 2-d row reads its field and its sample row from one evaluated
+    point. On weights in [0, pi/2], with a target for the prescribed rows
+    and none for the others, each equals the public functions bit for bit:
+    the field vector_field and the composition of curvature,
+    average_curvature, alpha_laplacian and calabi_energy_gradient; and the
+    sample's R, conserved quantity, C and residual curvature,
     total_measure, calabi_energy and constant_curvature_residual or
-    prescribed_residual."""
+    prescribed_residual. The potential column is 0 at the first sample and
+    ricci_potential from it at the next, to rounding."""
     row = FAMILIES[family]
     alpha = alpha if row.alpha is None else row.alpha
     c = RECORD_SURFACES[name]
@@ -149,12 +150,11 @@ def test_the_evaluated_point_is_the_public_functions_bit_for_bit(
     spec = FlowSpec(family, alpha=alpha, target=target)
     _, flow = flows2d._flow(spec, c, r)
     point = flow.evaluate(r)
-    v, q = flow.field(point)
+    v = flow.field(point)
     assert np.array_equal(v, public_field(family, c, r, alpha, target))
     assert np.array_equal(row.scale * v, vector_field(spec, c, r))
-    assert q == float(potential_gradient(c, r, alpha, target) @ v)
-    t, radii, R, conserved, F, C, residual = flow.sample(0.5, point, 0.25)
-    assert (t, F) == (0.5, 0.25)
+    t, radii, R, conserved, F, C, residual = flow.sample(0.5, point)
+    assert t == 0.5 and F == 0.0
     assert np.array_equal(radii, r)
     assert np.array_equal(R, curvature(c, r, alpha))
     if row.conserved is None:
@@ -167,6 +167,10 @@ def test_the_evaluated_point_is_the_public_functions_bit_for_bit(
     assert residual == (constant_curvature_residual(c, r, alpha)
                         if target is None
                         else prescribed_residual(c, r, alpha, target))
+    r2 = r * np.exp(draw.draw(arrays(float, n, elements=st.floats(-0.5, 0.5))))
+    F2 = flow.sample(1.0, flow.evaluate(r2))[4]
+    F_ref = ricci_potential(c, np.log(r), np.log(r2), alpha, target)
+    assert abs(F2 - F_ref) <= 1e-12 * max(1.0, abs(F_ref))
 
 
 def test_step_fixed_point(tetra):
@@ -537,7 +541,11 @@ def test_find_constant_curvature_no_convergence(genus2):
     with pytest.raises(NoConvergenceError) as exc_info:
         spec_probe = find_constant_curvature(genus2, 2.0, r0, method="flow",
                                              eps=1e-18)
-    assert exc_info.value.diagnostics
+    diagnostics = exc_info.value.diagnostics
+    assert diagnostics["termination"] == "max_time"
+    # the flow records no energies, so it has no monotonicity verdicts
+    assert diagnostics["potential_nonincreasing"] is None
+    assert diagnostics["calabi_nonincreasing"] is None
 
 
 NEWTON_MESHES = {name: data.load(name) for name in
@@ -897,10 +905,10 @@ def test_a_field_that_is_not_finite_ends_the_run_or_the_trial(tetra):
     def integrate(finite_at_start):
         def field(point):
             ok = finite_at_start and np.array_equal(point[0], r0)
-            return np.full(4, 1.0 if ok else np.nan), 0.0
+            return np.full(4, 1.0 if ok else np.nan)
 
-        def sample(t, point, F):
-            return t, point[0], 0.0, 0.0, F, 0.0, 1.0
+        def sample(t, point):
+            return t, point[0], 0.0, 0.0, 0.0, 0.0, 1.0
         flow = flows2d._Flow(lambda r: packing2d._point(tetra, r, 2.0, None),
                              field, sample, True, None)
         return flows2d._integrate(FlowSpec("ricci", t_max=1.0), tetra, r0, flow)
@@ -926,11 +934,11 @@ def test_an_accepted_point_outside_the_domain_ends_the_run(tetra, error):
             raise error("degenerate")
         return packing2d._point(tetra, r, 2.0, None)
 
-    def sample(t, point, F):
-        return t, point[0], 0.0, 0.0, F, 0.0, 1.0
+    def sample(t, point):
+        return t, point[0], 0.0, 0.0, 0.0, 0.0, 1.0
     r0 = np.array([0.7, 0.9, 1.1, 1.3])
-    flow = flows2d._Flow(evaluate, lambda point: (-point[3], 0.0), sample,
-                         True, None)
+    flow = flows2d._Flow(evaluate, lambda point: -point[3], sample, True,
+                         None)
     trace = flows2d._integrate(FlowSpec("ricci"), tetra, r0, flow)
     assert (trace.termination, trace.n_steps) == ("stepped_out_of_domain", 0)
     assert calls["evaluations"] == 13

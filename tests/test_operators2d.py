@@ -7,7 +7,6 @@ from conftest import (calabi_families, defect_jacobian_r_oracle,
                       edge_loop_apply, face_loop_edge_weights,
                       face_loop_point, grid_torus, random_metric, reweighted)
 from packflows import data, operators2d, packing2d
-from packflows.errors import QuadratureFailureError
 from packflows.flows2d import FAMILIES, FlowSpec, vector_field
 from packflows.mesh import euler_characteristic
 from packflows.operators2d import (alpha_laplacian, calabi_energy,
@@ -193,14 +192,6 @@ def test_potential_path_independence(icosa):
         two_leg = (ricci_potential(icosa, u0, w, alpha, target)
                    + ricci_potential(icosa, w, u1, alpha, target))
         assert abs(direct - two_leg) < 1e-8
-
-
-def test_potential_quadrature_failure(torus7):
-    rng = np.random.default_rng(14)
-    u0 = np.log(random_metric(rng, 7))
-    with pytest.raises(QuadratureFailureError):
-        ricci_potential(torus7, u0, u0 + 1.0 + 1e-3 * rng.standard_normal(7),
-                        tol=1e-30)
 
 
 def test_hessian_tetrahedron_example(tetra):

@@ -525,15 +525,36 @@ def test_lock_step_descent_through_degenerate_trials(mesh_name, seed,
                for *_, t in ref for u in t)
 
 
-def test_lock_step_descent_through_a_failed_line_search(torus3, monkeypatch):
-    """With gtol 0 the descent from the uniform metric, a critical point up
-    to rounding, finds no decrease within 40 halvings and stops unconverged
-    before max_iter, beside a start that runs on, as it would alone."""
+def test_lock_step_descent_stops_at_the_rounding_floor(torus3, monkeypatch):
+    """With gtol 0 a start can only stop at max_iter or at its rounding
+    floor. The uniform metric, a critical point up to rounding, is at its
+    floor before any trial; beside it a start runs on and reaches its own
+    floor before max_iter, as it would alone."""
     r0 = np.random.default_rng(7).uniform(0.9, 1.1, 27)
     ref = lock_step_matches_oracle(torus3, [np.ones(27), r0], monkeypatch,
-                                   max_iter=200, gtol=0.0)
-    *_, converged, trials = ref[0]
-    assert not converged and 41 <= len(trials) < 200
+                                   max_iter=500, gtol=0.0)
+    assert [(conv, len(t)) for _, _, conv, t in ref][0] == (False, 1)
+    *_, converged, trials = ref[1]
+    assert not converged and 50 < len(trials) < 500
+
+
+def test_a_start_at_its_rounding_floor_stops(torus3, monkeypatch):
+    """A torus3_27 multistart whose sixth start reaches Q = -5.98035373...
+    but never passes gtol |Q|: its Armijo trials predict a decrease of
+    about an ulp of Q. Without the rounding floor it halved and stepped on
+    for 1032 rounds; it now leaves unconverged, and the solve ends at the
+    same bound, from a converged start, in about a quarter of them."""
+    rounds = []
+    quotients = packing3d._quotients
+
+    def counted(c, u):
+        rounds.append(len(u))
+        return quotients(c, u)
+    monkeypatch.setattr(packing3d, "_quotients", counted)
+    est = yamabe_invariant_estimate(torus3, n_starts=6, seed=104771450)
+    assert est.value == -5.98035373219411 and est.critical
+    assert est.converged_starts == 5
+    assert len(rounds) <= 260
 
 
 def test_yamabe_invariant_estimate_is_the_sequential_multistart(

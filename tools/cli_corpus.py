@@ -27,7 +27,10 @@ For each run it prints one of
     different       anything else (the first cause is printed, then each
                     side's exit code, termination and step count)
 
-and it exits 1 when any run is different. A difference is taken relative
+and it exits 1 when any run is different. A run whose numbers moved by
+more than R also names each of them: the file and its CSV column header
+(`trace.csv F`) or JSON path (`flow_summary.json $.t_final`); with
+`--rtol 0`, that is everything that moved. A difference is taken relative
 to the largest magnitude in its CSV column (over both runs), or of the two
 JSON numbers, but never relative to less than 1: a quantity that is itself
 rounding noise, such as a conserved drift of 4e-16, compares absolutely.
@@ -284,7 +287,9 @@ def _number(cell):
 
 
 def _csv_diff(a, b):
-    """Largest relative difference of two CSV files of the same shape."""
+    """The relative difference of each numeric column of two CSV files of
+    the same shape, by the column's name: its header cell, or its number
+    when the first row holds a number."""
     rows_a = [line.split(",") for line in a.splitlines()]
     rows_b = [line.split(",") for line in b.splitlines()]
     if [len(row) for row in rows_a] != [len(row) for row in rows_b]:
@@ -299,30 +304,45 @@ def _csv_diff(a, b):
                 continue
             scale[col] = max(scale.get(col, 1.0), abs(u), abs(v))
             diff[col] = max(diff.get(col, 0.0), abs(u - v))
-    return max((diff[col] / scale[col] for col in diff), default=0.0)
+    header = rows_a[0] if rows_a else []
+    return {(f"column {col + 1}" if _number(header[col]) is not None
+             else header[col]): diff[col] / scale[col] for col in diff}
 
 
 def _json_diff(a, b, where="$"):
-    """Largest relative difference of two JSON documents of the same shape."""
+    """The relative difference of each number of two JSON documents of the
+    same shape, by its path."""
     if type(a) in (int, float) and type(b) in (int, float):
         if math.isfinite(a) and math.isfinite(b):
-            return abs(a - b) / max(abs(a), abs(b), 1.0)
+            return {where: abs(a - b) / max(abs(a), abs(b), 1.0)}
         if repr(a) != repr(b):  # nan and inf compare as text
             raise ValueError(f"{where}: {a!r} != {b!r}")
-        return 0.0
+        return {}
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        return max((_json_diff(x, y, f"{where}[{k}]")
-                    for k, (x, y) in enumerate(zip(a, b))), default=0.0)
+        return {key: d for k, (x, y) in enumerate(zip(a, b))
+                for key, d in _json_diff(x, y, f"{where}[{k}]").items()}
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        return max((_json_diff(a[k], b[k], f"{where}.{k}") for k in a),
-                   default=0.0)
+        return {key: d for k in a
+                for key, d in _json_diff(a[k], b[k], f"{where}.{k}").items()}
     if a != b:
         raise ValueError(f"{where}: {a!r} != {b!r}")
-    return 0.0
+    return {}
+
+
+def _past(diffs, rtol):
+    """The largest relative difference of diffs, a dict name -> relative
+    difference, and the names of those past rtol, in the detail of a run."""
+    worst = max(diffs.values(), default=0.0)
+    moved = ", ".join(name for name, d in diffs.items() if d > rtol)
+    return worst, f"{worst:.3g}" + (f"; past {rtol:g}: {moved}" if moved
+                                    else "")
 
 
 def compare_run(dir_a, dir_b, rtol):
-    """(verdict, detail) for one run's output directories."""
+    """(verdict, detail) for one run's output directories. The detail of a
+    run whose numbers moved gives the largest relative difference and names
+    each CSV column (FILE COLUMN) and JSON number (FILE $.PATH) that moved
+    by more than rtol."""
     files_a, files_b = sorted(os.listdir(dir_a)), sorted(os.listdir(dir_b))
     if files_a != files_b:
         return "different", f"files {files_a} != {files_b}"
@@ -344,20 +364,22 @@ def compare_run(dir_a, dir_b, rtol):
         if doc_a["steps"] != doc_b["steps"]:
             return _compare_ends(blobs["trace.csv"], doc_a["steps"],
                                  doc_b["steps"], rtol)
-    worst = 0.0
+    diffs = {}
     for name, (x, y) in blobs.items():
         try:
             if name.endswith(".csv"):
-                worst = max(worst, _csv_diff(x, y))
+                diff = _csv_diff(x, y)
             elif name.endswith(".json"):
-                worst = max(worst, _json_diff(json.loads(x), json.loads(y)))
+                diff = _json_diff(json.loads(x), json.loads(y))
             elif x != y:
                 return "different", f"{name} differs"
+            else:
+                continue
         except ValueError as exc:
             return "different", f"{name}: {exc}"
-    if worst > rtol:
-        return "different", f"largest relative difference {worst:.3g} > {rtol:g}"
-    return "within", f"{worst:.3g}"
+        diffs.update((f"{name} {key}", d) for key, d in diff.items())
+    worst, detail = _past(diffs, rtol)
+    return ("different" if worst > rtol else "within"), detail
 
 
 def _compare_ends(traces, steps_a, steps_b, rtol):
@@ -370,13 +392,13 @@ def _compare_ends(traces, steps_a, steps_b, rtol):
         ends.append("\n".join(line.split(",", 1)[1]
                               for line in (lines[0], lines[-1])))
     try:
-        worst = _csv_diff(*ends)
+        worst, detail = _past(_csv_diff(*ends), rtol)
     except ValueError as exc:
         return "different", f"final trace row: {exc}"
+    steps = f"steps {steps_a} -> {steps_b}"
     if worst > rtol:
-        return "different", (f"final trace rows differ by {worst:.3g} > "
-                             f"{rtol:g} (steps {steps_a} != {steps_b})")
-    return "ends", f"{worst:.3g}; steps {steps_a} -> {steps_b}"
+        return "different", f"final trace rows differ by {detail} ({steps})"
+    return "ends", f"{detail}; {steps}"
 
 
 def _outcome(rundir):
